@@ -427,10 +427,21 @@ class GradedPoly:
             return total
         return self.terms.get((t, s, grade), BetaSeries.zero(self.d_max))
 
+    def _require_nilpotent(self, op: str) -> None:
+        """The log/exp sums stop after 2 w_max powers, which is exact only if
+        every term carries t- or s-weight; a term of pure grade never dies out."""
+        for t, s, g in self.terms:
+            if not t and not s:
+                raise DomainError(
+                    f"GradedPoly {op} needs t- or s-weight on every nonconstant term; "
+                    f"the grade-{g} constant would be truncated silently"
+                )
+
     def log(self) -> "GradedPoly":
         if self.constant_term() != BetaSeries.one(self.d_max):
             raise DomainError("GradedPoly log requires constant term 1")
         u = self - GradedPoly.one(self.w_max, self.d_max)
+        u._require_nilpotent("log")
         out = GradedPoly.zero(self.w_max, self.d_max)
         power = GradedPoly.one(self.w_max, self.d_max)
         for m in range(1, 2 * self.w_max + 1):
@@ -443,6 +454,7 @@ class GradedPoly:
     def exp(self) -> "GradedPoly":
         if self.constant_term():
             raise DomainError("GradedPoly exp requires constant term 0")
+        self._require_nilpotent("exp")
         out = GradedPoly.one(self.w_max, self.d_max)
         power = GradedPoly.one(self.w_max, self.d_max)
         for m in range(1, 2 * self.w_max + 1):

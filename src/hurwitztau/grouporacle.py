@@ -192,30 +192,44 @@ def _monotone_sequences(n: int, d: int):
     yield from gen([], 0)
 
 
+WALK_TABLE_CACHE = 32  # every (N, d) the path oracle admits: N <= 6, d <= 4
+
+
+@lru_cache(maxsize=WALK_TABLE_CACHE)
+def _walk_table(N: int, d: int) -> dict:
+    """(lam, nu) -> {mu: count} over all weakly monotone d-step walks and all
+    start points h in S_N, mu being the cycle type of walk * h."""
+    walks: dict[tuple, int] = {}
+    for seq in _monotone_sequences(N, d):
+        mult: dict[int, int] = {}
+        for _, b in seq:
+            mult[b] = mult.get(b, 0) + 1
+        lam = Partition(sorted(mult.values(), reverse=True))
+        walk = identity(N)
+        for a, b in seq:
+            walk = compose(transposition(N, a, b), walk)
+        walks[(lam, walk)] = walks.get((lam, walk), 0) + 1
+    table: dict[tuple, dict] = {}
+    for nu, members in conjugacy_classes(N).items():
+        for (lam, walk), times in walks.items():
+            hist = table.setdefault((lam, nu), {})
+            for h in members:
+                mu = cycle_type(compose(walk, h))
+                hist[mu] = hist.get(mu, 0) + times
+    return table
+
+
 def monotone_path_count(N: int, lam: Partition, mu: Partition, nu: Partition) -> int:
     """Number of weakly monotone d-step transposition walks from cyc(nu) into
     cyc(mu) whose second-element multiplicity profile is lam.
 
     Counts all start points h in the class of nu; the 1/N! normalization is
-    applied by the Hurwitz-number assembly, not here.
+    applied by the Hurwitz-number assembly, not here.  The count is read from
+    one brute-force table per (N, d = |lam|): every monotone walk composed
+    with every h in S_N, histogrammed by (lam, nu) and the cycle type of the
+    product.  The tables sit in an LRU cache of WALK_TABLE_CACHE entries,
+    enough for every (N, d) within the path oracle's budget.
     """
     if mu.weight != N or nu.weight != N:
         raise DomainError("mu, nu must partition N")
-    members = conjugacy_classes(N)
-    d = lam.weight
-    if d == 0:
-        return len(members[nu]) if mu == nu else 0
-    count = 0
-    for seq in _monotone_sequences(N, d):
-        mult: dict[int, int] = {}
-        for _, b in seq:
-            mult[b] = mult.get(b, 0) + 1
-        if Partition(sorted(mult.values(), reverse=True)) != lam:
-            continue
-        walk = identity(N)
-        for a, b in seq:
-            walk = compose(transposition(N, a, b), walk)
-        for h in members[nu]:
-            if cycle_type(compose(walk, h)) == mu:
-                count += 1
-    return count
+    return _walk_table(N, lam.weight).get((lam, nu), {}).get(mu, 0)

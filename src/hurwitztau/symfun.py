@@ -211,7 +211,10 @@ def eval_basis(basis: str, lam: Partition, c) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+H_CACHE_SIZE = 1024  # the verify sweep holds about 200 entries
+
+
+@lru_cache(maxsize=H_CACHE_SIZE)
 def _h_list_cached(sigma: tuple, sign: int, n_max: int) -> tuple:
     """h_0..h_n of the alphabet whose generating series is exp(sign * sum sigma_k z^k)."""
     h = [Fraction(1)] + [Fraction(0)] * n_max

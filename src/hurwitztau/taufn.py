@@ -299,25 +299,35 @@ def build_F_n(
     genus: int | None = None,
 ) -> dict:
     """F_n (or connected/genus slices) keyed like multicurrent_W's x-keys but
-    with the undifferentiated x-exponents: (x-exponents, s_exps, grade)."""
-    from .hurwitz import build_table  # deferred: hurwitz depends on this module
+    with the undifferentiated x-exponents: (x-exponents, s_exps, grade).
 
+    Only the rows mu with n parts, none above x_degree + 1, are computed.
+    Disconnected entries come from H_via_characters on those (mu, nu) pairs.
+    Connected entries come from a single log tau at w_max: the weight-N
+    coefficients of log tau involve only terms of tau of weight <= N, so the
+    truncation at w_max gives every connected number with N <= w_max exactly
+    as a log tau truncated at N would.
+    """
+    from .hurwitz import H_via_characters, connected_table_entries  # deferred: cycle
+
+    connected_entries = connected_table_entries(family, w_max, d_max) if connected else None
     out: dict = {}
     for N in range(n, w_max + 1):
         mus = [m for m in enumerate_partitions(N) if m.length == n and m.parts[0] <= x_degree + 1]
-        if not mus:
-            continue
-        table = build_table(family, N, d_max, connected=connected)
-        entries = table.connected if connected else table.entries
         for mu in mus:
             aut = mu.aut_order()
             for nu in enumerate_partitions(N):
                 norm = Fraction(aut)
                 for p in nu.parts:
                     norm *= p
+                if connected:
+                    row = [connected_entries.get((mu, nu, d), Fraction(0))
+                           for d in range(d_max + 1)]
+                else:
+                    row = H_via_characters(family, mu, nu, d_max)
                 series = [Fraction(0)] * (d_max + 1)
                 for d in range(d_max + 1):
-                    val = entries.get((mu, nu, d), Fraction(0))
+                    val = row[d]
                     if genus is not None and d != n + nu.length + 2 * genus - 2:
                         val = Fraction(0)
                     series[d] = val * norm

@@ -14,8 +14,18 @@ from hurwitztau.adaptedbasis import (
     recursion_Q,
 )
 from hurwitztau.errors import SingularParameterError
-from hurwitztau.exactalg import QRing
-from hurwitztau.weights import WeightFamily, belyi, exponential, rho, signed
+from hurwitztau.exactalg import BRing, LaurentWindow, QRing, series_inv
+from hurwitztau.symfun import h_of_sigma
+from hurwitztau.weights import (
+    WeightFamily,
+    belyi,
+    exponential,
+    g_value,
+    quantum,
+    rho,
+    rho_series,
+    signed,
+)
 
 F = Fraction
 
@@ -32,7 +42,73 @@ def belyi_basis(**kw):
     return build_basis(belyi(), k_range=(-3, 5), depth=-10, **args)
 
 
+def naive_basis(family, beta, gamma, sigma, k_range, depth, d_max=None, sides=("w", "ws")):
+    """w_k, w*_k with every rho_j and rho_j^{-1} evaluated afresh per entry."""
+    ring = QRing() if beta is not None else BRing(d_max)
+
+    def rho_j(j):
+        if beta is None:
+            return rho_series(family, j, d_max, gamma)
+        return rho(family, j, beta, gamma)
+
+    def rho_inv(j):
+        if beta is None:
+            return series_inv(rho_j(j))
+        if j >= 0:
+            value = rho_j(j)
+            if value == 0:
+                raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
+            return 1 / value
+        out = gamma ** (-j)
+        for i in range(0, -j):
+            out *= g_value(family, -i * beta)
+        return out
+
+    w, ws = {}, {}
+    for k in range(k_range[0], k_range[1] + 1):
+        if "w" in sides:
+            w[k] = LaurentWindow(depth, tuple(
+                ring.coerce(h_of_sigma(k - j - 1, sigma, 1)) * rho_j(-j - 1)
+                for j in range(depth, k)))
+        if "ws" in sides:
+            ws[k] = LaurentWindow(depth, tuple(
+                ring.coerce(h_of_sigma(k - j - 1, sigma, -1)) * rho_inv(j)
+                for j in range(depth, k)))
+    return w, ws
+
+
+def raised_message(build):
+    with pytest.raises(SingularParameterError) as info:
+        build()
+    return str(info.value)
+
+
 class TestBuild:
+    def test_matches_naive_build_rational(self):
+        beta, sigma = F(1, 21), (F(2), F(1, 3))
+        b = build_basis(C2, beta, F(2, 3), sigma=sigma, k_range=(-8, 8), depth=-16)
+        assert (b.w, b.ws) == naive_basis(C2, beta, F(2, 3), sigma, (-8, 8), -16)
+
+    def test_matches_naive_build_series(self):
+        fam, sigma = quantum(F(1, 3)), (F(1, 5),)
+        b = build_basis(fam, None, F(2), sigma=sigma, k_range=(-5, 6), depth=-12, d_max=4)
+        assert (b.w, b.ws) == naive_basis(fam, None, F(2), sigma, (-5, 6), -12, d_max=4)
+
+    def test_vanishing_rho_keeps_dual_side(self):
+        # belyi at beta = 1: rho_j for j <= -2 is singular, rho_j^{-1} is 0 there
+        b = build_basis(belyi(), 1, 1, s=(1,), k_range=(-3, 5), depth=-10, sides=("ws",))
+        assert b.ws == naive_basis(belyi(), F(1), F(1), (F(1),), (-3, 5), -10, sides=("ws",))[1]
+
+    @pytest.mark.parametrize(
+        "family,beta", [(belyi(), F(1)), (C2, F(1, 3))], ids=["belyi", "c2"]
+    )
+    def test_singular_message_unchanged(self, family, beta):
+        got = raised_message(lambda: build_basis(
+            family, beta, 1, s=(beta,), k_range=(-3, 5), depth=-10))
+        want = raised_message(lambda: naive_basis(
+            family, beta, F(1), (F(1),), (-3, 5), -10))
+        assert got == want
+
     def test_s_zero_monomials(self):
         b = build_basis(belyi(), F(1, 21), F(2), s=(), k_range=(-2, 3), depth=-6)
         ring = QRing()

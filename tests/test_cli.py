@@ -61,6 +61,12 @@ def test_config_error_exit_code():
     assert proc.returncode == 1
 
 
+def test_basis_beta_zero_is_config_error():
+    proc = run_cli("basis", "--family", "belyi", "--beta", "0")
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == ["configuration error: beta must be nonzero"]
+
+
 def test_resource_error_exit_code():
     proc = run_cli("hurwitz", "--family", "belyi", "--N", "11", "--dmax", "1")
     assert proc.returncode == 2

@@ -129,6 +129,15 @@ class TestGradedPoly:
         e = u.exp()
         assert e.coeff((2,), (2,), 2) == BetaSeries.constant(F(1, 2), 0)
 
+    def test_pure_grade_terms_rejected(self):
+        # gamma alone has no t- or s-weight, so its powers never leave the
+        # window: a 2 w_max-term log of 1 + gamma would give exp(log p) != p
+        gamma = GradedPoly({((), (), 1): BetaSeries.one(0)}, 1, 0)
+        with pytest.raises(DomainError):
+            (GradedPoly.one(1, 0) + gamma).log()
+        with pytest.raises(DomainError):
+            gamma.exp()
+
     def test_coeff_out_of_window(self):
         p = GradedPoly.one(2, 0)
         assert p.coeff((2,), ()) == BetaSeries.zero(0)

@@ -6,6 +6,8 @@ import pytest
 
 from hurwitztau.errors import ResourceError
 from hurwitztau.grouporacle import (
+    _monotone_sequences,
+    _walk_table,
     build_class_algebra,
     compose,
     conjugacy_classes,
@@ -15,6 +17,7 @@ from hurwitztau.grouporacle import (
     inverse,
     monotone_path_count,
     transitive_factorization_count,
+    transposition,
 )
 from hurwitztau.partitions import Partition, enumerate_partitions
 
@@ -110,6 +113,40 @@ def test_monotone_path_d0():
 def test_monotone_path_small():
     assert monotone_path_count(2, Partition((1,)), Partition((2,)), Partition((1, 1))) == 1
     assert monotone_path_count(2, Partition((2,)), Partition((1, 1)), Partition((1, 1))) == 1
+
+
+def reference_monotone_count(N, lam, mu, nu):
+    """Per-call enumeration: every monotone sequence with profile lam, every h in nu."""
+    members = conjugacy_classes(N)
+    count = 0
+    for seq in _monotone_sequences(N, lam.weight):
+        mult = {}
+        for _, b in seq:
+            mult[b] = mult.get(b, 0) + 1
+        if Partition(sorted(mult.values(), reverse=True)) != lam:
+            continue
+        walk = identity(N)
+        for a, b in seq:
+            walk = compose(transposition(N, a, b), walk)
+        for h in members[nu]:
+            if cycle_type(compose(walk, h)) == mu:
+                count += 1
+    return count
+
+
+def test_monotone_table_matches_enumeration():
+    for n in range(1, 6):
+        parts = enumerate_partitions(n)
+        for d in range(4):
+            for lam in enumerate_partitions(d):
+                for mu in parts:
+                    for nu in parts:
+                        want = reference_monotone_count(n, lam, mu, nu)
+                        assert monotone_path_count(n, lam, mu, nu) == want, (n, lam, mu, nu)
+
+
+def test_monotone_table_cache_is_bounded():
+    assert _walk_table.cache_info().maxsize is not None
 
 
 def test_monotone_calibration_identity():

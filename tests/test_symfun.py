@@ -164,6 +164,11 @@ class TestHPoly:
         with pytest.raises(DomainError):
             h_poly(1, 1, F(0), [F(1)])
 
+    def test_h_cache_is_bounded(self):
+        from hurwitztau.symfun import _h_list_cached
+
+        assert _h_list_cached.cache_info().maxsize is not None
+
     def test_h1_sign(self):
         assert h_poly(1, 1, F(1), [F(1)]) == 1
         assert h_poly(1, -1, F(1), [F(1)]) == -1

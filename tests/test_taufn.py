@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from hurwitztau.errors import OutOfWindowError
 from hurwitztau.exactalg import BetaSeries, GradedPoly, QRing, exps_mul
-from hurwitztau.hurwitz import H_via_characters, connected_table_entries
-from hurwitztau.partitions import Partition
+from hurwitztau.exactalg import monomial_from_partition
+from hurwitztau.hurwitz import H_via_characters, build_table, connected_table_entries
+from hurwitztau.partitions import Partition, enumerate_partitions
 from hurwitztau.symfun import cauchy_kernel
 from hurwitztau.taufn import (
     TauSeries,
@@ -23,6 +25,44 @@ from hurwitztau.weights import WeightFamily, belyi, exponential
 
 F = Fraction
 TRIVIAL = WeightFamily("finite_c", c=(), label="G=1")
+
+
+# (n, x_degree, w_max, d_max) and options of the verify sweep's W = dF checks
+F_N_WINDOWS = [
+    ((1, 3, 5, 3), {}),
+    ((2, 3, 6, 3), {}),
+    ((2, 2, 5, 3), {"connected": True}),
+    ((2, 2, 5, 3), {"connected": True, "genus": 0}),
+]
+F_N_WINDOW_IDS = ["n1", "n2", "n2-connected", "n2-genus0"]
+
+
+def reference_F_n(family, n, w_max, d_max, x_degree, connected=False, genus=None):
+    """F_n assembled from a full build_table per N (connected: log tau at each N)."""
+    out = {}
+    for N in range(n, w_max + 1):
+        mus = [m for m in enumerate_partitions(N) if m.length == n and m.parts[0] <= x_degree + 1]
+        if not mus:
+            continue
+        table = build_table(family, N, d_max, connected=connected)
+        entries = table.connected if connected else table.entries
+        for mu in mus:
+            for nu in enumerate_partitions(N):
+                norm = Fraction(mu.aut_order())
+                for p in nu.parts:
+                    norm *= p
+                series = [Fraction(0)] * (d_max + 1)
+                for d in range(d_max + 1):
+                    if genus is None or d == n + nu.length + 2 * genus - 2:
+                        series[d] = entries.get((mu, nu, d), Fraction(0)) * norm
+                coeff = BetaSeries(series)
+                if not coeff:
+                    continue
+                s_exp = monomial_from_partition(nu.parts)
+                for arrangement in set(itertools.permutations(mu.parts)):
+                    key = (arrangement, s_exp, N)
+                    out[key] = out[key] + coeff if key in out else coeff
+    return out
 
 
 class TestBuildTau:
@@ -177,6 +217,14 @@ class TestMulticurrent:
         # from the connected count 1/2 at d = n + l(nu) + 2g - 2 = 1
         f01 = build_F_n(exponential(), 1, 2, 2, 2, connected=True, genus=0)
         assert f01[((2,), (2,), 2)] == BetaSeries([0, F(1, 2), 0])
+
+    @pytest.mark.parametrize("fam", [exponential(), belyi()], ids=lambda f: f.label)
+    @pytest.mark.parametrize("args,kw", F_N_WINDOWS, ids=F_N_WINDOW_IDS)
+    def test_f_n_matches_full_table_assembly(self, fam, args, kw):
+        n, x_degree, w_max, d_max = args
+        assert build_F_n(fam, n, w_max, d_max, x_degree, **kw) == reference_F_n(
+            fam, n, w_max, d_max, x_degree, **kw
+        )
 
     @pytest.mark.parametrize("fam", [exponential(), belyi()], ids=lambda f: f.label)
     def test_w_equals_df(self, fam):
