@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .errors import (
-    ConfigurationError,
-    HurwitzTauError,
-    OutOfWindowError,
-    SingularParameterError,
-)
+from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
 from .exactalg import BetaSeries, BRing, LaurentWindow, QRing, series_inv
 from .symfun import h_of_sigma
 from .weights import (
@@ -72,79 +68,20 @@ class BasisWindow:
         """rho_j^{-1}.  For j < 0 this is the direct product
         gamma^{-j} prod_{i=0}^{-j-1} G(-i beta): always finite, possibly zero
         (the allowed vanishing-rho degeneration)."""
-        if self.beta is not None and j < 0:
-            out = self.gamma ** (-j)
-            for i in range(0, -j):
-                out *= g_value(self.family, -i * self.beta)
-            return out
-        return self._invert_rho(j, self.rho_value(j))
-
-    def _invert_rho(self, j: int, value):
         if self.beta is None:
-            return series_inv(value)
-        if value == 0:
-            raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
-        return 1 / value
+            return series_inv(self.rho_value(j))
+        if j >= 0:
+            value = self.rho_value(j)
+            if value == 0:
+                raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
+            return 1 / value
+        out = self.gamma ** (-j)
+        for i in range(0, -j):
+            out *= g_value(self.family, -i * self.beta)
+        return out
 
     def h(self, n: int, sign: int = 1) -> Fraction:
         return h_of_sigma(n, self.sigma, sign)
-
-
-class _RhoMemo:
-    """rho_j and rho_j^{-1} of one basis window, each computed once.
-
-    rho_j is reached from its neighbour toward 0 by the multiplicative
-    recursion rho_j = rho_{j-1} gamma G(j beta); at rational beta, rho_j^{-1}
-    for j < 0 likewise by rho_j^{-1} = rho_{j+1}^{-1} gamma G((j+1) beta).
-    The values equal BasisWindow.rho_value / rho_inv exactly.  An index whose
-    chain breaks (a vanishing or polar G-factor, gamma = 0) is handed to the
-    direct formula, so it raises the same error the direct formula raises.
-    """
-
-    def __init__(self, b: BasisWindow):
-        self.b = b
-        self.rho = {}
-        self.inv = {}
-        self.inv_neg = {}  # the j < 0 product chain; its index 0 is the empty product
-
-    def _step_rho(self, prev, i: int):
-        b = self.b
-        if i > 0:
-            return prev * (b.r_value(i) * b.gamma)
-        return prev * b.ring.inv(b.r_value(i + 1) * b.gamma)
-
-    def _step_inv(self, prev, i: int):
-        return prev * (self.b.gamma * self.b.r_value(i + 1))
-
-    def value(self, j: int):
-        return _chain(self.rho, j, lambda: self.b.rho_value(0), self._step_rho,
-                      self.b.rho_value)
-
-    def inverse(self, j: int):
-        b = self.b
-        if b.beta is not None and j < 0:
-            return _chain(self.inv_neg, j, b.ring.one, self._step_inv, b.rho_inv)
-        if j not in self.inv:
-            self.inv[j] = b._invert_rho(j, self.value(j))
-        return self.inv[j]
-
-
-def _chain(memo: dict, j: int, start, step, direct):
-    """memo[j] of the sequence memo[0] = start(), memo[i] = step(memo[i -+ 1], i),
-    filled outward from the stored index nearest to j; a failing step yields
-    direct(j) instead."""
-    if j in memo:
-        return memo[j]
-    sign = 1 if j > 0 else -1
-    i = j
-    while i != 0 and i - sign not in memo:
-        i -= sign
-    try:
-        for i in range(i, j + sign, sign):
-            memo[i] = start() if i == 0 else step(memo[i - sign], i)
-    except (ArithmeticError, HurwitzTauError):
-        return direct(j)
-    return memo[j]
 
 
 def _sigma_from(beta_val, s, sigma):
@@ -194,18 +131,19 @@ def build_basis(
     if k_lo > k_hi or depth > k_lo - 1:
         raise ConfigurationError("empty basis window")
     scratch = BasisWindow(family, beta, gamma_val, sig, k_lo, k_hi, depth, ring, {}, {})
-    rhos = _RhoMemo(scratch)
+    # every k reads the same rho_j and rho_j^{-1}: compute each once per window
+    rho_value, rho_inv = cache(scratch.rho_value), cache(scratch.rho_inv)
     w, ws = {}, {}
     for k in range(k_lo, k_hi + 1):
         if "w" in sides:
             coeffs_w = [
-                ring.coerce(scratch.h(k - j - 1, 1)) * rhos.value(-j - 1)
+                ring.coerce(scratch.h(k - j - 1, 1)) * rho_value(-j - 1)
                 for j in range(depth, k)
             ]
             w[k] = LaurentWindow(depth, tuple(coeffs_w))
         if "ws" in sides:
             coeffs_ws = [
-                ring.coerce(scratch.h(k - j - 1, -1)) * rhos.inverse(j)
+                ring.coerce(scratch.h(k - j - 1, -1)) * rho_inv(j)
                 for j in range(depth, k)
             ]
             ws[k] = LaurentWindow(depth, tuple(coeffs_ws))

@@ -192,10 +192,11 @@ def _monotone_sequences(n: int, d: int):
     yield from gen([], 0)
 
 
-WALK_TABLE_CACHE = 32  # every (N, d) the path oracle admits: N <= 6, d <= 4
+PATH_N_CAP = 6  # the path oracle's budget: N <= PATH_N_CAP, d <= PATH_D_CAP
+PATH_D_CAP = 4
 
 
-@lru_cache(maxsize=WALK_TABLE_CACHE)
+@lru_cache(maxsize=(PATH_N_CAP + 1) * (PATH_D_CAP + 1))
 def _walk_table(N: int, d: int) -> dict:
     """(lam, nu) -> {mu: count} over all weakly monotone d-step walks and all
     start points h in S_N, mu being the cycle type of walk * h."""
@@ -227,8 +228,8 @@ def monotone_path_count(N: int, lam: Partition, mu: Partition, nu: Partition) ->
     applied by the Hurwitz-number assembly, not here.  The count is read from
     one brute-force table per (N, d = |lam|): every monotone walk composed
     with every h in S_N, histogrammed by (lam, nu) and the cycle type of the
-    product.  The tables sit in an LRU cache of WALK_TABLE_CACHE entries,
-    enough for every (N, d) within the path oracle's budget.
+    product.  The tables sit in an LRU cache with one slot for every
+    (N, d) within the path oracle's budget, N <= PATH_N_CAP and d <= PATH_D_CAP.
     """
     if mu.weight != N or nu.weight != N:
         raise DomainError("mu, nu must partition N")

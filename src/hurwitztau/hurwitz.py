@@ -15,6 +15,8 @@ from fractions import Fraction
 from .errors import ResourceError
 from .exactalg import BetaSeries
 from .grouporacle import (
+    PATH_D_CAP,
+    PATH_N_CAP,
     factorization_count,
     monotone_path_count,
     transitive_factorization_count,
@@ -25,8 +27,6 @@ from .weights import WeightFamily, content_product, path_weight, profile_weight
 
 PROFILE_N_CAP = 5
 PROFILE_D_CAP = 3
-PATH_N_CAP = 6
-PATH_D_CAP = 4
 
 
 @dataclass

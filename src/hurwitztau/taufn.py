@@ -301,18 +301,21 @@ def build_F_n(
     """F_n (or connected/genus slices) keyed like multicurrent_W's x-keys but
     with the undifferentiated x-exponents: (x-exponents, s_exps, grade).
 
-    Only the rows mu with n parts, none above x_degree + 1, are computed.
-    Disconnected entries come from H_via_characters on those (mu, nu) pairs.
-    Connected entries come from a single log tau at w_max: the weight-N
-    coefficients of log tau involve only terms of tau of weight <= N, so the
-    truncation at w_max gives every connected number with N <= w_max exactly
-    as a log tau truncated at N would.
+    Only the rows mu with n parts, none above x_degree + 1, are computed; they
+    exist for N <= w_top = min(w_max, n (x_degree + 1)).  Disconnected entries
+    come from H_via_characters on those (mu, nu) pairs.  Connected entries
+    come from a single log tau truncated at w_top: the weight-N coefficients
+    of log tau involve only terms of tau of weight <= N, so that truncation
+    gives every connected number with N <= w_top exactly as a log tau
+    truncated at N would.
     """
     from .hurwitz import H_via_characters, connected_table_entries  # deferred: cycle
 
-    connected_entries = connected_table_entries(family, w_max, d_max) if connected else None
+    w_top = min(w_max, n * (x_degree + 1))
+    if connected and w_top >= n:
+        connected_entries = connected_table_entries(family, w_top, d_max)
     out: dict = {}
-    for N in range(n, w_max + 1):
+    for N in range(n, w_top + 1):
         mus = [m for m in enumerate_partitions(N) if m.length == n and m.parts[0] <= x_degree + 1]
         for mu in mus:
             aut = mu.aut_order()

@@ -6,6 +6,8 @@ import pytest
 
 from hurwitztau.errors import ResourceError
 from hurwitztau.grouporacle import (
+    PATH_D_CAP,
+    PATH_N_CAP,
     _monotone_sequences,
     _walk_table,
     build_class_algebra,
@@ -146,7 +148,10 @@ def test_monotone_table_matches_enumeration():
 
 
 def test_monotone_table_cache_is_bounded():
-    assert _walk_table.cache_info().maxsize is not None
+    # bounded, with room for every (N, d) the path oracle admits
+    maxsize = _walk_table.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize >= (PATH_N_CAP + 1) * (PATH_D_CAP + 1)
 
 
 def test_monotone_calibration_identity():

@@ -226,6 +226,24 @@ class TestMulticurrent:
             fam, n, w_max, d_max, x_degree, **kw
         )
 
+    def test_connected_f_n_logs_only_up_to_its_rows(self, monkeypatch):
+        from hurwitztau import hurwitz
+
+        weights = []
+
+        def spy(family, w_max, d_max):
+            weights.append(w_max)
+            return connected_table_entries(family, w_max, d_max)
+
+        monkeypatch.setattr(hurwitz, "connected_table_entries", spy)
+        fam = exponential()
+        # one part of size <= 2: rows exist only for N <= 2, although w_max is 8
+        got = build_F_n(fam, 1, 8, 3, 1, connected=True)
+        assert weights == [2]
+        assert build_F_n(fam, 3, 2, 2, 1, connected=True) == {}
+        assert weights == [2]
+        assert got == reference_F_n(fam, 1, 8, 3, 1, connected=True)
+
     @pytest.mark.parametrize("fam", [exponential(), belyi()], ids=lambda f: f.label)
     def test_w_equals_df(self, fam):
         assert check_W_equals_dF(fam, 1, 3, 5, 3)["equal"]
