@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
-from .exactalg import BetaSeries, BRing, LaurentWindow, QRing, series_inv
+from .exactalg import BRing, LaurentWindow, QRing, series_inv
 from .symfun import h_of_sigma
 from .weights import (
     EXPONENTIAL,
@@ -382,34 +382,36 @@ def q_band(b: BasisWindow) -> int:
     return b.sigma_support * len(b.family.c)
 
 
-def recursion_Q(b: BasisWindow, band: int | None = None, margin: int = 3) -> dict:
-    """Matrices Q+ and Q- plus verification of the multiplicative recursions.
+def _q_plus(b: BasisWindow, i: int, j: int):
+    """Q+_{ij} = sum_{k=i-1}^{j} G(k beta) h_{k-i+1}(sigma) h_{j-k}(-sigma)."""
+    acc = b.ring.zero()
+    for k in range(i - 1, j + 1):
+        acc = acc + b.r_value(k) * (b.h(k - i + 1, 1) * b.h(j - k, -1))
+    return acc
 
-    Q+_{ij} = sum_{k=i-1}^{j} G(k beta) h_{k-i+1}(sigma) h_{j-k}(-sigma)
-    Q-_{ij} = sum_{k=i-1}^{j} G(-k beta) h_{j-k}(sigma) h_{k-i+1}(-sigma)
+
+def _q_minus(b: BasisWindow, i: int, j: int):
+    """Q-_{ij} = sum_{k=i-1}^{j} G(-k beta) h_{j-k}(sigma) h_{k-i+1}(-sigma)."""
+    acc = b.ring.zero()
+    for k in range(i - 1, j + 1):
+        acc = acc + b.r_value(-k) * (b.h(j - k, 1) * b.h(k - i + 1, -1))
+    return acc
+
+
+Q_BAND_MARGIN = 3  # columns beyond the band checked to vanish
+
+
+def recursion_Q(b: BasisWindow) -> dict:
+    """Matrices Q+ and Q- plus verification of the multiplicative recursions.
 
     Verified relations (in z-language, Psi^+_i(x) = gamma w_{1-i}(1/x)):
         z w_{1-i}  = gamma sum_j Q+_{ij} w_{1-j}
         z w*_{1-i} = gamma sum_j Q-_{ij} w*_{1-j}
-    and the band statement Q±_{ij} = 0 for j > i-1 + band (margin extra
-    columns are checked).
+    and the band statement Q±_{ij} = 0 for j > i-1 + band, band = q_band(b)
+    (Q_BAND_MARGIN extra columns are checked).
     """
     ring = b.ring
-    if band is None:
-        band = q_band(b)
-
-    def q_plus(i, j):
-        acc = ring.zero()
-        for k in range(i - 1, j + 1):
-            acc = acc + b.r_value(k) * (b.h(k - i + 1, 1) * b.h(j - k, -1))
-        return acc
-
-    def q_minus(i, j):
-        acc = ring.zero()
-        for k in range(i - 1, j + 1):
-            acc = acc + b.r_value(-k) * (b.h(j - k, 1) * b.h(k - i + 1, -1))
-        return acc
-
+    band = q_band(b)
     failures = []
     checks = 0
     # recursion: i such that w_{1-i} and all needed w_{1-j} (j <= i-1+band) are in range
@@ -419,7 +421,7 @@ def recursion_Q(b: BasisWindow, band: int | None = None, margin: int = 3) -> dic
             lhs = b.w[1 - i].shift(1)
             rhs = None
             for j in range(i - 1, i - 1 + band + 1):
-                term = b.w[1 - j].scale(q_plus(i, j) * b.gamma, ring)
+                term = b.w[1 - j].scale(_q_plus(b, i, j) * b.gamma, ring)
                 rhs = term if rhs is None else rhs.add(term, ring)
             checks += 1
             ok, lo, hi = _eq_windows(lhs, rhs, ring)
@@ -429,7 +431,7 @@ def recursion_Q(b: BasisWindow, band: int | None = None, margin: int = 3) -> dic
             lhs = b.ws[1 - i].shift(1)
             rhs = None
             for j in range(i - 1, i - 1 + band + 1):
-                term = b.ws[1 - j].scale(q_minus(i, j) * b.gamma, ring)
+                term = b.ws[1 - j].scale(_q_minus(b, i, j) * b.gamma, ring)
                 rhs = term if rhs is None else rhs.add(term, ring)
             checks += 1
             ok, lo, hi = _eq_windows(lhs, rhs, ring)
@@ -437,20 +439,20 @@ def recursion_Q(b: BasisWindow, band: int | None = None, margin: int = 3) -> dic
                 failures.append({"op": "Q-", "i": i, "window": (lo, hi)})
     # band vanishing with margin
     for i in range(i_lo, i_hi + 1):
-        for j in range(i - 1 + band + 1, i - 1 + band + margin + 1):
+        for j in range(i - 1 + band + 1, i - 1 + band + Q_BAND_MARGIN + 1):
             checks += 1
-            if not ring.is_zero(q_plus(i, j)):
+            if not ring.is_zero(_q_plus(b, i, j)):
                 failures.append({"op": "Q+ band", "i": i, "j": j})
             checks += 1
-            if not ring.is_zero(q_minus(i, j)):
+            if not ring.is_zero(_q_minus(b, i, j)):
                 failures.append({"op": "Q- band", "i": i, "j": j})
     q_plus_matrix = {
-        (i, j): q_plus(i, j)
+        (i, j): _q_plus(b, i, j)
         for i in range(i_lo, i_hi + 1)
         for j in range(i - 1, i - 1 + band + 1)
     }
     q_minus_matrix = {
-        (i, j): q_minus(i, j)
+        (i, j): _q_minus(b, i, j)
         for i in range(i_lo, i_hi + 1)
         for j in range(i - 1, i - 1 + band + 1)
     }
@@ -493,18 +495,6 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
             acc = acc + g_inv_el(k - 1, i) * g_el(i + 1, j - 1)
         return acc
 
-    def q_plus(i, j):
-        acc = ring.zero()
-        for k in range(i - 1, j + 1):
-            acc = acc + b.r_value(k) * (b.h(k - i + 1, 1) * b.h(j - k, -1))
-        return acc
-
-    def q_minus(i, j):
-        acc = ring.zero()
-        for k in range(i - 1, j + 1):
-            acc = acc + b.r_value(-k) * (b.h(j - k, 1) * b.h(k - i + 1, -1))
-        return acc
-
     gamma_inv = Fraction(1) / b.gamma
     failures = []
     checks = 0
@@ -512,9 +502,9 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
     for k in range(lo, lo + size):
         for j in range(lo, lo + size):
             checks += 2
-            if q_plus(k, j) != qt_minus(j, k) * gamma_inv:
+            if _q_plus(b, k, j) != qt_minus(j, k) * gamma_inv:
                 failures.append({"rel": "Q+ vs Qt-", "k": k, "j": j})
-            if q_minus(k, j) != qt_plus(j, k) * gamma_inv:
+            if _q_minus(b, k, j) != qt_plus(j, k) * gamma_inv:
                 failures.append({"rel": "Q- vs Qt+", "k": k, "j": j})
     return {"ok": not failures, "checks": checks, "failures": failures}
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -23,6 +22,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
+
+# integer flags that a negative value would turn into an empty, vacuous run
+NONNEGATIVE_FLAGS = ("N", "wmax", "dmax", "probe")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,17 +65,6 @@ def make_family(args) -> WeightFamily:
     raise ConfigurationError(f"unknown family {name!r}")
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("HURWITZ_TAU_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError("HURWITZ_TAU_THREADS must be an integer") from exc
-    if cap < 1:
-        raise ConfigurationError("HURWITZ_TAU_THREADS must be >= 1")
-    return cap
-
-
 def serialize(obj):
     """JSON-ready form: rationals as 'p/q' strings, exponent keys as arrays."""
     if isinstance(obj, Fraction):
@@ -104,7 +95,7 @@ def serialize(obj):
 
 
 def config_dict(args, fields) -> dict:
-    out = {"command": args.command, "threads_cap": _threads_cap()}
+    out = {"command": args.command}
     for f in fields:
         out[f] = getattr(args, f, None)
     return out
@@ -118,16 +109,16 @@ def emit(args, config: dict, result: dict) -> None:
         ).hexdigest(),
         "result": serialize(result),
     }
-    fmt = args.format
-    if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
+    if args.format == "csv":
         text = _to_csv(result)
-    else:
-        text = _to_text(payload)
+    else:  # "text" prints the same JSON document
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -150,10 +141,6 @@ def _to_csv(result: dict) -> str:
             elif isinstance(value, bool):
                 lines.append(f"{key},{value}")
     return "\n".join(lines) + "\n"
-
-
-def _to_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _report_ok(result) -> bool:
@@ -187,7 +174,7 @@ def cmd_hurwitz(args) -> int:
             if conn is not None:
                 row["connected"] = str(conn)
         rows.append(row)
-    result = {"route": table.route, "entries": rows}
+    result = {"route": "characters", "entries": rows}
     if args.connected and table.connected is not None:
         extra = []
         for (mu, nu, d), value in sorted(
@@ -282,9 +269,14 @@ def cmd_kernel(args) -> int:
     )
     beta = None if args.beta == "series" else _fraction(args.beta)
     gamma = _fraction(args.gamma)
-    window = tuple(int(x) for x in args.window.split(","))
+    try:
+        window = tuple(int(x) for x in args.window.split(","))
+    except ValueError:
+        window = ()
     if len(window) != 4:
-        raise ConfigurationError("--window needs zlo,zhi,wlo,whi")
+        raise ConfigurationError(
+            f"--window needs four integers zlo,zhi,wlo,whi, got {args.window!r}"
+        )
     if args.sigma:
         sig = _fraction_list(args.sigma)
     elif beta is not None:
@@ -438,15 +430,43 @@ def build_parser(suppress_defaults: bool = False) -> _Parser:
     return parser
 
 
-def _merge_config_file(args, explicitly_given) -> None:
+def _check_config_value(key: str, value, action) -> None:
+    """A config value must have the type its flag parses to, and be one of its choices."""
+    if action.nargs == 0:
+        expected = bool
+    elif action.type is int:
+        expected = int
+    else:
+        expected = str
+    if type(value) is not expected:
+        raise ConfigurationError(
+            f"config key {key!r} needs a JSON {expected.__name__}, got {value!r}"
+        )
+    if action.choices is not None and value not in action.choices:
+        raise ConfigurationError(
+            f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}"
+        )
+
+
+def _merge_config_file(args, explicitly_given, parser) -> None:
     if not getattr(args, "config", None):
         return
-    with open(args.config, encoding="utf-8") as fh:
-        defaults = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {args.config}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ConfigurationError(f"config file {args.config} must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions if a.dest != "help"}
     for key, value in defaults.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ConfigurationError(f"unknown config key {key!r}")
+        _check_config_value(key, value, actions[attr])
         if attr not in explicitly_given:
             setattr(args, attr, value)
 
@@ -457,7 +477,11 @@ def main(argv=None) -> int:
     try:
         # learn which flags were given explicitly so they override the file
         given = vars(build_parser(suppress_defaults=True).parse_args(argv))
-        _merge_config_file(args, set(given))
+        _merge_config_file(args, set(given), parser)
+        for name in NONNEGATIVE_FLAGS:
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise ConfigurationError(f"--{name} must be >= 0, got {value}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .adaptedbasis import BasisWindow
 from .errors import ConfigurationError, OutOfWindowError
 from .exactalg import BRing, QRing
-from .partitions import Partition, enumerate_partitions, partitions_up_to
-from .symfun import character, h_of_sigma, schur_at_sigma
+from .partitions import Partition, partitions_up_to
+from .symfun import h_of_sigma, schur_at_sigma, schur_monomial_map
 from .weights import (
     FINITE_C,
     WeightFamily,
@@ -194,11 +194,14 @@ def cd_matrix(
     return out
 
 
-def cd_kernel(b: BasisWindow, window: tuple, margin: int = 3) -> dict:
+CD_RANK_MARGIN = 3  # columns beyond the rank LM checked to vanish
+
+
+def cd_kernel(b: BasisWindow, window: tuple) -> dict:
     """Assemble the finite-rank kernel numerator and verify the CD identity.
 
     With L = sigma support and M = deg G, checks
-      * A_{ij} = 0 for all i + j > LM up to i + j <= LM + margin;
+      * A_{ij} = 0 for all i + j > LM up to i + j <= LM + CD_RANK_MARGIN;
       * gamma * sum_{i,j<=LM} A_{ij} w_{1-i}(w) w*_{1-j}(z) == (z-w) K2(z,w)
         on the window, against the tau-route kernel.
     """
@@ -210,7 +213,7 @@ def cd_kernel(b: BasisWindow, window: tuple, margin: int = 3) -> dict:
     rank = L * M
     beta_mode = b.beta if b.beta is not None else None
     d_max = None if b.beta is not None else ring.d_max
-    A = cd_matrix(b.family, beta_mode, b.sigma, rank + margin, d_max=d_max)
+    A = cd_matrix(b.family, beta_mode, b.sigma, rank + CD_RANK_MARGIN, d_max=d_max)
     finiteness_failures = [
         (i, j)
         for (i, j), v in A.items()
@@ -410,11 +413,18 @@ def h_orthogonality(s, k_max: int, n_max: int) -> dict:
 
 
 def _dict4_mul(a: dict, b: dict) -> dict:
+    """Product of 4-variable Laurent polynomials, exponent tuple -> coefficient.
+
+    Coefficients are Fractions or BetaSeries; zero ones are dropped (a zero of
+    either type is falsy).
+    """
     out: dict = {}
     for ka, va in a.items():
         for kb, vb in b.items():
             key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, Fraction(0)) + va * vb
+            prev = out.get(key)
+            term = va * vb
+            out[key] = term if prev is None else prev + term
     return {k: v for k, v in out.items() if v}
 
 
@@ -459,13 +469,14 @@ def multipair_two_point(
     sigma = tuple(Fraction(x) for x in sigma)
     D = degree
 
-    # tau(X) through total degree D via the character formula
-    def p_of(k):
+    # tau(X) through total degree D: s_lambda(X) with t_k = p_k(X) / k, where
+    # p_k(X) = w1^-k + w2^-k - z1^-k - z2^-k
+    def t_of(k):
         return {
-            (0, 0, -k, 0): Fraction(1),
-            (0, 0, 0, -k): Fraction(1),
-            (-k, 0, 0, 0): Fraction(-1),
-            (0, -k, 0, 0): Fraction(-1),
+            (0, 0, -k, 0): Fraction(1, k),
+            (0, 0, 0, -k): Fraction(1, k),
+            (-k, 0, 0, 0): Fraction(-1, k),
+            (0, -k, 0, 0): Fraction(-1, k),
         }
 
     tau_x: dict = {(0, 0, 0, 0): ring.one()}
@@ -481,13 +492,11 @@ def multipair_two_point(
         if ring.is_zero(weight):
             continue
         s_x: dict = {}
-        for mu in enumerate_partitions(lam.weight):
-            chi = character(lam, mu)
-            if not chi:
-                continue
-            term = {(0, 0, 0, 0): Fraction(chi, mu.z_order())}
-            for part in mu.parts:
-                term = _dict4_mul(term, p_of(part))
+        for t_exp, coeff in schur_monomial_map(lam).items():
+            term = {(0, 0, 0, 0): coeff}
+            for k, e in enumerate(t_exp, start=1):
+                for _ in range(e):
+                    term = _dict4_mul(term, t_of(k))
             for key, v in term.items():
                 s_x[key] = s_x.get(key, Fraction(0)) + v
         for key, v in s_x.items():
@@ -515,20 +524,20 @@ def multipair_two_point(
         return out
 
     z1, z2, w1, w2 = 0, 1, 2, 3
-    lhs = _dict4_mul_ring(tau_x, poly((z1, 1), (z2, -1)), ring)
-    lhs = _dict4_mul_ring(lhs, poly((w1, 1), (w2, -1)), ring)
+    lhs = _dict4_mul(tau_x, poly((z1, 1), (z2, -1)))
+    lhs = _dict4_mul(lhs, poly((w1, 1), (w2, -1)))
     lhs = {k: -v for k, v in lhs.items()}
 
     t11 = lift(t_cells, (z1, w1))
     t22 = lift(t_cells, (z2, w2))
     t12 = lift(t_cells, (z1, w2))
     t21 = lift(t_cells, (z2, w1))
-    term1 = _dict4_mul_ring(t11, t22, ring)
-    term1 = _dict4_mul_ring(term1, poly((z1, 1), (w2, -1)), ring)
-    term1 = _dict4_mul_ring(term1, poly((z2, 1), (w1, -1)), ring)
-    term2 = _dict4_mul_ring(t12, t21, ring)
-    term2 = _dict4_mul_ring(term2, poly((z1, 1), (w1, -1)), ring)
-    term2 = _dict4_mul_ring(term2, poly((z2, 1), (w2, -1)), ring)
+    term1 = _dict4_mul(t11, t22)
+    term1 = _dict4_mul(term1, poly((z1, 1), (w2, -1)))
+    term1 = _dict4_mul(term1, poly((z2, 1), (w1, -1)))
+    term2 = _dict4_mul(t12, t21)
+    term2 = _dict4_mul(term2, poly((z1, 1), (w1, -1)))
+    term2 = _dict4_mul(term2, poly((z2, 1), (w2, -1)))
     rhs = dict(term1)
     for k, v in term2.items():
         rhs[k] = rhs.get(k, ring.zero()) - v
@@ -552,14 +561,3 @@ def multipair_two_point(
             antisym = False
             break
     return {"ok": not mismatches, "mismatches": sorted(mismatches)[:5], "antisymmetric": antisym}
-
-
-def _dict4_mul_ring(a: dict, b: dict, ring) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            prev = out.get(key)
-            term = va * vb
-            out[key] = term if prev is None else prev + term
-    return {k: v for k, v in out.items() if not ring.is_zero(v)}

@@ -17,9 +17,22 @@ from .exactalg import (
     series_exp,
 )
 from .partitions import Partition, enumerate_partitions, partitions_up_to
-from .symfun import cauchy_kernel, char_table, schur_monomial_map, schur_to_power
+from .symfun import (
+    cauchy_kernel,
+    character,
+    schur_monomial_map,
+    schur_sector_sum,
+    schur_to_power,
+)
 from .taufn import build_tau
-from .weights import DUAL_FINITE_C, FINITE_C, WeightFamily, log_A_coeffs
+from .weights import (
+    DUAL_FINITE_C,
+    FINITE_C,
+    WeightFamily,
+    content_product,
+    g_coeff,
+    log_A_coeffs,
+)
 
 
 @dataclass(frozen=True)
@@ -196,16 +209,9 @@ def reconstruct_tau(family: WeightFamily, w_max: int, d_max: int) -> dict:
     additionally checked through beta^2.
     """
     tau = build_tau(family, w_max, d_max)
-    terms: dict = {}
-    for lam in partitions_up_to(w_max):
-        factor = diagonal_exponent(family, lam, d_max)
-        tmap = schur_monomial_map(lam)
-        for t_exp, a in tmap.items():
-            for s_exp, b in tmap.items():
-                key = (t_exp, s_exp, lam.weight)
-                contrib = factor * (a * b)
-                terms[key] = terms.get(key, BetaSeries.zero(d_max)) + contrib
-    rebuilt = GradedPoly(terms, w_max, d_max)
+    rebuilt = schur_sector_sum(
+        w_max, d_max, lambda lam: diagonal_exponent(family, lam, d_max)
+    )
     diagonal_ok = rebuilt == tau.body
 
     # explicit operator route through beta^2: exp(A_1 beta Q_1 + sign A_2 beta^2 Q_2)
@@ -255,6 +261,10 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
       reconstruction; the right side applies the explicit operator to the
       content-product tau.
     * beta d/dbeta tau = sum_k k A_k d/dA_k tau, as exact beta-series.
+
+    The left sides are Schur-sector sums weighted by the reconstruction's
+    per-sector exponential, so they test the content-product tau against the
+    log-expansion data.
     """
     tau = build_tau(family, w_max, d_max)
     body = tau.body
@@ -270,51 +280,32 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
 
     signed = _family_signs(family, d_max)
     beta = BetaSeries.variable(d_max)
-    # per-sector data for the symbolic A_k derivatives
-    sector_terms = {}
-    for lam in partitions_up_to(w_max):
-        factor = diagonal_exponent(family, lam, d_max)
-        tmap = schur_monomial_map(lam)
-        for t_exp, a in tmap.items():
-            for s_exp, b in tmap.items():
-                key = (t_exp, s_exp, lam.weight)
-                sector_terms.setdefault(key, []).append((lam, a * b, factor))
+    factors = {lam: diagonal_exponent(family, lam, d_max) for lam in partitions_up_to(w_max)}
 
     # dA_k tau = sign_k beta^k Q_k tau; both sides carry sign_k beta^k, so the
     # content to verify is (diagonal q_k-weighted sectors) == (explicit Q_k tau)
     for k in (1, 2):
         if k > d_max:
             continue
-        qk = build_Qk(k, w_max)
-        rhs = qk.apply(body)
-        ok = True
-        for key in set(sector_terms) | set(rhs.terms):
-            lhs_series = BetaSeries.zero(d_max)
-            for lam, weight, factor in sector_terms.get(key, []):
-                lhs_series = lhs_series + factor * (weight * diagonal_Qk(k, lam))
-            rhs_series = rhs.terms.get(key, BetaSeries.zero(d_max))
-            if lhs_series != rhs_series:
-                ok = False
-                break
-        if not ok:
+        lhs = schur_sector_sum(w_max, d_max, lambda lam: factors[lam] * diagonal_Qk(k, lam))
+        if lhs != build_Qk(k, w_max).apply(body):
             failures.append(f"A_{k}-derivative")
 
     # Euler identity in beta: k A_k dA_k contributes k sign_k A_k q_k(lam) beta^k
-    ok = True
-    for key, coeff in body.terms.items():
-        lhs = BetaSeries([d * coeff[d] for d in range(d_max + 1)])
-        rhs = BetaSeries.zero(d_max)
-        for lam, weight, factor in sector_terms.get(key, []):
-            scale = BetaSeries.zero(d_max)
-            for k in range(1, d_max + 1):
-                c = k * signed[k - 1] * diagonal_Qk(k, lam)
-                if c:
-                    scale = scale + beta.shift(k - 1) * c
-            rhs = rhs + factor * scale * weight
-        if lhs != rhs:
-            ok = False
-            break
-    if not ok:
+    def euler_weight(lam):
+        scale = BetaSeries.zero(d_max)
+        for k in range(1, d_max + 1):
+            c = k * signed[k - 1] * diagonal_Qk(k, lam)
+            if c:
+                scale = scale + beta.shift(k - 1) * c
+        return factors[lam] * scale
+
+    euler_body = GradedPoly(
+        {key: BetaSeries([d * c[d] for d in range(d_max + 1)]) for key, c in body.terms.items()},
+        w_max,
+        d_max,
+    )
+    if euler_body != schur_sector_sum(w_max, d_max, euler_weight):
         failures.append("beta-Euler identity")
     return {"ok": not failures, "failures": failures}
 
@@ -327,8 +318,6 @@ def build_Vk_and_single_rep(family: WeightFamily, w_max: int) -> dict:
     M = len(family.c)
     if M > 2:
         raise UnsupportedDegreeError("explicit V_k available only for M <= 2")
-    from .weights import g_coeff
-
     d_max = max(M * w_max, 1)
     beta = BetaSeries.variable(d_max)
     ops = [build_V1(w_max)]
@@ -357,10 +346,8 @@ def build_Vk_and_single_rep(family: WeightFamily, w_max: int) -> dict:
     for n in range(w_max + 1):
         want_terms: dict = {}
         for lam in enumerate_partitions(n):
-            from .weights import content_product
-
             r = content_product(family, lam, 0, d_max).value
-            dim = char_table(n).chi(lam, Partition([1] * n)) if n else 1
+            dim = character(lam, Partition([1] * n))
             scale = Fraction(dim, factorial(n))
             for t_exp, a in schur_monomial_map(lam).items():
                 key = (t_exp, (), n)

@@ -159,13 +159,6 @@ class BetaSeries:
             raise ConfigurationError("shift exponent must be nonnegative")
         return BetaSeries((_ZERO,) * k + self.coeffs[: self.d_max + 1 - k])
 
-    def truncate(self, d_max: int) -> "BetaSeries":
-        if d_max > self.d_max:
-            raise OutOfWindowError(
-                f"cannot extend BetaSeries from d_max={self.d_max} to {d_max}"
-            )
-        return BetaSeries(self.coeffs[: d_max + 1])
-
     def __repr__(self):
         return f"BetaSeries({list(self.coeffs)})"
 
@@ -480,35 +473,6 @@ class GradedPoly:
         return f"GradedPoly({len(self.terms)} terms, w_max={self.w_max}, d_max={self.d_max})"
 
 
-def graded_arith(a: GradedPoly, b: GradedPoly | None, op: str) -> GradedPoly:
-    """Named-op entry point: add/mul need two operands, log/exp one."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "log":
-        return a.log()
-    if op == "exp":
-        return a.exp()
-    raise ConfigurationError(f"unknown graded op {op!r}")
-
-
-def series_arith(a: BetaSeries, b: BetaSeries, op: str) -> BetaSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ConfigurationError(f"unknown series op {op!r}")
-
-
-def series_log_exp(a: BetaSeries, op: str) -> BetaSeries:
-    if op == "log":
-        return series_log(a)
-    if op == "exp":
-        return series_exp(a)
-    raise ConfigurationError(f"unknown series op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Laurent windows.
 # ---------------------------------------------------------------------------
@@ -537,9 +501,6 @@ class LaurentWindow:
         if j < self.lo:
             raise OutOfWindowError(f"coefficient of z^{j} below valid window lo={self.lo}")
         return self.coeffs[j - self.lo]
-
-    def known(self, j: int) -> bool:
-        return j >= self.lo
 
     def add(self, other: "LaurentWindow", ring) -> "LaurentWindow":
         lo = max(self.lo, other.lo)
@@ -602,11 +563,6 @@ class LaurentWindow:
                 f"residue undetermined: product valid only from z^{prod.lo}"
             )
         return prod.get(-1, ring)
-
-    def restrict(self, lo: int, hi: int, ring) -> "LaurentWindow":
-        if lo < self.lo:
-            raise OutOfWindowError(f"window does not reach down to z^{lo}")
-        return LaurentWindow(lo, tuple(self.get(j, ring) for j in range(lo, hi + 1)))
 
     def is_zero_on_valid(self, ring) -> bool:
         return all(ring.is_zero(c) for c in self.coeffs)

@@ -18,7 +18,7 @@ from .partitions import Partition, enumerate_partitions
 
 CLASS_ALGEBRA_CAP = 7
 TRANSITIVE_CAP = 5
-DEFAULT_TUPLE_BUDGET = 2_000_000
+TUPLE_BUDGET = 2_000_000
 
 Perm = tuple  # perm[x] = image of x, 0-based
 
@@ -144,9 +144,7 @@ def _is_transitive(perms, n: int) -> bool:
     return all(find(x) == root for x in range(n))
 
 
-def transitive_factorization_count(
-    N: int, profiles, budget: int = DEFAULT_TUPLE_BUDGET
-) -> Fraction:
+def transitive_factorization_count(N: int, profiles) -> Fraction:
     """Same count as factorization_count but restricted to tuples generating a
     transitive subgroup (connected coverings)."""
     profiles = [Partition(p) if not isinstance(p, Partition) else p for p in profiles]
@@ -162,8 +160,8 @@ def transitive_factorization_count(
     total_tuples = 1
     for p in head:
         total_tuples *= len(members[p])
-    if total_tuples > budget:
-        raise ResourceError(f"tuple budget exceeded: {total_tuples} > {budget}")
+    if total_tuples > TUPLE_BUDGET:
+        raise ResourceError(f"tuple budget exceeded: {total_tuples} > {TUPLE_BUDGET}")
     count = 0
     for combo in itertools.product(*(members[p] for p in head)):
         prod = identity(N)

@@ -36,7 +36,6 @@ class HurwitzTable:
     d_max: int
     entries: dict = field(default_factory=dict)  # (mu, nu, d) -> Fraction
     connected: dict | None = None
-    route: str = "characters"
 
 
 def H_via_characters(
@@ -137,7 +136,7 @@ def build_table(
     family: WeightFamily, N: int, d_max: int, connected: bool = False
 ) -> HurwitzTable:
     """Production table via characters; connected entries from log tau on request."""
-    table = HurwitzTable(family, N, d_max, route="characters")
+    table = HurwitzTable(family, N, d_max)
     pairs = enumerate_partitions(N)
     for mu in pairs:
         for nu in pairs:
@@ -165,12 +164,6 @@ def connected_table_entries(family: WeightFamily, N: int, d_max: int) -> dict:
                     if series[d] != 0:
                         out[(mu, nu, d)] = series[d]
     return out
-
-
-def H_connected(family: WeightFamily, N: int, d_max: int) -> HurwitzTable:
-    table = build_table(family, N, d_max, connected=True)
-    table.route = "log"
-    return table
 
 
 def verify_routes(family: WeightFamily, n_max: int = 4, d_max: int = 3) -> dict:

@@ -81,9 +81,6 @@ class Partition:
             legs.append(conj[i - 1] - i)
         return tuple(arms), tuple(legs)
 
-    def remove_first_part(self) -> tuple[int, "Partition"]:
-        return self.parts[0], Partition(self.parts[1:])
-
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self.parts == other.parts
@@ -131,18 +128,6 @@ def partitions_up_to(n: int) -> list[Partition]:
     for m in range(n + 1):
         out.extend(enumerate_partitions(m))
     return out
-
-
-def colength(lam: Partition) -> int:
-    return lam.colength()
-
-
-def aut_and_z(lam: Partition) -> tuple[int, int]:
-    return lam.aut_order(), lam.z_order()
-
-
-def contents(lam: Partition) -> list[int]:
-    return lam.contents()
 
 
 def genus_of(mu: Partition, nu: Partition, d: int) -> tuple[Fraction, bool]:

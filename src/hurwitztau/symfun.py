@@ -11,9 +11,9 @@ from functools import lru_cache
 
 from .errors import ConfigurationError, DomainError, ResourceError
 from .exactalg import BetaSeries, GradedPoly, monomial_from_partition
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions, partitions_up_to
 
-N_CAP_DEFAULT = 10
+CHAR_TABLE_N_CAP = 10
 
 
 def _border_strip_removals(lam: Partition, r: int):
@@ -69,10 +69,10 @@ class CharTable:
         return self.values[(lam, mu)]
 
 
-def char_table(N: int, n_cap: int = N_CAP_DEFAULT) -> CharTable:
-    """Complete integer character table of S_N (N within the configured cap)."""
-    if not 1 <= N <= n_cap:
-        raise ResourceError(f"character table cap exceeded: N={N} > {n_cap}")
+def char_table(N: int) -> CharTable:
+    """Complete integer character table of S_N, 1 <= N <= CHAR_TABLE_N_CAP."""
+    if not 1 <= N <= CHAR_TABLE_N_CAP:
+        raise ResourceError(f"character table cap exceeded: N={N} > {CHAR_TABLE_N_CAP}")
     parts = enumerate_partitions(N)
     values = {
         (lam, mu): character(lam, mu) for lam in parts for mu in parts
@@ -80,33 +80,13 @@ def char_table(N: int, n_cap: int = N_CAP_DEFAULT) -> CharTable:
     return CharTable(N, parts, values)
 
 
-def schur_to_power(lam: Partition, d_max: int = 0, w_max: int | None = None) -> GradedPoly:
-    """s_lambda as a polynomial in the t-variables (t_i = p_i / i).
+def schur_monomial_map(lam: Partition) -> dict:
+    """s_lambda as a t-monomial -> Fraction map (t_i = p_i / i).
 
     s_lambda(t) = sum_mu chi^lam(mu)/z_mu * p_mu, and p_mu = prod_i mu_i t_{mu_i},
     so each class mu contributes chi/z_mu * prod(mu_i) on the monomial
-    prod t_{mu_i}.  The gamma-grade of every term is 0 here; tau assembly
-    attaches grades.
+    prod t_{mu_i}.
     """
-    if w_max is None:
-        w_max = max(lam.weight, 1)
-    terms = {}
-    for mu in enumerate_partitions(lam.weight):
-        chi = character(lam, mu)
-        if chi == 0:
-            continue
-        coeff = Fraction(chi, mu.z_order())
-        for p in mu.parts:
-            coeff *= p
-        key = (monomial_from_partition(mu.parts), (), 0)
-        terms[key] = BetaSeries.constant(coeff, d_max)
-    if lam.weight == 0:
-        terms[((), (), 0)] = BetaSeries.one(d_max)
-    return GradedPoly(terms, w_max, d_max)
-
-
-def schur_monomial_map(lam: Partition) -> dict:
-    """t-monomial -> Fraction map for s_lambda (same data as schur_to_power)."""
     out = {}
     for mu in enumerate_partitions(lam.weight):
         chi = character(lam, mu)
@@ -116,9 +96,18 @@ def schur_monomial_map(lam: Partition) -> dict:
         for p in mu.parts:
             coeff *= p
         out[monomial_from_partition(mu.parts)] = coeff
-    if lam.weight == 0:
-        out[()] = Fraction(1)
     return out
+
+
+def schur_to_power(lam: Partition, d_max: int = 0, w_max: int | None = None) -> GradedPoly:
+    """s_lambda as a GradedPoly in the t-variables, every term of grade 0."""
+    if w_max is None:
+        w_max = max(lam.weight, 1)
+    terms = {
+        (t_exp, (), 0): BetaSeries.constant(coeff, d_max)
+        for t_exp, coeff in schur_monomial_map(lam).items()
+    }
+    return GradedPoly(terms, w_max, d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +226,6 @@ def h_of_sigma(n: int, sigma, sign: int = 1) -> Fraction:
     return _h_list_cached(sigma, sign, n)[n]
 
 
-def h_poly(n: int, sign: int, beta_val: Fraction, s) -> Fraction:
-    """h_n of the rescaled alphabet beta^{-1} s (sign -1 negates the alphabet)."""
-    beta_val = Fraction(beta_val)
-    if beta_val == 0:
-        raise DomainError("h_poly needs beta != 0")
-    sigma = tuple(Fraction(x) / beta_val for x in s)
-    return h_of_sigma(n, sigma, sign)
-
-
 def schur_at_sigma(lam: Partition, sigma, sign: int = 1) -> Fraction:
     """s_lambda of the sigma-alphabet via Jacobi-Trudi, det(h_{lam_i - i + j}).
 
@@ -295,3 +275,26 @@ def cauchy_kernel(w_max: int, d_max: int) -> GradedPoly:
         terms[(t, t, k)] = BetaSeries.constant(k, d_max)
     u = GradedPoly(terms, w_max, d_max)
     return u.exp()
+
+
+def schur_sector_sum(w_max: int, d_max: int, weight) -> GradedPoly:
+    """sum over |lambda| <= w_max of weight(lambda) s_lambda(t) s_lambda(s), at grade |lambda|.
+
+    ``weight`` maps a partition to a BetaSeries of order d_max.  Weight 1
+    gives cauchy_kernel (the Cauchy identity); the content product gives the
+    tau-function.
+    """
+    terms: dict = {}
+    for lam in partitions_up_to(w_max):
+        r = weight(lam)
+        tmap = schur_monomial_map(lam)
+        grade = lam.weight
+        for t_exp, a in tmap.items():
+            for s_exp, b in tmap.items():
+                key = (t_exp, s_exp, grade)
+                contrib = r * (a * b)
+                if key in terms:
+                    terms[key] = terms[key] + contrib
+                else:
+                    terms[key] = contrib
+    return GradedPoly(terms, w_max, d_max)

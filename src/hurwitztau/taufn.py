@@ -17,54 +17,31 @@ from .exactalg import (
     exps_mul,
     monomial_from_partition,
 )
-from .partitions import Partition, enumerate_partitions, partitions_up_to
-from .symfun import schur_at_sigma, schur_monomial_map
+from .partitions import Partition, enumerate_partitions
+from .symfun import schur_at_sigma, schur_sector_sum
 from .weights import WeightFamily, content_product, content_product_value
-
-PLAIN = "plain"
-BETA_RESCALED = "beta_rescaled"
 
 
 @dataclass(frozen=True)
 class TauSeries:
     """Truncated tau-function.
 
-    ``body`` is always stored in the plain convention (coefficient of the
-    monomial p_mu(t) p_nu(s) is beta^d H^d gamma^{|mu|} up to the power-sum
-    normalization).  Under the beta_rescaled convention every s-monomial with
-    ell parts carries an implicit extra factor beta^{-ell}; extraction
-    routines account for it through the key, so no Laurent ring in beta is
-    ever needed.
+    The coefficient in ``body`` of the monomial p_mu(t) p_nu(s) is
+    beta^d H^d gamma^{|mu|}, up to the power-sum normalization.
     """
 
     family: WeightFamily
     w_max: int
     d_max: int
     body: GradedPoly
-    s_convention: str = PLAIN
 
 
-def build_tau(
-    family: WeightFamily, w_max: int, d_max: int, s_convention: str = PLAIN
-) -> TauSeries:
+def build_tau(family: WeightFamily, w_max: int, d_max: int) -> TauSeries:
     """Sum over |lambda| <= w_max of gamma^|lambda| r_lambda s_lambda(t) s_lambda(s)."""
-    if s_convention not in (PLAIN, BETA_RESCALED):
-        raise ConfigurationError(f"unknown s_convention {s_convention!r}")
-    terms: dict = {}
-    for lam in partitions_up_to(w_max):
-        r = content_product(family, lam, 0, d_max).value
-        tmap = schur_monomial_map(lam)
-        grade = lam.weight
-        for t_exp, a in tmap.items():
-            for s_exp, b in tmap.items():
-                key = (t_exp, s_exp, grade)
-                contrib = r * (a * b)
-                if key in terms:
-                    terms[key] = terms[key] + contrib
-                else:
-                    terms[key] = contrib
-    body = GradedPoly(terms, w_max, d_max)
-    return TauSeries(family, w_max, d_max, body, s_convention)
+    body = schur_sector_sum(
+        w_max, d_max, lambda lam: content_product(family, lam, 0, d_max).value
+    )
+    return TauSeries(family, w_max, d_max, body)
 
 
 def log_tau(tau: TauSeries) -> GradedPoly:
@@ -248,8 +225,8 @@ def multicurrent_W(
 ) -> dict:
     """W_n as a map (x-exponent vector, s_exps, grade) -> BetaSeries.
 
-    Under the beta_rescaled convention the true coefficient additionally
-    carries beta^{-ell} where ell is the part count of the s-monomial; that
+    In the beta-rescaled normalization the true coefficient additionally
+    carries beta^{-ell}, where ell is the part count of the s-monomial; that
     offset is implied by the key and shared with build_F_n.
     """
     if n < 1 or n > 4:
@@ -277,16 +254,6 @@ def multicurrent_W(
             else:
                 out[key] = contrib
     return out
-
-
-def multicurrent_J(
-    tau: TauSeries, n: int, x_degree: int, connected: bool = False
-) -> dict:
-    """The current correlator (prod_i x_i) W_n: every x-exponent shifts up by one."""
-    w_terms = multicurrent_W(tau, n, x_degree, connected=connected)
-    return {
-        (tuple(e + 1 for e in xexp), s, g): c for (xexp, s, g), c in w_terms.items()
-    }
 
 
 def build_F_n(
@@ -378,7 +345,7 @@ def check_W_equals_dF(
 
     Returns {"equal": bool, "mismatches": [...]} listing offending monomials.
     """
-    tau = build_tau(family, w_max, d_max, s_convention=BETA_RESCALED)
+    tau = build_tau(family, w_max, d_max)
     log_body = log_tau(tau) if connected else None
     w_terms = multicurrent_W(tau, n, x_degree, connected=connected, log_body=log_body)
     if genus is not None:

@@ -59,15 +59,6 @@ class WeightFamily:
             return "G(z)=exp(z)"
         return f"G(z)=prod(1+q^i z), q={self.q}"
 
-    @property
-    def degree(self) -> int | None:
-        """Polynomial degree M of G, or None when G is not a polynomial."""
-        return len(self.c) if self.kind == FINITE_C else None
-
-    @property
-    def is_dual(self) -> bool:
-        return self.kind == DUAL_FINITE_C
-
 
 def belyi() -> WeightFamily:
     return WeightFamily(FINITE_C, c=(1,), label="belyi")

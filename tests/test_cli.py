@@ -101,3 +101,45 @@ def test_golden_determinism(argv, tmp_path):
     p2 = run_cli(*argv, "--out", str(out2))
     assert p1.returncode == 0 and p2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def assert_config_error(proc):
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: "), proc.stderr
+
+
+def test_kernel_bad_window_is_config_error():
+    assert_config_error(run_cli("kernel", "--window", "a,b,c,d"))
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"N": "3"}', '{"dmax": 1.5}', '{"N": -1}', "[1, 2]", '{"family": "nope"}',
+     '{"connected": 1}', '{"func": "x"}', "{not json"],
+    ids=["string-int", "float-int", "negative", "list", "bad-choice", "int-switch",
+         "unknown-key", "not-json"],
+)
+def test_bad_config_file_is_config_error(content, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(content)
+    assert_config_error(run_cli("hurwitz", "--config", str(cfg)))
+
+
+def test_missing_config_file_is_config_error(tmp_path):
+    assert_config_error(run_cli("hurwitz", "--config", str(tmp_path / "absent.json")))
+
+
+def test_out_into_missing_directory_is_config_error(tmp_path):
+    out = tmp_path / "absent" / "report.json"
+    assert_config_error(run_cli("hurwitz", "--N", "2", "--out", str(out)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("hurwitz", "--N", "-1"), ("tau", "--wmax", "-1"), ("tau", "--dmax", "-1"),
+     ("tau", "--probe", "-1")],
+    ids=["N", "wmax", "dmax", "probe"],
+)
+def test_negative_flag_is_config_error(argv):
+    assert_config_error(run_cli(*argv))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitztau import cutjoin
 from hurwitztau.cutjoin import (
     build_Qk,
     build_V1,
@@ -16,6 +17,7 @@ from hurwitztau.errors import UnsupportedDegreeError
 from hurwitztau.exactalg import BetaSeries, GradedPoly
 from hurwitztau.partitions import Partition
 from hurwitztau.symfun import schur_to_power
+from hurwitztau.taufn import TauSeries, build_tau
 from hurwitztau.weights import WeightFamily, belyi, exponential, quantum
 
 F = Fraction
@@ -92,6 +94,23 @@ class TestPDE:
     @pytest.mark.parametrize("fam", [belyi(), C2, exponential()], ids=lambda f: f.label)
     def test_all_three_identities(self, fam):
         assert pde_check(fam, 4, 3)["ok"]
+
+
+def test_corrupted_tau_fails_pde_and_reconstruction(monkeypatch):
+    # add beta to the t_1^2 s_1^2 coefficient: Q_1 and Q_2 both act on t_1^2,
+    # and a beta term changes beta d/dbeta
+    def corrupted_build_tau(family, w_max, d_max):
+        tau = build_tau(family, w_max, d_max)
+        terms = dict(tau.body.terms)
+        key = ((2,), (2,), 2)
+        terms[key] = terms[key] + BetaSeries.variable(d_max)
+        return TauSeries(family, w_max, d_max, GradedPoly(terms, w_max, d_max))
+
+    monkeypatch.setattr(cutjoin, "build_tau", corrupted_build_tau)
+    report = pde_check(belyi(), 4, 3)
+    assert not report["ok"]
+    assert report["failures"] == ["A_1-derivative", "A_2-derivative", "beta-Euler identity"]
+    assert reconstruct_tau(belyi(), 4, 3)["diagonal_ok"] is False
 
 
 class TestSingleHurwitzRep:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hurwitztau.exactalg import BetaSeries, GradedPoly
+from hurwitztau.exactalg import BetaSeries, GradedPoly, monomial_from_partition
 from hurwitztau.partitions import Partition, enumerate_partitions, partitions_up_to
 from hurwitztau.symfun import (
     cauchy_kernel,
@@ -11,14 +11,29 @@ from hurwitztau.symfun import (
     elementary_list,
     eval_basis,
     h_of_sigma,
-    h_poly,
     power_sum_value,
     schur_at_sigma,
-    schur_monomial_map,
+    schur_sector_sum,
     schur_to_power,
 )
 
 F = Fraction
+
+
+def reference_schur_to_power(lam, d_max=0, w_max=None):
+    """s_lambda in the t-variables by its own character loop over classes mu."""
+    if w_max is None:
+        w_max = max(lam.weight, 1)
+    terms = {}
+    for mu in enumerate_partitions(lam.weight):
+        chi = character(lam, mu)
+        if chi == 0:
+            continue
+        coeff = F(chi, mu.z_order())
+        for p in mu.parts:
+            coeff *= p
+        terms[(monomial_from_partition(mu.parts), (), 0)] = BetaSeries.constant(coeff, d_max)
+    return GradedPoly(terms, w_max, d_max)
 
 
 class TestCharacters:
@@ -71,18 +86,12 @@ class TestSchurToPower:
 
     def test_cauchy_identity(self):
         w = 6
-        total = GradedPoly.zero(w, 0)
-        for lam in partitions_up_to(w):
-            terms = {}
-            tmap = schur_monomial_map(lam)
-            for texp, a in tmap.items():
-                for sexp, b in tmap.items():
-                    key = (texp, sexp, lam.weight)
-                    terms[key] = terms.get(key, BetaSeries.zero(0)) + BetaSeries.constant(
-                        a * b, 0
-                    )
-            total = total + GradedPoly(terms, w, 0)
-        assert total == cauchy_kernel(w, 0)
+        assert schur_sector_sum(w, 0, lambda lam: BetaSeries.one(0)) == cauchy_kernel(w, 0)
+
+    def test_matches_character_loop_reference(self):
+        for lam in partitions_up_to(6):
+            assert schur_to_power(lam) == reference_schur_to_power(lam)
+            assert schur_to_power(lam, 2, 7) == reference_schur_to_power(lam, 2, 7)
 
 
 class TestEvalBasis:
@@ -153,16 +162,9 @@ def _invert(a):
 
 
 class TestHPoly:
+    # h_n of the rescaled alphabet s / beta is h_of_sigma(n, s / beta, sign)
     def test_h0_is_one(self):
-        assert h_poly(0, 1, F(3, 7), [F(2)]) == 1
-
-    def test_beta_zero_rejected(self):
-        import pytest
-
-        from hurwitztau.errors import DomainError
-
-        with pytest.raises(DomainError):
-            h_poly(1, 1, F(0), [F(1)])
+        assert h_of_sigma(0, [F(2) / F(3, 7)], 1) == 1
 
     def test_h_cache_is_bounded(self):
         from hurwitztau.symfun import _h_list_cached
@@ -170,11 +172,11 @@ class TestHPoly:
         assert _h_list_cached.cache_info().maxsize is not None
 
     def test_h1_sign(self):
-        assert h_poly(1, 1, F(1), [F(1)]) == 1
-        assert h_poly(1, -1, F(1), [F(1)]) == -1
+        assert h_of_sigma(1, [F(1)], 1) == 1
+        assert h_of_sigma(1, [F(1)], -1) == -1
 
     def test_h2_single_s(self):
-        assert h_poly(2, 1, F(1), [F(1)]) == F(1, 2)
+        assert h_of_sigma(2, [F(1)], 1) == F(1, 2)
 
     def test_inverse_series(self):
         sigma = (F(2, 3), F(-1, 5), F(1, 7))

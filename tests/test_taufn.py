@@ -7,8 +7,8 @@ from hurwitztau.errors import OutOfWindowError
 from hurwitztau.exactalg import BetaSeries, GradedPoly, QRing, exps_mul
 from hurwitztau.exactalg import monomial_from_partition
 from hurwitztau.hurwitz import H_via_characters, build_table, connected_table_entries
-from hurwitztau.partitions import Partition, enumerate_partitions
-from hurwitztau.symfun import cauchy_kernel
+from hurwitztau.partitions import Partition, enumerate_partitions, partitions_up_to
+from hurwitztau.symfun import cauchy_kernel, schur_monomial_map
 from hurwitztau.taufn import (
     TauSeries,
     baker,
@@ -21,10 +21,24 @@ from hurwitztau.taufn import (
     multicurrent_W,
     tau_pair_series,
 )
-from hurwitztau.weights import WeightFamily, belyi, exponential
+from hurwitztau.weights import WeightFamily, belyi, content_product, exponential, quantum, signed
 
 F = Fraction
 TRIVIAL = WeightFamily("finite_c", c=(), label="G=1")
+C2 = WeightFamily("finite_c", c=(1, F(1, 2)), label="finite_c(1,1/2)")
+
+
+def reference_tau_body(family, w_max, d_max):
+    """tau by its own loop over the Schur sectors, s_lambda(t) s_lambda(s) per lambda."""
+    terms = {}
+    for lam in partitions_up_to(w_max):
+        r = content_product(family, lam, 0, d_max).value
+        tmap = schur_monomial_map(lam)
+        for t_exp, a in tmap.items():
+            for s_exp, b in tmap.items():
+                key = (t_exp, s_exp, lam.weight)
+                terms[key] = terms[key] + r * (a * b) if key in terms else r * (a * b)
+    return GradedPoly(terms, w_max, d_max)
 
 
 # (n, x_degree, w_max, d_max) and options of the verify sweep's W = dF checks
@@ -66,6 +80,12 @@ def reference_F_n(family, n, w_max, d_max, x_degree, connected=False, genus=None
 
 
 class TestBuildTau:
+    @pytest.mark.parametrize(
+        "fam", [belyi(), C2, signed(), exponential(), quantum(F(1, 2))], ids=lambda f: f.label
+    )
+    def test_matches_sector_loop_reference(self, fam):
+        assert build_tau(fam, 5, 3).body == reference_tau_body(fam, 5, 3)
+
     def test_trivial_family_is_cauchy(self):
         tau = build_tau(TRIVIAL, 5, 0)
         assert tau.body == cauchy_kernel(5, 0)
@@ -175,7 +195,7 @@ class TestHirota:
 
 class TestMulticurrent:
     def test_w1_leading_term_beta_rescaled(self):
-        tau = build_tau(exponential(), 4, 3, s_convention="beta_rescaled")
+        tau = build_tau(exponential(), 4, 3)
         w1 = multicurrent_W(tau, 1, 2)
         # key: x-power 0, s-monomial s_1 (one part => implied beta^{-1}), grade 1
         assert w1[((0,), (1,), 1)] == BetaSeries([1, 0, 0, 0])
@@ -203,14 +223,6 @@ class TestMulticurrent:
     def test_f1_leading_term(self):
         f1 = build_F_n(exponential(), 1, 3, 2, 2)
         assert f1[((1,), (1,), 1)][0] == 1  # gamma beta^{-1} x s_1
-
-    def test_current_correlator_shifts_exponents(self):
-        from hurwitztau.taufn import multicurrent_J
-
-        tau = build_tau(exponential(), 4, 3, s_convention="beta_rescaled")
-        w = multicurrent_W(tau, 1, 2)
-        j = multicurrent_J(tau, 1, 2)
-        assert j == {((x[0] + 1,), s, g): c for (x, s, g), c in w.items()}
 
     def test_genus_zero_slice_of_f1(self):
         # connected genus-0 slice at N=2: the x^2 gamma^2 s_1^2 term is built
@@ -257,7 +269,7 @@ class TestMulticurrent:
 
     def test_genus_slices_reassemble(self):
         # sum over g of the sliced connected W equals the full connected W
-        tau = build_tau(belyi(), 5, 3, s_convention="beta_rescaled")
+        tau = build_tau(belyi(), 5, 3)
         log_body = log_tau(tau)
         full = multicurrent_W(tau, 2, 2, connected=True, log_body=log_body)
         from hurwitztau.taufn import _genus_slice
