@@ -16,31 +16,20 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
-from .exactalg import BRing, LaurentWindow, QRing, series_inv
+from .exactalg import LaurentWindow, scalar_ring
 from .symfun import h_of_sigma
-from .weights import (
-    EXPONENTIAL,
-    FINITE_C,
-    QUANTUM,
-    WeightFamily,
-    g_coeff,
-    g_value,
-    r_factor,
-    rho,
-    rho_series,
-)
+from .weights import EXPONENTIAL, FINITE_C, QUANTUM, WeightFamily, g_at, g_coeff, rho
 
 
 @dataclass(frozen=True)
 class BasisWindow:
     family: WeightFamily
-    beta: object  # Fraction, or None in series mode
     gamma: Fraction
     sigma: tuple  # beta^{-1} s as exact rationals
     k_lo: int
     k_hi: int
     depth: int  # lowest retained z-exponent
-    ring: object
+    ring: object  # QRing(beta) or BRing(d_max): carries the beta mode
     w: dict  # k -> LaurentWindow
     ws: dict  # k -> LaurentWindow
 
@@ -55,30 +44,24 @@ class BasisWindow:
 
     def r_value(self, j: int):
         """G(j beta) as a ring element."""
-        if self.beta is None:
-            return r_factor(self.family, j, self.ring.d_max)
-        return g_value(self.family, j * self.beta)
+        return g_at(self.family, j, self.ring)
 
     def rho_value(self, j: int):
-        if self.beta is None:
-            return rho_series(self.family, j, self.ring.d_max, self.gamma)
-        return rho(self.family, j, self.beta, self.gamma)
+        return rho(self.family, j, self.gamma, self.ring)
 
     def rho_inv(self, j: int):
         """rho_j^{-1}.  For j < 0 this is the direct product
         gamma^{-j} prod_{i=0}^{-j-1} G(-i beta): always finite, possibly zero
         (the allowed vanishing-rho degeneration)."""
-        if self.beta is None:
-            return series_inv(self.rho_value(j))
-        if j >= 0:
-            value = self.rho_value(j)
-            if value == 0:
-                raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
-            return 1 / value
-        out = self.gamma ** (-j)
-        for i in range(0, -j):
-            out *= g_value(self.family, -i * self.beta)
-        return out
+        if j < 0:
+            out = self.ring.coerce(self.gamma ** (-j))
+            for i in range(0, -j):
+                out = out * self.r_value(-i)
+            return out
+        value = self.rho_value(j)
+        if self.ring.is_zero(value):
+            raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
+        return self.ring.inv(value)
 
     def h(self, n: int, sign: int = 1) -> Fraction:
         return h_of_sigma(n, self.sigma, sign)
@@ -119,18 +102,11 @@ def build_basis(
     if beta_val is not None and Fraction(beta_val) == 0:
         raise ConfigurationError("beta must be nonzero")
     sig = _sigma_from(beta_val, s, sigma)
-    if beta_val is None:
-        if d_max is None:
-            raise ConfigurationError("series mode needs d_max")
-        ring = BRing(d_max)
-        beta = None
-    else:
-        ring = QRing()
-        beta = Fraction(beta_val)
+    ring = scalar_ring(beta_val, d_max)
     k_lo, k_hi = k_range
     if k_lo > k_hi or depth > k_lo - 1:
         raise ConfigurationError("empty basis window")
-    scratch = BasisWindow(family, beta, gamma_val, sig, k_lo, k_hi, depth, ring, {}, {})
+    scratch = BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, {}, {})
     # every k reads the same rho_j and rho_j^{-1}: compute each once per window
     rho_value, rho_inv = cache(scratch.rho_value), cache(scratch.rho_inv)
     w, ws = {}, {}
@@ -147,7 +123,7 @@ def build_basis(
                 for j in range(depth, k)
             ]
             ws[k] = LaurentWindow(depth, tuple(coeffs_ws))
-    return BasisWindow(family, beta, gamma_val, sig, k_lo, k_hi, depth, ring, w, ws)
+    return BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, w, ws)
 
 
 # ---------------------------------------------------------------------------

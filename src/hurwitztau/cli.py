@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -114,13 +115,32 @@ def emit(args, config: dict, result: dict) -> None:
     else:  # "text" prints the same JSON document
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write a regular file through a temporary file beside it and os.replace,
+    so that a killed or failed run never leaves a partial report.  A symlink is
+    followed; a pipe or device is written directly, since it cannot be replaced."""
+    try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
 def _to_csv(result: dict) -> str:
@@ -238,7 +258,7 @@ def cmd_basis(args) -> int:
         k_range=(args.k_lo, args.k_hi),
         depth=args.depth,
         sigma=sigma,
-        d_max=args.dmax if beta is None else None,
+        d_max=args.dmax,
     )
     euler = adaptedbasis.euler_P(b)
     result = {
@@ -283,15 +303,13 @@ def cmd_kernel(args) -> int:
         sig = tuple(x / beta for x in _fraction_list(args.s))
     else:
         raise ConfigurationError("series mode needs --sigma")
-    d_max = args.dmax if beta is None else None
     depth = min(window[0], window[2]) - 2
     k_hi = max(1, -window[0]) + 1
     k_lo = min(0, 1 + window[0]) - 1
     b = adaptedbasis.build_basis(
-        family, beta, gamma, sigma=sig, k_range=(k_lo, k_hi), depth=depth,
-        d_max=d_max, s=() if beta is None else tuple(x * beta for x in sig),
+        family, beta, gamma, sigma=sig, k_range=(k_lo, k_hi), depth=depth, d_max=args.dmax
     )
-    k_tau = correlators.K2_via_tau(family, beta, gamma, sig, window, d_max=d_max)
+    k_tau = correlators.K2_via_tau(family, beta, gamma, sig, window, d_max=args.dmax)
     k_bas, info = correlators.K2_via_basis(b, window)
     result = {
         "kernel_routes_equal": {
@@ -336,7 +354,15 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
+CUTJOIN_WMAX_MIN = 2  # Q_1 and Q_2 act from weight 2; below it every check is vacuous
+
+
 def cmd_cutjoin(args) -> int:
+    if args.wmax < CUTJOIN_WMAX_MIN:
+        raise ConfigurationError(
+            f"cutjoin needs --wmax >= {CUTJOIN_WMAX_MIN}, got {args.wmax}: "
+            "Q_1 and Q_2 act only from weight 2"
+        )
     family = make_family(args)
     config = config_dict(args, ["family", "c", "q", "wmax", "dmax", "resolve_index"])
     result = {

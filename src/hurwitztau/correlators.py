@@ -17,18 +17,11 @@ from fractions import Fraction
 
 from .adaptedbasis import BasisWindow
 from .errors import ConfigurationError, OutOfWindowError
-from .exactalg import BRing, QRing
+from .exactalg import QRing, scalar_ring
 from .partitions import Partition, partitions_up_to
-from .symfun import h_of_sigma, schur_at_sigma, schur_monomial_map
-from .weights import (
-    FINITE_C,
-    WeightFamily,
-    content_product,
-    content_product_value,
-    g_coeff,
-    g_value,
-    r_factor,
-)
+from .symfun import h_of_sigma, schur_monomial_map
+from .taufn import schur_weight
+from .weights import FINITE_C, WeightFamily, g_at, g_coeff
 
 
 @dataclass(frozen=True)
@@ -53,19 +46,10 @@ class KernelWindow:
         return self.cells.get((ez, ew), ring.zero())
 
 
-def _ring_for(beta_val, d_max):
-    if beta_val is None:
-        if d_max is None:
-            raise ConfigurationError("series mode needs d_max")
-        return BRing(d_max), None
-    return QRing(), Fraction(beta_val)
-
-
-def _hook_r(family, a: int, b: int, beta, ring):
+def _hook_value(family, a: int, b: int, gamma, sigma, ring):
+    """(-1)^b pi_(a|b): the hook (a|b)'s term in tau([w^{-1}] - [z^{-1}])."""
     hook = Partition([a + 1] + [1] * b)
-    if beta is None:
-        return content_product(family, hook, 0, ring.d_max).value
-    return ring.coerce(content_product_value(family, hook, beta))
+    return schur_weight(family, hook, gamma, sigma, ring) * (-1) ** b
 
 
 def K2_via_tau(
@@ -83,7 +67,7 @@ def K2_via_tau(
     (z^{-b-1}, w^{-a-1}), and the empty partition gives the geometric
     expansion of 1/(z-w).
     """
-    ring, beta = _ring_for(beta_val, d_max)
+    ring = scalar_ring(beta_val, d_max)
     gamma_val = Fraction(gamma_val)
     sigma = tuple(Fraction(x) for x in sigma)
     zlo, zhi, wlo, whi = window
@@ -94,10 +78,7 @@ def K2_via_tau(
             cells[(ez, ew)] = ring.one()
     for ez in range(zlo, min(zhi, -1) + 1):
         for ew in range(wlo, min(whi, -1) + 1):
-            a, b = -ew - 1, -ez - 1
-            r = _hook_r(family, a, b, beta, ring)
-            s_val = schur_at_sigma(Partition([a + 1] + [1] * b), sigma)
-            value = r * (gamma_val ** (a + b + 1) * (-1) ** b * s_val)
+            value = _hook_value(family, -ew - 1, -ez - 1, gamma_val, sigma, ring)
             if not ring.is_zero(value):
                 cells[(ez, ew)] = cells.get((ez, ew), ring.zero()) + value
     return KernelWindow(zlo, zhi, wlo, whi, cells)
@@ -161,14 +142,8 @@ def cd_matrix(
         A_{ij} = -sum_{k=-i}^{j} G(beta k) h_{j-k}(-sigma) h_{i+k}(sigma)
                = -sum_{n=0}^{i+j} G(beta (j-n)) h_n(-sigma) h_{i+j-n}(sigma).
     """
-    ring, beta = _ring_for(beta_val, d_max)
+    ring = scalar_ring(beta_val, d_max)
     sigma = tuple(Fraction(x) for x in sigma)
-
-    def g_at(k):
-        if beta is None:
-            return r_factor(family, k, ring.d_max)
-        return ring.coerce(g_value(family, beta * k))
-
     out = {}
     for i in range(bounds + 1):
         for j in range(bounds + 1):
@@ -180,11 +155,13 @@ def cd_matrix(
                 continue
             acc = ring.zero()
             for k in range(-i, j + 1):
-                acc = acc + g_at(k) * (h_of_sigma(j - k, sigma, -1) * h_of_sigma(i + k, sigma, 1))
+                acc = acc + g_at(family, k, ring) * (
+                    h_of_sigma(j - k, sigma, -1) * h_of_sigma(i + k, sigma, 1)
+                )
             first = -acc
             acc2 = ring.zero()
             for n in range(0, i + j + 1):
-                acc2 = acc2 + g_at(j - n) * (
+                acc2 = acc2 + g_at(family, j - n, ring) * (
                     h_of_sigma(n, sigma, -1) * h_of_sigma(i + j - n, sigma, 1)
                 )
             second = -acc2
@@ -211,9 +188,7 @@ def cd_kernel(b: BasisWindow, window: tuple) -> dict:
     L = b.sigma_support
     M = len(b.family.c)
     rank = L * M
-    beta_mode = b.beta if b.beta is not None else None
-    d_max = None if b.beta is not None else ring.d_max
-    A = cd_matrix(b.family, beta_mode, b.sigma, rank + CD_RANK_MARGIN, d_max=d_max)
+    A = cd_matrix(b.family, ring.beta, b.sigma, rank + CD_RANK_MARGIN, d_max=ring.d_max)
     finiteness_failures = [
         (i, j)
         for (i, j), v in A.items()
@@ -234,12 +209,7 @@ def cd_kernel(b: BasisWindow, window: tuple) -> dict:
                     total = total + a * b.w[1 - i].get(ew, ring) * b.ws[1 - j].get(ez, ring)
             numer[(ez, ew)] = total * b.gamma
     k2 = K2_via_tau(
-        b.family,
-        b.beta,
-        b.gamma,
-        b.sigma,
-        (zlo - 1, zhi, wlo - 1, whi),
-        d_max=d_max,
+        b.family, ring.beta, b.gamma, b.sigma, (zlo - 1, zhi, wlo - 1, whi), d_max=ring.d_max
     )
     identity_failures = []
     for ez in range(zlo, zhi + 1):
@@ -268,7 +238,6 @@ def gen_A(
     sigma,
     degrees: tuple,
     beta_val=1,
-    d_max: int | None = None,
 ) -> dict:
     """A(r,t) = [r G(S(t) - t d/dt) - t G(S(r) + r d/dr)] 1/(r-t), expanded.
 
@@ -280,23 +249,13 @@ def gen_A(
     """
     if family.kind != FINITE_C:
         raise ConfigurationError("gen_A needs a polynomial G")
-    ring, beta = _ring_for(beta_val, d_max)
+    ring = QRing(beta_val)
     sigma = tuple(Fraction(x) for x in sigma)
     big_m = len(family.c)
     L = len(sigma)
     imax, jmax = degrees
     # effective Taylor weights g_m beta^m of G(beta x)
-    if beta is None:
-        from .exactalg import BetaSeries
-
-        ghat = [
-            BetaSeries.constant(g_coeff(family, m), ring.d_max).shift(m)
-            if m <= ring.d_max
-            else ring.zero()
-            for m in range(big_m + 1)
-        ]
-    else:
-        ghat = [ring.coerce(g_coeff(family, m) * beta**m) for m in range(big_m + 1)]
+    ghat = [g_coeff(family, m) * ring.beta**m for m in range(big_m + 1)]
 
     m_max = max(imax + jmax + big_m * L + 2, jmax + 1)
 
@@ -428,7 +387,7 @@ def _dict4_mul(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _pair_T(family, beta, gamma, sigma, ring, zdepth: int, wdepth: int) -> dict:
+def _pair_T(family, gamma, sigma, ring, zdepth: int, wdepth: int) -> dict:
     """T(z, w) = tau([w^{-1}] - [z^{-1}]) = (z - w) K2(z, w), as exact cells.
 
     Hook (a|b) contributes on cells (-b, -a-1) and (-b-1, -a) with opposite
@@ -437,9 +396,7 @@ def _pair_T(family, beta, gamma, sigma, ring, zdepth: int, wdepth: int) -> dict:
     cells = {(0, 0): ring.one()}
     for a in range(0, wdepth):
         for b_leg in range(0, zdepth):
-            hook = Partition([a + 1] + [1] * b_leg)
-            r = _hook_r(family, a, b_leg, beta, ring)
-            val = r * (gamma ** (a + b_leg + 1) * (-1) ** b_leg * schur_at_sigma(hook, sigma))
+            val = _hook_value(family, a, b_leg, gamma, sigma, ring)
             if ring.is_zero(val):
                 continue
             for key, sign in (((-b_leg, -a - 1), 1), ((-b_leg - 1, -a), -1)):
@@ -464,7 +421,7 @@ def multipair_two_point(
     T(z,w) = tau([w^{-1}] - [z^{-1}]).  This is the two-pair correlator
     determinant identity with every 1/(z_i - w_j) multiplied through.
     """
-    ring, beta = _ring_for(beta_val, d_max)
+    ring = scalar_ring(beta_val, d_max)
     gamma_val = Fraction(gamma_val)
     sigma = tuple(Fraction(x) for x in sigma)
     D = degree
@@ -483,12 +440,7 @@ def multipair_two_point(
     for lam in partitions_up_to(D):
         if lam.weight == 0:
             continue
-        r = (
-            content_product(family, lam, 0, ring.d_max).value
-            if beta is None
-            else ring.coerce(content_product_value(family, lam, beta))
-        )
-        weight = r * (gamma_val**lam.weight * schur_at_sigma(lam, sigma))
+        weight = schur_weight(family, lam, gamma_val, sigma, ring)
         if ring.is_zero(weight):
             continue
         s_x: dict = {}
@@ -503,7 +455,7 @@ def multipair_two_point(
             if v:
                 tau_x[key] = tau_x.get(key, ring.zero()) + weight * v
 
-    t_cells = _pair_T(family, beta, gamma_val, sigma, ring, D + 2, D + 2)
+    t_cells = _pair_T(family, gamma_val, sigma, ring, D + 2, D + 2)
 
     def lift(cells, slots):
         # place a 2-variable dict into the 4-variable key layout

@@ -16,23 +16,10 @@ from .exactalg import (
     monomial_from_partition,
     series_exp,
 )
-from .partitions import Partition, enumerate_partitions, partitions_up_to
-from .symfun import (
-    cauchy_kernel,
-    character,
-    schur_monomial_map,
-    schur_sector_sum,
-    schur_to_power,
-)
+from .partitions import Partition, partitions_up_to
+from .symfun import cauchy_kernel, schur_sector_sum, schur_to_power
 from .taufn import build_tau
-from .weights import (
-    DUAL_FINITE_C,
-    FINITE_C,
-    WeightFamily,
-    content_product,
-    g_coeff,
-    log_A_coeffs,
-)
+from .weights import DUAL_FINITE_C, FINITE_C, WeightFamily, g_coeff, log_A_coeffs
 
 
 @dataclass(frozen=True)
@@ -341,21 +328,14 @@ def build_Vk_and_single_rep(family: WeightFamily, w_max: int) -> dict:
         current = x_apply(current)
         sectors.append(current.scale(Fraction(1, factorial(n))))
 
-    # tau with s evaluated at s_1 = 1: sector N is sum_lam r_lam (dim/N!) s_lam(t)
-    failures = []
-    for n in range(w_max + 1):
-        want_terms: dict = {}
-        for lam in enumerate_partitions(n):
-            r = content_product(family, lam, 0, d_max).value
-            dim = character(lam, Partition([1] * n))
-            scale = Fraction(dim, factorial(n))
-            for t_exp, a in schur_monomial_map(lam).items():
-                key = (t_exp, (), n)
-                contrib = r * (a * scale)
-                want_terms[key] = want_terms.get(key, BetaSeries.zero(d_max)) + contrib
-        want = GradedPoly(want_terms, w_max, d_max)
-        if sectors[n] != want:
-            failures.append(n)
+    # tau(t, s = delta_{k,1}): the s_1^n terms of tau, one sector per n
+    want: dict = {n: {} for n in range(w_max + 1)}
+    for (t, s, g), c in build_tau(family, w_max, d_max).body.terms.items():
+        if s == monomial_from_partition([1] * g):
+            want[g][(t, (), g)] = c
+    failures = [
+        n for n in range(w_max + 1) if sectors[n] != GradedPoly(want[n], w_max, d_max)
+    ]
     return {"ok": not failures, "failing_sectors": failures, "M": M}
 
 

@@ -221,15 +221,20 @@ def _factorial(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Scalar rings.  LaurentWindow and the basis/kernel modules are generic over
-# the coefficient ring: exact rationals (rational beta evaluation) or
-# BetaSeries (beta kept as a formal series).
+# the coefficient ring, and the ring carries beta: exact rationals at a
+# rational beta, or BetaSeries with beta kept as a formal series.  Each ring
+# exposes ``beta`` and ``d_max``; exactly one of the two is None.
 # ---------------------------------------------------------------------------
 
 
 class QRing:
-    """Coefficients are plain Fractions."""
+    """Coefficients are plain Fractions; beta, if given, is a rational value."""
 
     name = "Q"
+    d_max = None
+
+    def __init__(self, beta=None):
+        self.beta = None if beta is None else Fraction(beta)
 
     def zero(self):
         return _ZERO
@@ -250,9 +255,10 @@ class QRing:
 
 
 class BRing:
-    """Coefficients are BetaSeries truncated at a shared d_max."""
+    """Coefficients are BetaSeries truncated at a shared d_max; beta is formal."""
 
     name = "Q[[beta]]"
+    beta = None
 
     def __init__(self, d_max: int):
         self.d_max = d_max
@@ -275,6 +281,15 @@ class BRing:
 
     def inv(self, v):
         return series_inv(self.coerce(v))
+
+
+def scalar_ring(beta_val, d_max: int | None):
+    """QRing(beta_val) at a rational beta; BRing(d_max) when beta_val is None."""
+    if beta_val is not None:
+        return QRing(beta_val)
+    if d_max is None:
+        raise ConfigurationError("series mode needs d_max")
+    return BRing(d_max)
 
 
 # ---------------------------------------------------------------------------

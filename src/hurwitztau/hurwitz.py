@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ResourceError
-from .exactalg import BetaSeries
+from .exactalg import BetaSeries, BRing
 from .grouporacle import (
     PATH_D_CAP,
     PATH_N_CAP,
@@ -48,6 +48,7 @@ def H_via_characters(
     if N == 0:
         return BetaSeries.one(d_max)
     table = char_table(N)
+    ring = BRing(d_max)
     acc = BetaSeries.zero(d_max)
     for lam in table.partitions:
         chi_mu = table.chi(lam, mu)
@@ -56,7 +57,7 @@ def H_via_characters(
         chi_nu = table.chi(lam, nu)
         if chi_nu == 0:
             continue
-        acc = acc + content_product(family, lam, 0, d_max).value * (chi_mu * chi_nu)
+        acc = acc + content_product(family, lam, ring) * (chi_mu * chi_nu)
     return acc / Fraction(mu.z_order() * nu.z_order())
 
 

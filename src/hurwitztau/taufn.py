@@ -11,15 +11,17 @@ from math import factorial
 from .errors import ConfigurationError, OutOfWindowError
 from .exactalg import (
     BetaSeries,
+    BRing,
     GradedPoly,
     LaurentWindow,
+    QRing,
     exp_weight,
     exps_mul,
     monomial_from_partition,
 )
 from .partitions import Partition, enumerate_partitions
 from .symfun import schur_at_sigma, schur_sector_sum
-from .weights import WeightFamily, content_product, content_product_value
+from .weights import WeightFamily, content_product
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,20 @@ class TauSeries:
 
 def build_tau(family: WeightFamily, w_max: int, d_max: int) -> TauSeries:
     """Sum over |lambda| <= w_max of gamma^|lambda| r_lambda s_lambda(t) s_lambda(s)."""
-    body = schur_sector_sum(
-        w_max, d_max, lambda lam: content_product(family, lam, 0, d_max).value
-    )
+    ring = BRing(d_max)
+    body = schur_sector_sum(w_max, d_max, lambda lam: content_product(family, lam, ring))
     return TauSeries(family, w_max, d_max, body)
+
+
+def schur_weight(family: WeightFamily, lam: Partition, gamma_val, sigma, ring):
+    """pi_lambda = gamma^|lambda| r_lambda s_lambda(sigma): the coefficient of
+    s_lambda(t) in tau(t, s) at s = beta sigma, as a ring element.
+
+    r_lambda is evaluated even where s_lambda(sigma) = 0, so a family with no
+    rational evaluation is refused at rational beta whatever sigma is.
+    """
+    r = content_product(family, lam, ring)
+    return r * (Fraction(gamma_val) ** lam.weight * schur_at_sigma(lam, sigma))
 
 
 def log_tau(tau: TauSeries) -> GradedPoly:
@@ -98,19 +110,15 @@ def baker(
         raise OutOfWindowError(
             f"window depth {depth} exceeds w_max={tau.w_max} support"
         )
-    beta_val, gamma_val = Fraction(beta_val), Fraction(gamma_val)
-    sigma = tuple(Fraction(x) / beta_val for x in s)
+    ring = QRing(beta_val)
+    sigma = tuple(Fraction(x) / ring.beta for x in s)
     minus = [Fraction(0)] * (depth + 1)
     plus = [Fraction(0)] * (depth + 1)
     for m in range(0, depth + 1):
         col = Partition([1] * m)
         row = Partition([m] if m else [])
-        r_col = content_product_value(tau.family, col, beta_val)
-        r_row = content_product_value(tau.family, row, beta_val)
-        minus[depth - m] = (
-            gamma_val**m * r_col * (-1) ** m * schur_at_sigma(col, sigma)
-        )
-        plus[depth - m] = gamma_val**m * r_row * schur_at_sigma(row, sigma)
+        minus[depth - m] = (-1) ** m * schur_weight(tau.family, col, gamma_val, sigma, ring)
+        plus[depth - m] = schur_weight(tau.family, row, gamma_val, sigma, ring)
     return LaurentWindow(z_lo, tuple(minus)), LaurentWindow(z_lo, tuple(plus))
 
 

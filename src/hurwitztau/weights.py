@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigurationError, DomainError, SingularParameterError
-from .exactalg import BetaSeries, series_inv
+from .exactalg import BetaSeries
 from .partitions import Partition
 from .symfun import complete_list, elementary_list, eval_basis
 
@@ -133,72 +133,46 @@ def g_value(family: WeightFamily, x: Fraction) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class ContentProduct:
-    lam: Partition
-    shift: int
-    value: BetaSeries
+def g_at(family: WeightFamily, j: int, ring):
+    """G(j beta) in the ring's mode: a beta-series in BRing, the exact value in QRing.
+
+    This is the only place that tells a rational beta from a formal one; r_lambda,
+    rho_j and everything built on them go through it.
+    """
+    if ring.beta is None:
+        return r_factor(family, j, ring.d_max)
+    return g_value(family, j * ring.beta)
 
 
-def content_product(
-    family: WeightFamily, lam: Partition, shift_N: int = 0, d_max: int = 0
-) -> ContentProduct:
-    """prod over cells (i,j) of G(beta (N + j - i)), truncated at d_max."""
-    out = BetaSeries.one(d_max)
+def content_product(family: WeightFamily, lam: Partition, ring):
+    """r_lambda = prod over cells of G(beta c), c = j - i the cell's content."""
+    out = ring.one()
     for c in lam.contents():
-        out = out * r_factor(family, shift_N + c, d_max)
-    return ContentProduct(lam, shift_N, out)
-
-
-def content_product_value(
-    family: WeightFamily, lam: Partition, beta_val: Fraction, shift_N: int = 0
-) -> Fraction:
-    """The same content product evaluated exactly at rational beta."""
-    beta_val = Fraction(beta_val)
-    out = Fraction(1)
-    for c in lam.contents():
-        out *= g_value(family, (shift_N + c) * beta_val)
+        out = out * g_at(family, c, ring)
     return out
 
 
-def rho(family: WeightFamily, j: int, beta_val: Fraction, gamma_val: Fraction) -> Fraction:
-    """Convolution coefficient rho_j at rational parameters, normalized rho_0 = 1.
+def rho(family: WeightFamily, j: int, gamma_val: Fraction, ring):
+    """Convolution coefficient rho_j, normalized rho_0 = 1.
 
     rho_j = gamma^j prod_{i=1..j} G(i beta);
     rho_{-j} = gamma^{-j} prod_{i=0..j-1} G(-i beta)^{-1}, which is singular
-    whenever one of the denominators G(-i beta) vanishes.
+    whenever one of the denominators G(-i beta) vanishes (never for formal
+    beta: G(x) has constant term 1).
     """
-    beta_val, gamma_val = Fraction(beta_val), Fraction(gamma_val)
+    gamma_val = Fraction(gamma_val)
     if gamma_val == 0:
         raise SingularParameterError("gamma must be nonzero")
-    if j == 0:
-        return Fraction(1)
-    if j > 0:
-        out = gamma_val**j
-        for i in range(1, j + 1):
-            out *= g_value(family, i * beta_val)
-        return out
-    out = gamma_val**j
+    out = ring.coerce(gamma_val**j)
+    for i in range(1, j + 1):
+        out = out * g_at(family, i, ring)
     for i in range(0, -j):
-        factor = g_value(family, -i * beta_val)
-        if factor == 0:
+        factor = g_at(family, -i, ring)
+        if ring.is_zero(factor):
             raise SingularParameterError(
-                f"rho_{j} undefined: G({-i}*beta) = 0 at i={i} (beta={beta_val})"
+                f"rho_{j} undefined: G({-i}*beta) = 0 at i={i} (beta={ring.beta})"
             )
-        out /= factor
-    return out
-
-
-def rho_series(family: WeightFamily, j: int, d_max: int, gamma_val: Fraction) -> BetaSeries:
-    """rho_j with beta kept as a formal series (never singular: G(x) has constant term 1)."""
-    gamma_val = Fraction(gamma_val)
-    out = BetaSeries.constant(gamma_val**j, d_max)
-    if j > 0:
-        for i in range(1, j + 1):
-            out = out * r_factor(family, i, d_max)
-    else:
-        for i in range(0, -j):
-            out = out * series_inv(r_factor(family, -i, d_max))
+        out = out * ring.inv(factor)
     return out
 
 

@@ -23,7 +23,6 @@ from hurwitztau.weights import (
     g_value,
     quantum,
     rho,
-    rho_series,
     signed,
 )
 
@@ -32,6 +31,7 @@ F = Fraction
 # Nonsingular configurations: 1/21 keeps every G(i beta) away from zero on the
 # index ranges the windows touch.
 BELYI_CFG = dict(beta_val=F(1, 21), gamma_val=F(1), s=(F(1, 21),))
+BELYI_RING = QRing(BELYI_CFG["beta_val"])
 C2 = WeightFamily("finite_c", c=(1, F(1, 2)), label="finite_c(1,1/2)")
 C2_CFG = dict(beta_val=F(1, 23), gamma_val=F(1), s=(F(1, 23),))
 
@@ -44,12 +44,10 @@ def belyi_basis(**kw):
 
 def naive_basis(family, beta, gamma, sigma, k_range, depth, d_max=None, sides=("w", "ws")):
     """w_k, w*_k with every rho_j and rho_j^{-1} evaluated afresh per entry."""
-    ring = QRing() if beta is not None else BRing(d_max)
+    ring = QRing(beta) if beta is not None else BRing(d_max)
 
     def rho_j(j):
-        if beta is None:
-            return rho_series(family, j, d_max, gamma)
-        return rho(family, j, beta, gamma)
+        return rho(family, j, gamma, ring)
 
     def rho_inv(j):
         if beta is None:
@@ -114,7 +112,7 @@ class TestBuild:
         ring = QRing()
         for k in range(-2, 4):
             # single term rho_{-k} z^{k-1}
-            assert b.w[k].get(k - 1, ring) == rho(belyi(), -k, F(1, 21), F(2))
+            assert b.w[k].get(k - 1, ring) == rho(belyi(), -k, F(2), QRing(F(1, 21)))
             assert all(b.w[k].get(j, ring) == 0 for j in range(-6, k - 1))
 
     def test_trivial_family_monomials(self):
@@ -129,10 +127,8 @@ class TestBuild:
         b = belyi_basis()
         ring = QRing()
         for k in range(b.k_lo, b.k_hi + 1):
-            assert b.w[k].get(k - 1, ring) == rho(belyi(), -k, *[BELYI_CFG["beta_val"], BELYI_CFG["gamma_val"]])
-            assert b.ws[k].get(k - 1, ring) == 1 / rho(
-                belyi(), k - 1, BELYI_CFG["beta_val"], BELYI_CFG["gamma_val"]
-            )
+            assert b.w[k].get(k - 1, ring) == rho(belyi(), -k, BELYI_CFG["gamma_val"], BELYI_RING)
+            assert b.ws[k].get(k - 1, ring) == 1 / rho(belyi(), k - 1, BELYI_CFG["gamma_val"], BELYI_RING)
 
     def test_triangularity(self):
         # everything above z^{k-1} is known zero, and the top is nonzero
@@ -150,7 +146,7 @@ class TestBuild:
         ring = QRing()
         sigma1 = b.sigma[0]
         for k in range(b.k_lo + 1, b.k_hi + 1):
-            want = sigma1 * rho(belyi(), 1 - k, BELYI_CFG["beta_val"], BELYI_CFG["gamma_val"])
+            want = sigma1 * rho(belyi(), 1 - k, BELYI_CFG["gamma_val"], BELYI_RING)
             assert b.w[k].get(k - 2, ring) == want
 
     def test_singular_parameters_raise(self):

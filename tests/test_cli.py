@@ -1,8 +1,11 @@
+import errno
 import json
 import subprocess
 import sys
 
 import pytest
+
+from hurwitztau import cli
 
 PY = [sys.executable, "-m", "hurwitztau.cli"]
 
@@ -143,3 +146,45 @@ def test_out_into_missing_directory_is_config_error(tmp_path):
 )
 def test_negative_flag_is_config_error(argv):
     assert_config_error(run_cli(*argv))
+
+
+@pytest.mark.parametrize("wmax", ["0", "1"])
+def test_cutjoin_below_weight_two_is_config_error(wmax):
+    # Q_1 and Q_2 act only from weight 2: a smaller window would check nothing
+    proc = run_cli("cutjoin", "--family", "belyi", "--wmax", wmax)
+    assert_config_error(proc)
+    assert "--wmax >= 2" in proc.stderr
+
+
+def test_out_replaces_target_whole(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("x" * 100000)
+    assert cli.main(["hurwitz", "--N", "2", "--dmax", "1", "--out", str(target)]) == 0
+    assert json.loads(target.read_text())["config"]["N"] == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_failed_replace_keeps_old_out_and_no_temporary(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+
+    def refuse(src, dst):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert cli.main(["hurwitz", "--N", "2", "--dmax", "1", "--out", str(target)]) == 1
+    assert target.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write --out {target}: Permission denied\n"
+    )
+
+
+def test_out_through_symlink_keeps_the_link(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert cli.main(["hurwitz", "--N", "1", "--dmax", "1", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(real.read_text())["config"]["N"] == 1

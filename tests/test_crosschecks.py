@@ -13,8 +13,9 @@ from hurwitztau.partitions import Partition, enumerate_partitions
 from hurwitztau.weights import (
     WeightFamily,
     belyi,
-    content_product_value,
+    content_product,
     exponential,
+    g_value,
     quantum,
 )
 
@@ -57,8 +58,10 @@ def test_shifted_content_product_identity():
         scale = 1 + beta * n_shift
         beta_prime = beta / scale
         for lam in enumerate_partitions(4):
-            lhs = content_product_value(belyi(), lam, beta, shift_N=n_shift)
-            rhs = scale**lam.weight * content_product_value(belyi(), lam, beta_prime)
+            lhs = F(1)
+            for c in lam.contents():
+                lhs *= g_value(belyi(), beta * (n_shift + c))
+            rhs = scale**lam.weight * content_product(belyi(), lam, QRing(beta_prime))
             assert lhs == rhs
 
 

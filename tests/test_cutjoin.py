@@ -123,6 +123,19 @@ class TestSingleHurwitzRep:
         rep = build_Vk_and_single_rep(C2, 3)
         assert rep["ok"] and rep["M"] == 2
 
+    def test_corrupted_tau_names_failing_sector(self, monkeypatch):
+        # add beta^2 to the t_1 t_2 s_1^3 coefficient: only sector 3 changes
+        def corrupted_build_tau(family, w_max, d_max):
+            tau = build_tau(family, w_max, d_max)
+            terms = dict(tau.body.terms)
+            key = ((1, 1), (3,), 3)
+            terms[key] = terms[key] + BetaSeries.variable(d_max).shift(1)
+            return TauSeries(family, w_max, d_max, GradedPoly(terms, w_max, d_max))
+
+        monkeypatch.setattr(cutjoin, "build_tau", corrupted_build_tau)
+        rep = build_Vk_and_single_rep(belyi(), 3)
+        assert not rep["ok"] and rep["failing_sectors"] == [3]
+
     def test_v1_action(self):
         v1 = build_V1(4)
         assert v1.apply(mono((1,), 4)) == GradedPoly(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitztau.errors import OutOfWindowError
-from hurwitztau.exactalg import BetaSeries, GradedPoly, QRing, exps_mul
+from hurwitztau.exactalg import BetaSeries, BRing, GradedPoly, QRing, exps_mul
 from hurwitztau.exactalg import monomial_from_partition
 from hurwitztau.hurwitz import H_via_characters, build_table, connected_table_entries
 from hurwitztau.partitions import Partition, enumerate_partitions, partitions_up_to
@@ -32,7 +32,7 @@ def reference_tau_body(family, w_max, d_max):
     """tau by its own loop over the Schur sectors, s_lambda(t) s_lambda(s) per lambda."""
     terms = {}
     for lam in partitions_up_to(w_max):
-        r = content_product(family, lam, 0, d_max).value
+        r = content_product(family, lam, BRing(d_max))
         tmap = schur_monomial_map(lam)
         for t_exp, a in tmap.items():
             for s_exp, b in tmap.items():

@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from hurwitztau.errors import ConfigurationError, SingularParameterError
-from hurwitztau.exactalg import BetaSeries, series_exp, series_inv
-from hurwitztau.partitions import Partition
+from hurwitztau.exactalg import BetaSeries, BRing, QRing, series_exp, series_inv
+from hurwitztau.partitions import Partition, partitions_up_to
 from hurwitztau.symfun import elementary_list
 from hurwitztau.weights import (
     WeightFamily,
     belyi,
     content_product,
     exponential,
+    g_at,
     g_coeff,
     g_value,
     log_A_coeffs,
@@ -20,7 +21,6 @@ from hurwitztau.weights import (
     quantum,
     r_factor,
     rho,
-    rho_series,
     signed,
 )
 
@@ -55,6 +55,18 @@ class TestGCoeff:
         assert g_coeff(fam, 3) == 1  # h_3(1) = 1
 
 
+# Cross-mode checks: for polynomial G of degree M, G(j beta) has beta-degree M,
+# r_lambda degree M |lambda| and rho_j degree M j, so a BRing(d) value with d at
+# least that degree is the exact polynomial; at beta it must equal the QRing value.
+POLY_FAMILIES = (belyi(), WeightFamily("finite_c", c=(1, F(1, 2))))
+BETA, GAMMA = F(2, 7), F(3, 5)
+
+
+def _at_beta(series: BetaSeries, beta) -> Fraction:
+    """The polynomial stored in a beta-series, evaluated exactly at beta."""
+    return sum((c * beta**d for d, c in enumerate(series.coeffs)), F(0))
+
+
 class TestRFactor:
     def test_r0_is_one(self):
         for fam in (belyi(), exponential(), signed(), quantum(F(1, 3))):
@@ -73,68 +85,76 @@ class TestRFactor:
             base = r_factor(WeightFamily("finite_c", c=(1,)), -j, 5)
             assert direct == series_inv(base)
 
+    def test_g_at_series_matches_rational(self):
+        for fam in POLY_FAMILIES:
+            for j in range(-4, 5):
+                got = _at_beta(g_at(fam, j, BRing(len(fam.c))), BETA)
+                assert got == g_at(fam, j, QRing(BETA)) == g_value(fam, j * BETA)
+
 
 class TestContentProduct:
     def test_empty(self):
         for fam in (belyi(), exponential()):
-            assert content_product(fam, Partition(), 0, 3).value == BetaSeries.one(3)
+            assert content_product(fam, Partition(), BRing(3)) == BetaSeries.one(3)
 
     def test_single_cell_for_every_family(self):
         for fam in (belyi(), exponential(), signed(), quantum(F(1, 2))):
-            assert content_product(fam, Partition((1,)), 0, 4).value == BetaSeries.one(4)
+            assert content_product(fam, Partition((1,)), BRing(4)) == BetaSeries.one(4)
 
     def test_exponential_row_two(self):
-        got = content_product(exponential(), Partition((2,)), 0, 5).value
+        got = content_product(exponential(), Partition((2,)), BRing(5))
         want = series_exp(BetaSeries.variable(5))  # contents {0, 1}: e^beta
         assert got == want
         # closed form e^{(beta/2) sum lam_i (lam_i - 2i + 1)} on a bigger shape
         lam = Partition((3, 1))
         s = sum(F(p * (p - 2 * i + 1), 2) for i, p in enumerate(lam.parts, start=1))
-        got = content_product(exponential(), lam, 0, 5).value
+        got = content_product(exponential(), lam, BRing(5))
         want = series_exp(BetaSeries.variable(5) * s)
         assert got == want
 
     def test_belyi_hook(self):
-        got = content_product(belyi(), Partition((2, 1)), 0, 4).value
+        got = content_product(belyi(), Partition((2, 1)), BRing(4))
         assert got == BetaSeries([1, 0, -1, 0, 0])
+
+    def test_series_matches_rational(self):
+        for fam in POLY_FAMILIES:
+            for lam in partitions_up_to(5):
+                got = _at_beta(content_product(fam, lam, BRing(len(fam.c) * lam.weight)), BETA)
+                assert got == content_product(fam, lam, QRing(BETA))
 
 
 class TestRho:
     def test_normalization(self):
-        assert rho(belyi(), 0, F(1, 7), F(2)) == 1
+        assert rho(belyi(), 0, F(2), QRing(F(1, 7))) == 1
 
     def test_belyi_forward(self):
-        assert rho(belyi(), 2, 1, 1) == 6  # (1+1)(1+2)
+        assert rho(belyi(), 2, 1, QRing(1)) == 6  # (1+1)(1+2)
 
     def test_rho_minus_one(self):
         for fam in (belyi(), signed()):
-            assert rho(fam, -1, F(1, 9), F(3)) == F(1, 3)
+            assert rho(fam, -1, F(3), QRing(F(1, 9))) == F(1, 3)
 
     def test_singular_named(self):
         with pytest.raises(SingularParameterError):
-            rho(belyi(), -2, 1, 1)  # G(-beta) = 0 at beta = 1
+            rho(belyi(), -2, 1, QRing(1))  # G(-beta) = 0 at beta = 1
 
     def test_ratio_recursion(self):
         beta, gamma = F(1, 11), F(2, 3)
+        ring = QRing(beta)
         for fam in (belyi(), WeightFamily("finite_c", c=(1, F(1, 2))), signed()):
             for j in range(-5, 6):
-                lhs = rho(fam, j, beta, gamma) / (gamma * rho(fam, j - 1, beta, gamma))
+                lhs = rho(fam, j, gamma, ring) / (gamma * rho(fam, j - 1, gamma, ring))
                 assert lhs == g_value(fam, j * beta)
 
     def test_series_matches_rational(self):
-        # expand the rational rho in beta and compare with the series route
-        fam = belyi()
-        gamma = F(2)
-        for j in range(-4, 5):
-            series = rho_series(fam, j, 3, gamma)
-            # an independent expansion: rho_j = gamma^j prod G(i beta) as series
-            assert series.coeffs[0] == gamma**j
-            if j == 1:
-                assert series == BetaSeries([gamma, gamma, 0, 0])
+        for fam in POLY_FAMILIES:
+            for j in range(0, 5):
+                got = _at_beta(rho(fam, j, GAMMA, BRing(len(fam.c) * j)), BETA)
+                assert got == rho(fam, j, GAMMA, QRing(BETA))
 
     def test_no_rational_eval_for_exponential(self):
         with pytest.raises(ConfigurationError):
-            rho(exponential(), 1, F(1, 2), 1)
+            rho(exponential(), 1, 1, QRing(F(1, 2)))
 
 
 class TestPkPoly:
@@ -193,7 +213,7 @@ class TestLogA:
         for fam, sign_flip in ((belyi(), False), (WeightFamily("finite_c", c=(1, F(1, 2))), False), (signed(), True)):
             a = log_A_coeffs(fam, d)
             for j in range(-4, 5):
-                series = rho_series(fam, j, d, 1)
+                series = rho(fam, j, 1, BRing(d))
                 expo = BetaSeries.zero(d)
                 for k in range(1, d + 1):
                     sign = 1 if sign_flip else (-1) ** (k + 1)
