@@ -66,6 +66,10 @@ class BasisWindow:
     def h(self, n: int, sign: int = 1) -> Fraction:
         return h_of_sigma(n, self.sigma, sign)
 
+    def built_sides(self) -> list:
+        """(side, elements) for each side that was built: +1 is w, -1 is w*."""
+        return [(side, el) for side, el in ((1, self.w), (-1, self.ws)) if el]
+
 
 def _sigma_from(beta_val, s, sigma):
     if sigma is not None:
@@ -109,20 +113,16 @@ def build_basis(
     scratch = BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, {}, {})
     # every k reads the same rho_j and rho_j^{-1}: compute each once per window
     rho_value, rho_inv = cache(scratch.rho_value), cache(scratch.rho_inv)
+    # the rho factor of the z^j coefficient: rho_{-j-1} in w_k, rho_j^{-1} in w*_k
+    rho_factor = {1: lambda j: rho_value(-j - 1), -1: rho_inv}
     w, ws = {}, {}
+    built = [(side, el) for side, name, el in ((1, "w", w), (-1, "ws", ws)) if name in sides]
     for k in range(k_lo, k_hi + 1):
-        if "w" in sides:
-            coeffs_w = [
-                ring.coerce(scratch.h(k - j - 1, 1)) * rho_value(-j - 1)
+        for side, el in built:
+            el[k] = LaurentWindow(depth, tuple(
+                ring.coerce(scratch.h(k - j - 1, side)) * rho_factor[side](j)
                 for j in range(depth, k)
-            ]
-            w[k] = LaurentWindow(depth, tuple(coeffs_w))
-        if "ws" in sides:
-            coeffs_ws = [
-                ring.coerce(scratch.h(k - j - 1, -1)) * rho_inv(j)
-                for j in range(depth, k)
-            ]
-            ws[k] = LaurentWindow(depth, tuple(coeffs_ws))
+            ))
     return BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, w, ws)
 
 
@@ -163,82 +163,60 @@ def pairing_check(b: BasisWindow) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Operators.
+# Operators.  Each takes the side epsilon = +1 (basis w) or -1 (dual w*): the
+# dual operator is the basis one with G(j beta) -> G(-j beta), sigma -> -sigma.
 # ---------------------------------------------------------------------------
 
-
-def op_R(b: BasisWindow, window: LaurentWindow) -> LaurentWindow:
-    """R = (gamma/z) G(-beta D): diagonal multiplier then shift down."""
-    return window.diag(lambda j: b.r_value(-j) * b.gamma, b.ring).shift(-1)
+_STAR = {1: "", -1: "*"}  # op-label suffix of each side
+_PLUS_MINUS = {1: "+", -1: "-"}  # matrix-label suffix of each side
 
 
-def op_R_star(b: BasisWindow, window: LaurentWindow) -> LaurentWindow:
-    return window.diag(lambda j: b.r_value(j) * b.gamma, b.ring).shift(-1)
+def op_R(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
+    """R = (gamma/z) G(-beta D), R* = (gamma/z) G(beta D): diagonal multiplier
+    then shift down."""
+    return window.diag(lambda j: b.r_value(-side * j) * b.gamma, b.ring).shift(-1)
 
 
-def op_a(b: BasisWindow, window: LaurentWindow) -> LaurentWindow:
-    """a = R^{-1}: shift up, divide by gamma G(-beta j) at the new exponent."""
+def op_a(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
+    """a = R^{-1}: shift up, divide by gamma G(-side beta j) at the new exponent."""
 
     def factor(j):
-        val = b.r_value(-j) * b.gamma
+        val = b.r_value(-side * j) * b.gamma
         if b.ring.is_zero(val):
-            raise SingularParameterError(f"a undefined: gamma G({-j} beta) = 0")
+            raise SingularParameterError(
+                f"a{_STAR[side]} undefined: gamma G({-side * j} beta) = 0"
+            )
         return b.ring.inv(val)
 
     return window.shift(1).diag(factor, b.ring)
 
 
-def op_a_star(b: BasisWindow, window: LaurentWindow) -> LaurentWindow:
-    def factor(j):
-        val = b.r_value(j) * b.gamma
-        if b.ring.is_zero(val):
-            raise SingularParameterError(f"a* undefined: gamma G({j} beta) = 0")
-        return b.ring.inv(val)
-
-    return window.shift(1).diag(factor, b.ring)
-
-
-def _S_of(b: BasisWindow, apply_R, window: LaurentWindow) -> LaurentWindow:
-    """beta^{-1} S(R) = sum_k k sigma_k R^k (and likewise with R*)."""
-    out = None
-    power = window
-    for k, sig in enumerate(b.sigma, start=1):
-        power = apply_R(b, power)
-        if sig == 0:
-            continue
-        term = power.scale(k * sig, b.ring)
-        out = term if out is None else out.add(term, b.ring)
-    if out is None:
-        top = window.hi - len(b.sigma)
-        return LaurentWindow(window.lo - len(b.sigma), tuple(b.ring.zero() for _ in range(top - (window.lo - len(b.sigma)) + 1)))
+def _lincomb(terms, ring, out: LaurentWindow | None = None) -> LaurentWindow | None:
+    """out + sum of coefficient * window over the (coefficient, window) pairs."""
+    for coeff, window in terms:
+        term = window.scale(coeff, ring)
+        out = term if out is None else out.add(term, ring)
     return out
 
 
-def op_b(b: BasisWindow, window: LaurentWindow) -> LaurentWindow:
-    """b = D + beta^{-1} S(R), with D the Euler operator z d/dz.
+def op_b(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
+    """b = D + beta^{-1} S(R) and b* = D - beta^{-1} S(R*), with D the Euler
+    operator z d/dz and beta^{-1} S(R) = sum_k k sigma_k R^k.
 
     The sign is pinned by Newton's identity on the explicit series: it is the
     operator with b w_k = (k-1) w_k, matching the spectral-equation form
-    (beta D + S(R)) w_k = (k-1) beta w_k.
+    (beta D + S(R)) w_k = (k-1) beta w_k; likewise b* w*_k = (k-1) w*_k.
     """
-    euler = window.euler(b.ring)
-    s_part = _S_of(b, op_R, window)
-    return euler.add(s_part, b.ring)
+    terms, power = [], window
+    for k, sig in enumerate(b.sigma, start=1):
+        power = op_R(b, power, side)
+        if sig != 0:
+            terms.append((side * k * sig, power))
+    return _lincomb(terms, b.ring, window.euler(b.ring))
 
 
-def op_b_star(b: BasisWindow, window: LaurentWindow) -> LaurentWindow:
-    """b* = D - beta^{-1} S(R*); the dual eigenoperator, b* w*_k = (k-1) w*_k."""
-    euler = window.euler(b.ring)
-    s_part = _S_of(b, op_R_star, window)
-    return euler.sub(s_part, b.ring)
-
-
-def op_c(b: BasisWindow, window: LaurentWindow) -> LaurentWindow:
-    return op_R(b, op_b(b, window))
-
-
-def op_c_star(b: BasisWindow, window: LaurentWindow) -> LaurentWindow:
-    return op_R_star(b, op_b_star(b, window))
+def op_c(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
+    return op_R(b, op_b(b, window, side), side)
 
 
 def op_c_N(b: BasisWindow, N: int, window: LaurentWindow) -> LaurentWindow:
@@ -247,78 +225,64 @@ def op_c_N(b: BasisWindow, N: int, window: LaurentWindow) -> LaurentWindow:
     return base.sub(shiftdown, b.ring)
 
 
-def _eq_windows(x: LaurentWindow, y: LaurentWindow, ring) -> tuple[bool, int, int]:
-    lo = max(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    ok = x.eq_on(y, lo, hi, ring)
-    return ok, lo, hi
+class _Checks:
+    """Counts the checks of one report and keeps its failures in order."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.checks = 0
+        self.failures = []
+
+    def expect(self, ok: bool, **failure) -> None:
+        self.checks += 1
+        if not ok:
+            self.failures.append(failure)
+
+    def equal(self, op: str, got: LaurentWindow, want: LaurentWindow, **where) -> None:
+        """got == want on the window from the higher bottom to the higher top."""
+        lo, hi = max(got.lo, want.lo), max(got.hi, want.hi)
+        self.expect(got.eq_on(want, lo, hi, self.ring), op=op, **where, window=(lo, hi))
+
+    def report(self, **extra) -> dict:
+        return {"ok": not self.failures, "checks": self.checks, "failures": self.failures,
+                **extra}
 
 
 def ladder_R(b: BasisWindow) -> dict:
     """R w_k = w_{k-1}, R* w*_k = w*_{k-1}, and the two-step iterate."""
-    failures = []
-    checks = 0
+    c = _Checks(b.ring)
     for k in range(b.k_lo + 1, b.k_hi + 1):
-        if b.w:
-            got = op_R(b, b.w[k])
-            ok, lo, hi = _eq_windows(got, b.w[k - 1], b.ring)
-            checks += 1
-            if not ok:
-                failures.append({"op": "R", "k": k, "window": (lo, hi)})
-        if b.ws:
-            got = op_R_star(b, b.ws[k])
-            ok, lo, hi = _eq_windows(got, b.ws[k - 1], b.ring)
-            checks += 1
-            if not ok:
-                failures.append({"op": "R*", "k": k, "window": (lo, hi)})
-    for k in range(b.k_lo + 2, b.k_hi + 1):
-        if not b.w:
-            break
-        got = op_R(b, op_R(b, b.w[k]))
-        ok, lo, hi = _eq_windows(got, b.w[k - 2], b.ring)
-        checks += 1
-        if not ok:
-            failures.append({"op": "R^2", "k": k, "window": (lo, hi)})
-    return {"ok": not failures, "checks": checks, "failures": failures}
+        for side, el in b.built_sides():
+            c.equal("R" + _STAR[side], op_R(b, el[k], side), el[k - 1], k=k)
+    if b.w:
+        for k in range(b.k_lo + 2, b.k_hi + 1):
+            c.equal("R^2", op_R(b, op_R(b, b.w[k])), b.w[k - 2], k=k)
+    return c.report()
 
 
 def kac_schwarz_check(b: BasisWindow) -> dict:
     """a w_k = w_{k+1}; b w_k = (k-1) w_k; c w_k = (k-1) w_{k-1};
-    c_N w_k = (k-1-N) w_{k-1}; [c, a] w_k = w_k.  Dual statements likewise."""
+    c_N w_k = (k-1-N) w_{k-1}; [c, a] w_k = w_k.  Dual statements likewise,
+    except c_N and [c, a]."""
     ring = b.ring
-    failures = []
-    checks = 0
-
-    def expect(tag, k, got, want):
-        nonlocal checks
-        checks += 1
-        ok, lo, hi = _eq_windows(got, want, ring)
-        if not ok:
-            failures.append({"op": tag, "k": k, "window": (lo, hi)})
-
+    c = _Checks(ring)
     for k in range(b.k_lo, b.k_hi):
-        if b.w:
-            expect("a", k, op_a(b, b.w[k]), b.w[k + 1])
-        if b.ws:
-            expect("a*", k, op_a_star(b, b.ws[k]), b.ws[k + 1])
+        for side, el in b.built_sides():
+            c.equal("a" + _STAR[side], op_a(b, el[k], side), el[k + 1], k=k)
     for k in range(b.k_lo, b.k_hi + 1):
-        if b.w:
-            expect("b", k, op_b(b, b.w[k]), b.w[k].scale(k - 1, ring))
-        if b.ws:
-            expect("b*", k, op_b_star(b, b.ws[k]), b.ws[k].scale(k - 1, ring))
+        for side, el in b.built_sides():
+            c.equal("b" + _STAR[side], op_b(b, el[k], side), el[k].scale(k - 1, ring), k=k)
     for k in range(b.k_lo + 1, b.k_hi + 1):
-        if b.w:
-            expect("c", k, op_c(b, b.w[k]), b.w[k - 1].scale(k - 1, ring))
-            for N in (-2, 1, 3):
-                expect(f"c_{N}", k, op_c_N(b, N, b.w[k]), b.w[k - 1].scale(k - 1 - N, ring))
-        if b.ws:
-            expect("c*", k, op_c_star(b, b.ws[k]), b.ws[k - 1].scale(k - 1, ring))
-    for k in range(b.k_lo, b.k_hi):
-        if not b.w:
-            break
-        commutator = op_c(b, op_a(b, b.w[k])).sub(op_a(b, op_c(b, b.w[k])), ring)
-        expect("[c,a]", k, commutator, b.w[k])
-    return {"ok": not failures, "checks": checks, "failures": failures}
+        for side, el in b.built_sides():
+            c.equal("c" + _STAR[side], op_c(b, el[k], side), el[k - 1].scale(k - 1, ring), k=k)
+            if side == 1:
+                for N in (-2, 1, 3):
+                    c.equal(f"c_{N}", op_c_N(b, N, el[k]), el[k - 1].scale(k - 1 - N, ring), k=k)
+    if b.w:
+        for k in range(b.k_lo, b.k_hi):
+            commutator = op_c(b, op_a(b, b.w[k])).sub(op_a(b, op_c(b, b.w[k])), ring)
+            c.equal("[c,a]", commutator, b.w[k], k=k)
+    return c.report()
 
 
 def quantum_curve_residual(b: BasisWindow) -> dict:
@@ -330,20 +294,12 @@ def quantum_curve_residual(b: BasisWindow) -> dict:
     function at t = 0 (Psi^-_0(x) = w*_1).
     """
     ring = b.ring
-    failures = []
-    checks = 0
+    c = _Checks(ring)
     for k in range(b.k_lo, b.k_hi + 1):
-        if b.w:
-            lhs = op_b(b, b.w[k]).sub(b.w[k].scale(k - 1, ring), ring)
-            checks += 1
-            if not lhs.is_zero_on_valid(ring):
-                failures.append({"op": "spectral", "k": k})
-        if b.ws:
-            lhs = op_b_star(b, b.ws[k]).sub(b.ws[k].scale(k - 1, ring), ring)
-            checks += 1
-            if not lhs.is_zero_on_valid(ring):
-                failures.append({"op": "spectral*", "k": k})
-    return {"ok": not failures, "checks": checks, "failures": failures}
+        for side, el in b.built_sides():
+            lhs = op_b(b, el[k], side).sub(el[k].scale(k - 1, ring), ring)
+            c.expect(lhs.is_zero_on_valid(ring), op="spectral" + _STAR[side], k=k)
+    return c.report()
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +314,12 @@ def q_band(b: BasisWindow) -> int:
     return b.sigma_support * len(b.family.c)
 
 
-def _q_plus(b: BasisWindow, i: int, j: int):
-    """Q+_{ij} = sum_{k=i-1}^{j} G(k beta) h_{k-i+1}(sigma) h_{j-k}(-sigma)."""
+def _q(b: BasisWindow, i: int, j: int, side: int):
+    """Q+_{ij} = sum_{k=i-1}^{j} G(k beta) h_{k-i+1}(sigma) h_{j-k}(-sigma), and
+    Q-_{ij} likewise with beta -> -beta, sigma -> -sigma."""
     acc = b.ring.zero()
     for k in range(i - 1, j + 1):
-        acc = acc + b.r_value(k) * (b.h(k - i + 1, 1) * b.h(j - k, -1))
-    return acc
-
-
-def _q_minus(b: BasisWindow, i: int, j: int):
-    """Q-_{ij} = sum_{k=i-1}^{j} G(-k beta) h_{j-k}(sigma) h_{k-i+1}(-sigma)."""
-    acc = b.ring.zero()
-    for k in range(i - 1, j + 1):
-        acc = acc + b.r_value(-k) * (b.h(j - k, 1) * b.h(k - i + 1, -1))
+        acc = acc + b.r_value(side * k) * (b.h(k - i + 1, side) * b.h(j - k, -side))
     return acc
 
 
@@ -388,58 +337,27 @@ def recursion_Q(b: BasisWindow) -> dict:
     """
     ring = b.ring
     band = q_band(b)
-    failures = []
-    checks = 0
+    c = _Checks(ring)
     # recursion: i such that w_{1-i} and all needed w_{1-j} (j <= i-1+band) are in range
     i_lo, i_hi = 1 - b.k_hi, 1 - b.k_lo
     for i in range(i_lo + 1, i_hi - band + 2):
-        if b.w:
-            lhs = b.w[1 - i].shift(1)
-            rhs = None
-            for j in range(i - 1, i - 1 + band + 1):
-                term = b.w[1 - j].scale(_q_plus(b, i, j) * b.gamma, ring)
-                rhs = term if rhs is None else rhs.add(term, ring)
-            checks += 1
-            ok, lo, hi = _eq_windows(lhs, rhs, ring)
-            if not ok:
-                failures.append({"op": "Q+", "i": i, "window": (lo, hi)})
-        if b.ws:
-            lhs = b.ws[1 - i].shift(1)
-            rhs = None
-            for j in range(i - 1, i - 1 + band + 1):
-                term = b.ws[1 - j].scale(_q_minus(b, i, j) * b.gamma, ring)
-                rhs = term if rhs is None else rhs.add(term, ring)
-            checks += 1
-            ok, lo, hi = _eq_windows(lhs, rhs, ring)
-            if not ok:
-                failures.append({"op": "Q-", "i": i, "window": (lo, hi)})
+        for side, el in b.built_sides():
+            rhs = _lincomb(
+                ((_q(b, i, j, side) * b.gamma, el[1 - j]) for j in range(i - 1, i + band)), ring
+            )
+            c.equal("Q" + _PLUS_MINUS[side], el[1 - i].shift(1), rhs, i=i)
     # band vanishing with margin
     for i in range(i_lo, i_hi + 1):
-        for j in range(i - 1 + band + 1, i - 1 + band + Q_BAND_MARGIN + 1):
-            checks += 1
-            if not ring.is_zero(_q_plus(b, i, j)):
-                failures.append({"op": "Q+ band", "i": i, "j": j})
-            checks += 1
-            if not ring.is_zero(_q_minus(b, i, j)):
-                failures.append({"op": "Q- band", "i": i, "j": j})
-    q_plus_matrix = {
-        (i, j): _q_plus(b, i, j)
-        for i in range(i_lo, i_hi + 1)
-        for j in range(i - 1, i - 1 + band + 1)
+        for j in range(i + band, i + band + Q_BAND_MARGIN):
+            for side in (1, -1):
+                c.expect(ring.is_zero(_q(b, i, j, side)), op=f"Q{_PLUS_MINUS[side]} band", i=i, j=j)
+    matrices = {
+        "Q" + _PLUS_MINUS[side]: {
+            (i, j): _q(b, i, j, side) for i in range(i_lo, i_hi + 1) for j in range(i - 1, i + band)
+        }
+        for side in (1, -1)
     }
-    q_minus_matrix = {
-        (i, j): _q_minus(b, i, j)
-        for i in range(i_lo, i_hi + 1)
-        for j in range(i - 1, i - 1 + band + 1)
-    }
-    return {
-        "ok": not failures,
-        "checks": checks,
-        "failures": failures,
-        "band": band,
-        "Q+": q_plus_matrix,
-        "Q-": q_minus_matrix,
-    }
+    return c.report(band=band, **matrices)
 
 
 def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
@@ -472,17 +390,13 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
         return acc
 
     gamma_inv = Fraction(1) / b.gamma
-    failures = []
-    checks = 0
+    c = _Checks(ring)
     lo = -(size // 2)
     for k in range(lo, lo + size):
         for j in range(lo, lo + size):
-            checks += 2
-            if _q_plus(b, k, j) != qt_minus(j, k) * gamma_inv:
-                failures.append({"rel": "Q+ vs Qt-", "k": k, "j": j})
-            if _q_minus(b, k, j) != qt_plus(j, k) * gamma_inv:
-                failures.append({"rel": "Q- vs Qt+", "k": k, "j": j})
-    return {"ok": not failures, "checks": checks, "failures": failures}
+            c.expect(_q(b, k, j, 1) == qt_minus(j, k) * gamma_inv, rel="Q+ vs Qt-", k=k, j=j)
+            c.expect(_q(b, k, j, -1) == qt_plus(j, k) * gamma_inv, rel="Q- vs Qt+", k=k, j=j)
+    return c.report()
 
 
 def euler_P(b: BasisWindow) -> dict:
@@ -498,68 +412,36 @@ def euler_P(b: BasisWindow) -> dict:
     ring = b.ring
     L = b.sigma_support
 
-    def pt(i, j, sign):
+    def pt(i, j, side):
         if i == j:
             return Fraction(i - 1)
         n = i - j
         if 1 <= n <= len(b.sigma):
-            return -sign * Fraction(n) * b.sigma[n - 1]
+            return -side * Fraction(n) * b.sigma[n - 1]
         return Fraction(0)
 
-    failures = []
-    checks = 0
+    c = _Checks(ring)
     for k in range(b.k_lo + L, b.k_hi + 1):
-        if b.w:
-            lhs = b.w[k].euler(ring)
-            rhs = None
-            for j in range(k - L, k + 1):
-                term = b.w[j].scale(pt(k, j, +1), ring)
-                rhs = term if rhs is None else rhs.add(term, ring)
-            checks += 1
-            ok, lo, hi = _eq_windows(lhs, rhs, ring)
-            if not ok:
-                failures.append({"op": "Pt+", "k": k, "window": (lo, hi)})
-        if b.ws:
-            lhs = b.ws[k].euler(ring)
-            rhs = None
-            for j in range(k - L, k + 1):
-                term = b.ws[j].scale(pt(k, j, -1), ring)
-                rhs = term if rhs is None else rhs.add(term, ring)
-            checks += 1
-            ok, lo, hi = _eq_windows(lhs, rhs, ring)
-            if not ok:
-                failures.append({"op": "Pt-", "k": k, "window": (lo, hi)})
+        for side, el in b.built_sides():
+            rhs = _lincomb(((pt(k, j, side), el[j]) for j in range(k - L, k + 1)), ring)
+            c.equal("Pt" + _PLUS_MINUS[side], el[k].euler(ring), rhs, k=k)
     # x-form: D_x Psi+_k = -D_z (gamma w_{1-k}); M+_{kj} = k delta + (j-k) sigma_{j-k}
-    for k in range(1 - b.k_hi, 1 - b.k_lo - L + 1):
-        if not b.w:
-            break
-        lhs = b.w[1 - k].euler(ring).scale(-1, ring)
-        rhs = None
-        for j in range(k, k + L + 1):
-            m = Fraction(k) if j == k else Fraction(j - k) * b.sigma[j - k - 1]
-            term = b.w[1 - j].scale(m, ring)
-            rhs = term if rhs is None else rhs.add(term, ring)
-        checks += 1
-        ok, lo, hi = _eq_windows(lhs, rhs, ring)
-        if not ok:
-            failures.append({"op": "P+ (x-form)", "k": k, "window": (lo, hi)})
-    pt_plus = {
-        (i, j): pt(i, j, +1)
-        for i in range(b.k_lo, b.k_hi + 1)
-        for j in range(max(b.k_lo, i - L), i + 1)
+    if b.w:
+        for k in range(1 - b.k_hi, 1 - b.k_lo - L + 1):
+            rhs = _lincomb((
+                (Fraction(k) if j == k else Fraction(j - k) * b.sigma[j - k - 1], b.w[1 - j])
+                for j in range(k, k + L + 1)
+            ), ring)
+            c.equal("P+ (x-form)", b.w[1 - k].euler(ring).scale(-1, ring), rhs, k=k)
+    matrices = {
+        "Pt" + _PLUS_MINUS[side]: {
+            (i, j): pt(i, j, side)
+            for i in range(b.k_lo, b.k_hi + 1)
+            for j in range(max(b.k_lo, i - L), i + 1)
+        }
+        for side in (1, -1)
     }
-    pt_minus = {
-        (i, j): pt(i, j, -1)
-        for i in range(b.k_lo, b.k_hi + 1)
-        for j in range(max(b.k_lo, i - L), i + 1)
-    }
-    return {
-        "ok": not failures,
-        "checks": checks,
-        "failures": failures,
-        "Pt+": pt_plus,
-        "Pt-": pt_minus,
-    }
+    return c.report(**matrices)
 
 
 # ---------------------------------------------------------------------------

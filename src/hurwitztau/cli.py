@@ -215,6 +215,15 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    if args.wmax < 1:
+        raise ConfigurationError(
+            f"tau needs --wmax >= 1, got {args.wmax}: at weight 0 tau is the constant 1"
+        )
+    if args.probe and args.wmax < 2 * args.probe:
+        raise ConfigurationError(
+            f"tau --probe {args.probe} needs --wmax >= {2 * args.probe}, got {args.wmax}: "
+            "the Hirota residual reads tau up to weight 2 * probe"
+        )
     family = make_family(args)
     config = config_dict(args, ["family", "c", "q", "wmax", "dmax", "probe"])
     tau = taufn.build_tau(family, args.wmax, args.dmax)
@@ -329,8 +338,8 @@ def cmd_kernel(args) -> int:
             "finiteness_failures": cd["finiteness_failures"],
             "identity_failures": cd["identity_failures"],
         }
-        gen = correlators.gen_A(family, sig, (6, 6), beta_val=1 if beta is None else beta)
-        A = correlators.cd_matrix(family, 1 if beta is None else beta, sig, 6)
+        gen = correlators.gen_A(family, sig, (6, 6), beta_val=beta, d_max=args.dmax)
+        A = correlators.cd_matrix(family, beta, sig, 6, d_max=args.dmax)
         result["gen_A_matches"] = {
             "ok": all(gen[(i, j)] == A[(i, j)] for i in range(7) for j in range(7))
         }

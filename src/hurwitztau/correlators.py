@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .adaptedbasis import BasisWindow
 from .errors import ConfigurationError, OutOfWindowError
-from .exactalg import QRing, scalar_ring
+from .exactalg import scalar_ring
 from .partitions import Partition, partitions_up_to
 from .symfun import h_of_sigma, schur_monomial_map
 from .taufn import schur_weight
@@ -136,11 +136,11 @@ def cd_matrix(
     bounds: int,
     d_max: int | None = None,
 ) -> dict:
-    """A_{ij} for 0 <= i, j <= bounds, by both published formulas (compared).
+    """A_{ij} for 0 <= i, j <= bounds by the explicit formula
+    (gen_A is the independent route through the generating function).
 
     A_00 = 1, A_{0j} = A_{i0} = 0 and for i, j >= 1
-        A_{ij} = -sum_{k=-i}^{j} G(beta k) h_{j-k}(-sigma) h_{i+k}(sigma)
-               = -sum_{n=0}^{i+j} G(beta (j-n)) h_n(-sigma) h_{i+j-n}(sigma).
+        A_{ij} = -sum_{k=-i}^{j} G(beta k) h_{j-k}(-sigma) h_{i+k}(sigma).
     """
     ring = scalar_ring(beta_val, d_max)
     sigma = tuple(Fraction(x) for x in sigma)
@@ -158,16 +158,7 @@ def cd_matrix(
                 acc = acc + g_at(family, k, ring) * (
                     h_of_sigma(j - k, sigma, -1) * h_of_sigma(i + k, sigma, 1)
                 )
-            first = -acc
-            acc2 = ring.zero()
-            for n in range(0, i + j + 1):
-                acc2 = acc2 + g_at(family, j - n, ring) * (
-                    h_of_sigma(n, sigma, -1) * h_of_sigma(i + j - n, sigma, 1)
-                )
-            second = -acc2
-            if first != second:
-                raise AssertionError(f"CD formulas disagree at ({i},{j})")
-            out[(i, j)] = first
+            out[(i, j)] = -acc
     return out
 
 
@@ -238,51 +229,52 @@ def gen_A(
     sigma,
     degrees: tuple,
     beta_val=1,
+    d_max: int | None = None,
 ) -> dict:
     """A(r,t) = [r G(S(t) - t d/dt) - t G(S(r) + r d/dr)] 1/(r-t), expanded.
 
     Computed in the beta-rescaled normalization: the operator argument uses
     sigma and the effective Taylor weights g_m beta^m, which reproduces
-    A_{ij}(beta, s) exactly.  Returns {(i, j): coefficient} for
+    A_{ij}(beta, s) exactly, at a rational beta_val or, with beta_val=None,
+    as beta-series of order d_max.  Returns {(i, j): coefficient} for
     0 <= i <= degrees[0], 0 <= j <= degrees[1]; negative r-power cells are
     verified to cancel and trigger an AssertionError otherwise.
     """
     if family.kind != FINITE_C:
         raise ConfigurationError("gen_A needs a polynomial G")
-    ring = QRing(beta_val)
+    ring = scalar_ring(beta_val, d_max)
     sigma = tuple(Fraction(x) for x in sigma)
     big_m = len(family.c)
     L = len(sigma)
     imax, jmax = degrees
     # effective Taylor weights g_m beta^m of G(beta x)
-    ghat = [g_coeff(family, m) * ring.beta**m for m in range(big_m + 1)]
+    ghat = [ring.beta_power(m) * g_coeff(family, m) for m in range(big_m + 1)]
 
     m_max = max(imax + jmax + big_m * L + 2, jmax + 1)
 
-    def apply_xt(poly):
-        # X_t = S_sigma(t) - t d/dt with S_sigma(t) = sum_k k sigma_k t^k
-        out = [ring.zero()] * (len(poly) + L)
-        for e, c in enumerate(poly):
-            if ring.is_zero(c):
-                continue
-            for k, s in enumerate(sigma, start=1):
-                if s != 0:
-                    out[e + k] = out[e + k] + c * (k * s)
-            out[e] = out[e] - c * e
-        return out
-
-    def apply_xr(poly, lo):
-        # X_r = S_sigma(r) + r d/dr on Laurent coefficients starting at lo
+    def apply_x(poly, lo, sign):
+        # X = S_sigma(x) + sign x d/dx, S_sigma(x) = sum_k k sigma_k x^k, on
+        # Laurent coefficients starting at x^lo
         out = [ring.zero()] * (len(poly) + L)
         for idx, c in enumerate(poly):
             if ring.is_zero(c):
                 continue
-            e = lo + idx
             for k, s in enumerate(sigma, start=1):
                 if s != 0:
                     out[idx + k] = out[idx + k] + c * (k * s)
-            out[idx] = out[idx] + c * e
+            out[idx] = out[idx] + c * (sign * (lo + idx))
         return out
+
+    def ghat_of_x(poly, lo, sign):
+        # Ghat(X) poly = sum_q ghat_q X^q poly
+        acc, power = [ring.zero()] * (len(poly) + big_m * L), poly
+        for q, gq in enumerate(ghat):
+            if q > 0:
+                power = apply_x(power, lo, sign)
+            if not ring.is_zero(gq):
+                for idx, c in enumerate(power):
+                    acc[idx] = acc[idx] + gq * c
+        return acc
 
     cells: dict = {}
 
@@ -292,39 +284,12 @@ def gen_A(
         cells[(i, j)] = cells.get((i, j), ring.zero()) + v
 
     for m in range(m_max + 1):
-        # term 1: r * Ghat(X_t) t^m r^{-m-1} -> cells (-m, *)
-        tpoly = [ring.zero()] * m + [ring.one()]
-        acc = [ring.zero()] * len(tpoly)
-        power = tpoly
-        for q in range(big_m + 1):
-            if q > 0:
-                power = apply_xt(power)
-            gq = ghat[q]
-            if ring.is_zero(gq):
-                continue
-            if len(acc) < len(power):
-                acc = acc + [ring.zero()] * (len(power) - len(acc))
-            for e, c in enumerate(power):
-                acc[e] = acc[e] + gq * c
-        for e, c in enumerate(acc):
+        # term 1: r * Ghat(X_t) t^m r^{-m-1}, X_t = S(t) - t d/dt -> cells (-m, *)
+        for e, c in enumerate(ghat_of_x([ring.zero()] * m + [ring.one()], 0, -1)):
             add_cell(-m, e, c)
-        # term 2: -t * Ghat(X_r) r^{-m-1} t^m -> cells (*, m+1)
-        rpoly = [ring.one()]
-        lo = -m - 1
-        acc_r = [ring.zero()] * len(rpoly)
-        power_r = rpoly
-        for q in range(big_m + 1):
-            if q > 0:
-                power_r = apply_xr(power_r, lo)
-            gq = ghat[q]
-            if ring.is_zero(gq):
-                continue
-            if len(acc_r) < len(power_r):
-                acc_r = acc_r + [ring.zero()] * (len(power_r) - len(acc_r))
-            for idx, c in enumerate(power_r):
-                acc_r[idx] = acc_r[idx] + gq * c
-        for idx, c in enumerate(acc_r):
-            add_cell(lo + idx, m + 1, -c)
+        # term 2: -t * Ghat(X_r) r^{-m-1} t^m, X_r = S(r) + r d/dr -> cells (*, m+1)
+        for idx, c in enumerate(ghat_of_x([ring.one()], -m - 1, 1)):
+            add_cell(idx - m - 1, m + 1, -c)
 
     # negative r-powers must cancel wherever all contributions are inside m_max
     for (i, j), v in cells.items():

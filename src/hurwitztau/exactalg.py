@@ -157,7 +157,7 @@ class BetaSeries:
         """Multiply by beta^k (k >= 0), truncating at the same d_max."""
         if k < 0:
             raise ConfigurationError("shift exponent must be nonnegative")
-        return BetaSeries((_ZERO,) * k + self.coeffs[: self.d_max + 1 - k])
+        return BetaSeries(((_ZERO,) * k + self.coeffs)[: self.d_max + 1])
 
     def __repr__(self):
         return f"BetaSeries({list(self.coeffs)})"
@@ -253,6 +253,9 @@ class QRing:
             raise ZeroDivisionError("inverse of zero in Q")
         return 1 / v
 
+    def beta_power(self, m: int):
+        return self.beta**m
+
 
 class BRing:
     """Coefficients are BetaSeries truncated at a shared d_max; beta is formal."""
@@ -281,6 +284,10 @@ class BRing:
 
     def inv(self, v):
         return series_inv(self.coerce(v))
+
+    def beta_power(self, m: int):
+        """beta^m, zero above the truncation order."""
+        return self.one().shift(m)
 
 
 def scalar_ring(beta_val, d_max: int | None):

@@ -20,7 +20,6 @@ from hurwitztau.adaptedbasis import (
     kac_schwarz_check,
     ladder_R,
     op_c,
-    op_c_star,
     pairing_check,
     quantum_curve_residual,
     recursion_Q,
@@ -157,7 +156,7 @@ def test_criterion_5_adapted_basis_suite():
     assert euler_P(b_dual)["ok"]
     assert recursion_Q(b_dual)["ok"]
     for k in range(-2, 6):
-        got = op_c_star(b_dual, b_dual.ws[k])
+        got = op_c(b_dual, b_dual.ws[k], -1)
         want = b_dual.ws[k - 1].scale(k - 1, ring)
         lo = max(got.lo, want.lo)
         assert got.eq_on(want, lo, max(got.hi, want.hi), ring)
@@ -178,7 +177,7 @@ def test_criterion_5_adapted_basis_suite():
         got = op_c(b2_part, b2_part.w[k])
         want = b2_part.w[k - 1].scale(k - 1, ring)
         assert got.eq_on(want, max(got.lo, want.lo), max(got.hi, want.hi), ring)
-        got = op_c_star(b2_part, b2_part.ws[k])
+        got = op_c(b2_part, b2_part.ws[k], -1)
         want = b2_part.ws[k - 1].scale(k - 1, ring)
         assert got.eq_on(want, max(got.lo, want.lo), max(got.hi, want.hi), ring)
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -200,16 +201,35 @@ class TestRelations:
     def test_corrupted_rho_breaks_quantum_curve(self):
         b = belyi_basis()
         # perturb one coefficient of w_2 and re-check
-        from hurwitztau.exactalg import LaurentWindow
-
         bad_w = dict(b.w)
         coeffs = list(bad_w[2].coeffs)
         coeffs[3] = coeffs[3] + 1
         bad_w[2] = LaurentWindow(bad_w[2].lo, tuple(coeffs))
-        from dataclasses import replace
-
         bad = replace(b, w=bad_w)
         assert not quantum_curve_residual(bad)["ok"]
+
+    @pytest.mark.parametrize(
+        "family,cfg", [(belyi(), BELYI_CFG), (C2, C2_CFG)], ids=["belyi", "c2"]
+    )
+    def test_corrupted_dual_breaks_dual_checks(self, family, cfg):
+        # one wrong coefficient of w*_2 must show in every check that reads w*,
+        # and only under a dual-side label
+        b = build_basis(family, k_range=(-3, 5), depth=-10, **cfg)
+
+        def corrupt(index):
+            coeffs = list(b.ws[2].coeffs)
+            coeffs[index] += 1
+            return replace(b, ws={**b.ws, 2: LaurentWindow(b.ws[2].lo, tuple(coeffs))})
+
+        bad = corrupt(3)
+        for check in (ladder_R, kac_schwarz_check, quantum_curve_residual, euler_P, recursion_Q):
+            rep = check(bad)
+            assert not rep["ok"], check.__name__
+            ops = {f["op"] for f in rep["failures"]}
+            assert ops <= {"R*", "a*", "b*", "c*", "spectral*", "Pt-", "Q-"}, check.__name__
+        # the pairing reads w*_2 only near its top, out of reach of index 3
+        assert pairing_check(bad)["ok"]
+        assert not pairing_check(corrupt(-1))["ok"]
 
     def test_euler_example_single_s(self):
         # D w_k = (k-1) w_k - sigma_1 w_{k-1} for L = 1

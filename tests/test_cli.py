@@ -1,11 +1,14 @@
 import errno
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hurwitztau import cli
+from hurwitztau import cli, correlators
+from hurwitztau.exactalg import BRing
 
 PY = [sys.executable, "-m", "hurwitztau.cli"]
 
@@ -106,6 +109,56 @@ def test_golden_determinism(argv, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# SHA-256 of each report's canonical ``result``, as the benchmark digests it,
+# recorded from an earlier commit: a change to any report's content fails here
+PINNED_RESULT_DIGESTS = {
+    "basis --family belyi":
+        "64338464189b407a77e1c8f7ee259c892f92e7a652854bc0738a2de34842793d",
+    "basis --family finite --c 1,1/2 --beta 1/23 --s 1/23":
+        "f187d0b758f5c7722bc9f7e1cb64a26d9e6c98fbcd0015753ad9659aac607075",
+    "basis --family signed --beta 1/21 --s 1/21":
+        "a98f2e75749c9a727e756ed8597592aa3df09f74278a1cec028e81db44306f10",
+    "basis --family exp --beta series --sigma 1/2 --k-lo -2 --k-hi 3 --depth -8 --dmax 4":
+        "c85fa8180ac874afca69db2770cc7d5b18042b7f9b257fe843de58813711b414",
+    "kernel --family belyi --beta 1/21 --s 1/21 --check-finiteness":
+        "c63e79f3a5e931db1c6f77a362557caa896823009d203aec709385c003973440",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_RESULT_DIGESTS))
+def test_pinned_result_digest(command, capsys):
+    assert cli.main(command.split()) == 0
+    digest = _load_bench_workloads().result_digest(capsys.readouterr().out)
+    assert digest == PINNED_RESULT_DIGESTS[command]
+
+
+def test_series_kernel_compares_gen_A_in_series(monkeypatch, capsys):
+    # a series-mode A_11 off by beta^dmax must fail the gen_A comparison
+    cd_matrix = correlators.cd_matrix
+
+    def off_by_beta_power(family, beta_val, sigma, bounds, d_max=None):
+        A = cd_matrix(family, beta_val, sigma, bounds, d_max=d_max)
+        if beta_val is None:
+            A[(1, 1)] = A[(1, 1)] + BRing(d_max).beta_power(d_max)
+        return A
+
+    argv = ["kernel", "--family", "belyi", "--beta", "series", "--sigma", "1/2",
+            "--dmax", "3", "--check-finiteness"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["gen_A_matches"]["ok"] is True
+    monkeypatch.setattr(correlators, "cd_matrix", off_by_beta_power)
+    assert cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["result"]["gen_A_matches"]["ok"] is False
+
+
 def assert_config_error(proc):
     assert proc.returncode == 1
     lines = proc.stderr.strip().splitlines()
@@ -154,6 +207,22 @@ def test_cutjoin_below_weight_two_is_config_error(wmax):
     proc = run_cli("cutjoin", "--family", "belyi", "--wmax", wmax)
     assert_config_error(proc)
     assert "--wmax >= 2" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,needs",
+    [(("--wmax", "0"), "--wmax >= 1"), (("--wmax", "4", "--probe", "3"), "--wmax >= 6")],
+    ids=["weight-0", "probe-too-deep"],
+)
+def test_tau_vacuous_window_is_config_error(argv, needs, monkeypatch, capsys):
+    # refused before any compute: build_tau must not run
+    def refuse(*args, **kw):
+        raise AssertionError("build_tau ran")
+
+    monkeypatch.setattr(cli.taufn, "build_tau", refuse)
+    assert cli.main(["tau", *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ") and needs in err[0]
 
 
 def test_out_replaces_target_whole(tmp_path):

@@ -151,6 +151,15 @@ class TestGenA:
         A = cd_matrix(exponential(), None, SIGMA1, 4, d_max=d_max)
         assert A[(0, 0)] == BRing(d_max).one()
 
+    @pytest.mark.parametrize("d_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "fam,sig", [(belyi(), (F(1, 2),)), (C2, (F(2), F(1, 3)))], ids=["belyi", "c2"]
+    )
+    def test_series_matches_series_cd_matrix(self, fam, sig, d_max):
+        A = cd_matrix(fam, None, sig, 6, d_max=d_max)
+        G = gen_A(fam, sig, (6, 6), beta_val=None, d_max=d_max)
+        assert G == A
+
 
 class TestHOrthogonality:
     def test_claim_holds_up_to_l2(self):

@@ -11,6 +11,7 @@ from hurwitztau.errors import (
 )
 from hurwitztau.exactalg import (
     BetaSeries,
+    BRing,
     GradedPoly,
     LaurentWindow,
     QRing,
@@ -99,6 +100,13 @@ class TestBetaSeries:
     def test_shift(self):
         a = BetaSeries([1, 2, 3])
         assert a.shift(1) == BetaSeries([0, 1, 2])
+        # beyond the truncation order the product is zero, of the same order
+        assert a.shift(3) == a.shift(5) == BetaSeries.zero(2)
+
+    def test_beta_power(self):
+        assert BRing(2).beta_power(1) == BetaSeries([0, 1, 0])
+        assert BRing(2).beta_power(4) == BetaSeries.zero(2)
+        assert QRing(Fraction(1, 3)).beta_power(2) == Fraction(1, 9)
 
 
 class TestGradedPoly:
