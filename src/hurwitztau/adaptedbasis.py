@@ -338,9 +338,10 @@ def recursion_Q(b: BasisWindow) -> dict:
     ring = b.ring
     band = q_band(b)
     c = _Checks(ring)
-    # recursion: i such that w_{1-i} and all needed w_{1-j} (j <= i-1+band) are in range
+    # recursion: i such that w_{1-i} (i <= i_hi) and all needed w_{1-j}
+    # (i-1 <= j <= i-1+band) are in range; band 0 needs only the first bound
     i_lo, i_hi = 1 - b.k_hi, 1 - b.k_lo
-    for i in range(i_lo + 1, i_hi - band + 2):
+    for i in range(i_lo + 1, i_hi - max(band, 1) + 2):
         for side, el in b.built_sides():
             rhs = _lincomb(
                 ((_q(b, i, j, side) * b.gamma, el[1 - j]) for j in range(i - 1, i + band)), ring

@@ -306,6 +306,10 @@ def cmd_kernel(args) -> int:
         raise ConfigurationError(
             f"--window needs four integers zlo,zhi,wlo,whi, got {args.window!r}"
         )
+    if window[0] > window[1] or window[2] > window[3]:
+        raise ConfigurationError(
+            f"--window {args.window!r} is empty: needs zlo <= zhi and wlo <= whi"
+        )
     if args.sigma:
         sig = _fraction_list(args.sigma)
     elif beta is not None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .errors import ConfigurationError, UnsupportedDegreeError
 from .exactalg import (
@@ -174,17 +173,29 @@ def _family_signs(family: WeightFamily, k_max: int) -> list[Fraction]:
     return [(-1) ** (k + 1) * a[k - 1] for k in range(1, k_max + 1)]
 
 
+def _diagonal_log(family: WeightFamily, lam: Partition, d_max: int) -> BetaSeries:
+    """sum_k sign_k beta^k A_k q_k(lambda), the log of lambda's content product."""
+    signed = _family_signs(family, d_max)
+    return BetaSeries([0] + [signed[k - 1] * diagonal_Qk(k, lam) for k in range(1, d_max + 1)])
+
+
 def diagonal_exponent(family: WeightFamily, lam: Partition, d_max: int) -> BetaSeries:
     """exp(sum_k sign_k beta^k A_k Q_k-eigenvalue), the content-product rebuilt
     from the log-expansion data."""
-    signed = _family_signs(family, d_max)
-    expo = BetaSeries.zero(d_max)
-    beta = BetaSeries.variable(d_max) if d_max >= 1 else None
-    for k in range(1, d_max + 1):
-        coeff = signed[k - 1] * diagonal_Qk(k, lam)
-        if coeff:
-            expo = expo + beta.shift(k - 1) * coeff
-    return series_exp(expo)
+    return series_exp(_diagonal_log(family, lam, d_max))
+
+
+def _beta_euler(c: BetaSeries) -> BetaSeries:
+    """beta d/dbeta."""
+    return BetaSeries([d * x for d, x in enumerate(c.coeffs)])
+
+
+def exp_terms(apply, v, order: int) -> list:
+    """[X^m v / m! for m = 0..order], where apply(p) = X p for a linear X."""
+    out = [v]
+    for m in range(1, order + 1):
+        out.append(apply(out[-1]).scale(Fraction(1, m)))
+    return out
 
 
 def reconstruct_tau(family: WeightFamily, w_max: int, d_max: int) -> dict:
@@ -213,12 +224,8 @@ def reconstruct_tau(family: WeightFamily, w_max: int, d_max: int) -> dict:
             out = out + q2.apply(p).scale(BetaSeries.variable(d_max).shift(1) * signed[1])
         return out
 
-    series = base
-    power = base
-    for m in range(1, 3):
-        power = x_apply(power)
-        series = series + power.scale(Fraction(1, factorial(m)))
-    operator_ok = _equal_through_order(series, tau.body, min(2, d_max))
+    terms = exp_terms(x_apply, base, 2)
+    operator_ok = _equal_through_order(sum(terms[1:], terms[0]), tau.body, min(2, d_max))
     return {
         "ok": diagonal_ok and operator_ok,
         "diagonal_ok": diagonal_ok,
@@ -265,8 +272,6 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
     if got != want:
         failures.append("gamma-derivative (Q_0)")
 
-    signed = _family_signs(family, d_max)
-    beta = BetaSeries.variable(d_max)
     factors = {lam: diagonal_exponent(family, lam, d_max) for lam in partitions_up_to(w_max)}
 
     # dA_k tau = sign_k beta^k Q_k tau; both sides carry sign_k beta^k, so the
@@ -278,20 +283,12 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
         if lhs != build_Qk(k, w_max).apply(body):
             failures.append(f"A_{k}-derivative")
 
-    # Euler identity in beta: k A_k dA_k contributes k sign_k A_k q_k(lam) beta^k
+    # Euler identity in beta: sum_k k A_k dA_k acts on sector lambda as
+    # beta d/dbeta of its log weight
     def euler_weight(lam):
-        scale = BetaSeries.zero(d_max)
-        for k in range(1, d_max + 1):
-            c = k * signed[k - 1] * diagonal_Qk(k, lam)
-            if c:
-                scale = scale + beta.shift(k - 1) * c
-        return factors[lam] * scale
+        return factors[lam] * _beta_euler(_diagonal_log(family, lam, d_max))
 
-    euler_body = GradedPoly(
-        {key: BetaSeries([d * c[d] for d in range(d_max + 1)]) for key, c in body.terms.items()},
-        w_max,
-        d_max,
-    )
+    euler_body = GradedPoly({key: _beta_euler(c) for key, c in body.terms.items()}, w_max, d_max)
     if euler_body != schur_sector_sum(w_max, d_max, euler_weight):
         failures.append("beta-Euler identity")
     return {"ok": not failures, "failures": failures}
@@ -322,11 +319,7 @@ def build_Vk_and_single_rep(family: WeightFamily, w_max: int) -> dict:
                 out = out + op.apply(p).scale(beta.shift(k - 1) * gk)
         return out
 
-    sectors = [GradedPoly.one(w_max, d_max)]
-    current = GradedPoly.one(w_max, d_max)
-    for n in range(1, w_max + 1):
-        current = x_apply(current)
-        sectors.append(current.scale(Fraction(1, factorial(n))))
+    sectors = exp_terms(x_apply, GradedPoly.one(w_max, d_max), w_max)
 
     # tau(t, s = delta_{k,1}): the s_1^n terms of tau, one sector per n
     want: dict = {n: {} for n in range(w_max + 1)}
@@ -349,10 +342,6 @@ def resolve_exponential_index(w_max: int = 3, d_max: int = 3) -> dict:
     results = {}
     for k in (1, 2):
         op = build_Qk(k, w_max)
-        series = base
-        power = base
-        for m in range(1, d_max + 1):
-            power = op.apply(power).scale(beta)
-            series = series + power.scale(Fraction(1, factorial(m)))
-        results[k] = series == tau.body
+        terms = exp_terms(lambda p: op.apply(p).scale(beta), base, d_max)
+        results[k] = sum(terms[1:], terms[0]) == tau.body
     return {"matching_index": [k for k, v in results.items() if v], "results": results}

@@ -182,41 +182,51 @@ def series_inv(a: BetaSeries) -> BetaSeries:
     return BetaSeries(out)
 
 
-def series_log(a: BetaSeries) -> BetaSeries:
-    """log of a series with constant term 1, as sum (-1)^(m+1) u^m / m."""
-    if a.coeffs[0] != 1:
-        raise DomainError("series_log requires constant term 1")
-    d = a.d_max
-    u = a - BetaSeries.one(d)
-    out = BetaSeries.zero(d)
-    power = BetaSeries.one(d)
-    for m in range(1, d + 1):
-        power = power * u
-        if not power:
-            break
-        out = out + power * Fraction((-1) ** (m + 1), m)
+def exp_pieces(a, one, zero) -> list:
+    """exp of a graded element given by its homogeneous pieces a[0..n], with a[0] = 0.
+
+    Returns the pieces E[0..n] of exp(a) by the degree recurrence
+    n E_n = sum_{k=1..n} k a_k E_{n-k}, E_0 = one.  Only products of pieces
+    and rational scalings are taken, so the result is exact in any graded
+    ring over Q, truncated ones included.  a[0] is not read.
+    """
+    ka = [(k, a[k] * k) for k in range(1, len(a)) if a[k]]
+    out = [one]
+    for n in range(1, len(a)):
+        acc = zero
+        for k, term in ka:
+            if k > n:
+                break
+            acc = acc + term * out[n - k]
+        out.append(acc * Fraction(1, n))
     return out
+
+
+def log_pieces(a, zero) -> list:
+    """log of a graded element given by its homogeneous pieces a[0..n], with a[0] = 1.
+
+    Returns the pieces L[0..n] of log(a) by the degree recurrence
+    n L_n = n a_n - sum_{k=1..n-1} k L_k a_{n-k}, L_0 = zero; exact under the
+    same conditions as exp_pieces.  a[0] is not read.
+    """
+    out = [zero]
+    kl = []  # (k, k L_k) for the nonzero L_k
+    for n in range(1, len(a)):
+        acc = a[n] * n
+        for k, term in kl:
+            if a[n - k]:
+                acc = acc - term * a[n - k]
+        out.append(acc * Fraction(1, n))
+        if out[n]:
+            kl.append((n, out[n] * n))
+    return out
+
 
 def series_exp(a: BetaSeries) -> BetaSeries:
     """exp of a series with constant term 0."""
     if a.coeffs[0] != 0:
         raise DomainError("series_exp requires constant term 0")
-    d = a.d_max
-    out = BetaSeries.one(d)
-    power = BetaSeries.one(d)
-    for m in range(1, d + 1):
-        power = power * a
-        if not power:
-            break
-        out = out + power * Fraction(1, _factorial(m))
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return BetaSeries(exp_pieces(a.coeffs, _ONE, _ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -442,42 +452,37 @@ class GradedPoly:
             return total
         return self.terms.get((t, s, grade), BetaSeries.zero(self.d_max))
 
-    def _require_nilpotent(self, op: str) -> None:
-        """The log/exp sums stop after 2 w_max powers, which is exact only if
-        every term carries t- or s-weight; a term of pure grade never dies out."""
-        for t, s, g in self.terms:
-            if not t and not s:
-                raise DomainError(
-                    f"GradedPoly {op} needs t- or s-weight on every nonconstant term; "
-                    f"the grade-{g} constant would be truncated silently"
-                )
+    def _pieces(self) -> list:
+        """Homogeneous pieces by degree = t-weight + s-weight, 0..2 w_max.
+
+        The degree-0 piece holds the constant term and every pure-grade term.
+        The recurrence never multiplies by it, so log and exp need it to be
+        exactly 1 and 0: a pure-grade term would otherwise be dropped silently.
+        """
+        buckets = [{} for _ in range(2 * self.w_max + 1)]
+        for key, c in self.terms.items():
+            buckets[exp_weight(key[0]) + exp_weight(key[1])][key] = c
+        return [GradedPoly(b, self.w_max, self.d_max) for b in buckets]
+
+    def _join(self, pieces: list) -> "GradedPoly":
+        return GradedPoly(
+            {k: c for piece in pieces for k, c in piece.terms.items()}, self.w_max, self.d_max
+        )
 
     def log(self) -> "GradedPoly":
-        if self.constant_term() != BetaSeries.one(self.d_max):
-            raise DomainError("GradedPoly log requires constant term 1")
-        u = self - GradedPoly.one(self.w_max, self.d_max)
-        u._require_nilpotent("log")
-        out = GradedPoly.zero(self.w_max, self.d_max)
-        power = GradedPoly.one(self.w_max, self.d_max)
-        for m in range(1, 2 * self.w_max + 1):
-            power = power * u
-            if not power.terms:
-                break
-            out = out + power.scale(Fraction((-1) ** (m + 1), m))
-        return out
+        pieces = self._pieces()
+        if pieces[0] != GradedPoly.one(self.w_max, self.d_max):
+            raise DomainError(
+                "GradedPoly log needs constant term 1 and t- or s-weight on every other term"
+            )
+        return self._join(log_pieces(pieces, GradedPoly.zero(self.w_max, self.d_max)))
 
     def exp(self) -> "GradedPoly":
-        if self.constant_term():
-            raise DomainError("GradedPoly exp requires constant term 0")
-        self._require_nilpotent("exp")
-        out = GradedPoly.one(self.w_max, self.d_max)
-        power = GradedPoly.one(self.w_max, self.d_max)
-        for m in range(1, 2 * self.w_max + 1):
-            power = power * self
-            if not power.terms:
-                break
-            out = out + power.scale(Fraction(1, _factorial(m)))
-        return out
+        pieces = self._pieces()
+        if pieces[0]:
+            raise DomainError("GradedPoly exp needs t- or s-weight on every term")
+        one = GradedPoly.one(self.w_max, self.d_max)
+        return self._join(exp_pieces(pieces, one, GradedPoly.zero(self.w_max, self.d_max)))
 
     def __eq__(self, other):
         if not isinstance(other, GradedPoly):

@@ -152,7 +152,7 @@ def build_table(
 
 def connected_table_entries(family: WeightFamily, N: int, d_max: int) -> dict:
     """(mu, nu, d) -> connected number, extracted from log tau at w_max = N."""
-    from .taufn import build_tau, connected_pair_series, log_tau
+    from .taufn import build_tau, log_tau, pair_series
 
     tau = build_tau(family, N, d_max)
     log_body = log_tau(tau)
@@ -160,7 +160,7 @@ def connected_table_entries(family: WeightFamily, N: int, d_max: int) -> dict:
     for M in range(1, N + 1):
         for mu in enumerate_partitions(M):
             for nu in enumerate_partitions(M):
-                series = connected_pair_series(log_body, mu, nu)
+                series = pair_series(log_body, mu, nu)
                 for d in range(d_max + 1):
                     if series[d] != 0:
                         out[(mu, nu, d)] = series[d]

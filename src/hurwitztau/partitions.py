@@ -130,10 +130,17 @@ def partitions_up_to(n: int) -> list[Partition]:
     return out
 
 
+def riemann_hurwitz_d(ell_mu: int, ell_nu: int, genus: int) -> int:
+    """Riemann-Hurwitz: a genus-g covering with ell(mu) and ell(nu) preimages
+    over the two profile points has d = ell(mu) + ell(nu) + 2g - 2 further
+    simple branch points, counted by beta^d."""
+    return ell_mu + ell_nu + 2 * genus - 2
+
+
 def genus_of(mu: Partition, nu: Partition, d: int) -> tuple[Fraction, bool]:
-    """Genus from 2 - 2g = ell(mu) + ell(nu) - d; admissible iff g is a
-    nonnegative integer.  Requires |mu| = |nu|."""
+    """Genus solving d = riemann_hurwitz_d(ell(mu), ell(nu), g); admissible iff
+    g is a nonnegative integer.  Requires |mu| = |nu|."""
     if mu.weight != nu.weight:
         raise DomainError("genus_of needs partitions of equal weight")
-    g = Fraction(2 - mu.length - nu.length + d, 2)
+    g = Fraction(d - riemann_hurwitz_d(mu.length, nu.length, 0), 2)
     return g, g.denominator == 1 and g >= 0

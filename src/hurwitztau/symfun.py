@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigurationError, DomainError, ResourceError
-from .exactalg import BetaSeries, GradedPoly, monomial_from_partition
+from .exactalg import BetaSeries, GradedPoly, exp_pieces, monomial_from_partition
 from .partitions import Partition, enumerate_partitions, partitions_up_to
 
 CHAR_TABLE_N_CAP = 10
@@ -132,15 +132,9 @@ def elementary_list(c, n_max: int) -> list[Fraction]:
 
 
 def complete_list(c, n_max: int) -> list[Fraction]:
-    """h_0..h_n via Newton's identity n h_n = sum p_k h_{n-k}."""
-    p = [power_sum_value(k, c) for k in range(n_max + 1)]
-    h = [Fraction(1)] + [Fraction(0)] * n_max
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += p[k] * h[n - k]
-        h[n] = acc / n
-    return h
+    """h_0..h_n: the coefficients of exp(sum_k p_k(c) z^k / k) (Newton's identity)."""
+    a = [Fraction(0)] + [power_sum_value(k, c) / k for k in range(1, n_max + 1)]
+    return exp_pieces(a, Fraction(1), Fraction(0))
 
 
 def _distinct_arrangements(parts):
@@ -206,16 +200,9 @@ H_CACHE_SIZE = 1024  # the verify sweep holds about 200 entries
 @lru_cache(maxsize=H_CACHE_SIZE)
 def _h_list_cached(sigma: tuple, sign: int, n_max: int) -> tuple:
     """h_0..h_n of the alphabet whose generating series is exp(sign * sum sigma_k z^k)."""
-    h = [Fraction(1)] + [Fraction(0)] * n_max
-    # Newton with p_k = sign * k * sigma_k
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j, s in enumerate(sigma, start=1):
-            if j > n or s == 0:
-                continue
-            acc += sign * j * s * h[n - j]
-        h[n] = acc / n
-    return tuple(h)
+    a = [Fraction(0)] + [sign * sigma[k - 1] if k <= len(sigma) else Fraction(0)
+                         for k in range(1, n_max + 1)]
+    return tuple(exp_pieces(a, Fraction(1), Fraction(0)))
 
 
 def h_of_sigma(n: int, sigma, sign: int = 1) -> Fraction:

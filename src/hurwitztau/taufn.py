@@ -19,7 +19,7 @@ from .exactalg import (
     exps_mul,
     monomial_from_partition,
 )
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions, riemann_hurwitz_d
 from .symfun import schur_at_sigma, schur_sector_sum
 from .weights import WeightFamily, content_product
 
@@ -61,12 +61,9 @@ def log_tau(tau: TauSeries) -> GradedPoly:
     return tau.body.log()
 
 
-def tau_pair_series(tau: TauSeries, mu: Partition, nu: Partition) -> BetaSeries:
-    """The beta-series of H^d(mu, nu) read off the tau coefficients."""
-    return _pair_series(tau.body, mu, nu)
-
-
-def _pair_series(body: GradedPoly, mu: Partition, nu: Partition) -> BetaSeries:
+def pair_series(body: GradedPoly, mu: Partition, nu: Partition) -> BetaSeries:
+    """The beta-series of H^d(mu, nu) read off the body of tau, or of the
+    connected numbers read off log tau."""
     if mu.weight != nu.weight:
         return BetaSeries.zero(body.d_max)
     coeff = body.coeff(
@@ -78,10 +75,6 @@ def _pair_series(body: GradedPoly, mu: Partition, nu: Partition) -> BetaSeries:
     for p in nu.parts:
         norm *= p
     return coeff / norm
-
-
-def connected_pair_series(log_body: GradedPoly, mu: Partition, nu: Partition) -> BetaSeries:
-    return _pair_series(log_body, mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +299,7 @@ def build_F_n(
                 series = [Fraction(0)] * (d_max + 1)
                 for d in range(d_max + 1):
                     val = row[d]
-                    if genus is not None and d != n + nu.length + 2 * genus - 2:
+                    if genus is not None and d != riemann_hurwitz_d(n, nu.length, genus):
                         val = Fraction(0)
                     series[d] = val * norm
                 coeff = BetaSeries(series)
@@ -376,11 +369,10 @@ def check_W_equals_dF(
 
 
 def _genus_slice(w_terms: dict, n: int, genus: int, d_max: int) -> dict:
-    """Keep only the beta-order d = n + ell(nu) + 2g - 2 of each coefficient."""
+    """Keep only the beta-order d of genus g (riemann_hurwitz_d) of each coefficient."""
     out = {}
     for (xexp, s, g), c in w_terms.items():
-        ell = sum(s)
-        d = n + ell + 2 * genus - 2
+        d = riemann_hurwitz_d(n, sum(s), genus)
         if 0 <= d <= d_max and c[d] != 0:
             coeffs = [Fraction(0)] * (d_max + 1)
             coeffs[d] = c[d]

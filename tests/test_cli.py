@@ -166,7 +166,19 @@ def assert_config_error(proc):
 
 
 def test_kernel_bad_window_is_config_error():
-    assert_config_error(run_cli("kernel", "--window", "a,b,c,d"))
+    # zlo > zhi or wlo > whi: an empty window would compare no cell at all
+    for window in ("a,b,c,d", "0,-5,3,-3", "-1,-5,-4,4", "-5,-1,4,-4"):
+        assert_config_error(run_cli("kernel", f"--window={window}"))
+
+
+@pytest.mark.parametrize(
+    "argv", [("--s", ""), ("--family", "finite", "--c", "")], ids=["no-s", "no-c"]
+)
+def test_basis_band_zero(argv, capsys):
+    # L M = 0: the recursion z w_{1-i} = gamma Q_{i,i-1} w_{2-i} has one term
+    assert cli.main(["basis", *argv]) == 0
+    recursion = json.loads(capsys.readouterr().out)["result"]["recursion_Q"]
+    assert recursion["band"] == 0 and recursion["ok"] and recursion["checks"] > 0
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,26 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from hurwitztau.adaptedbasis import build_basis
 from hurwitztau.correlators import K2_via_basis, K2_via_tau, kernels_equal
-from hurwitztau.exactalg import BRing, BetaSeries, GradedPoly, LaurentWindow, QRing
+from hurwitztau.exactalg import (
+    BRing,
+    BetaSeries,
+    GradedPoly,
+    LaurentWindow,
+    QRing,
+    exp_weight,
+    log_pieces,
+    series_exp,
+)
 from hurwitztau.hurwitz import H_via_characters, H_via_paths, H_via_profiles
 from hurwitztau.partitions import Partition, enumerate_partitions
+from hurwitztau.symfun import complete_list, h_of_sigma, power_sum_value
+from hurwitztau.taufn import build_tau, log_tau
 from hurwitztau.weights import (
     WeightFamily,
     belyi,
@@ -17,9 +29,69 @@ from hurwitztau.weights import (
     exponential,
     g_value,
     quantum,
+    signed,
 )
 
 F = Fraction
+C2 = WeightFamily("finite_c", c=(1, F(1, 2)), label="finite_c(1,1/2)")
+
+
+def _one_like(a):
+    if isinstance(a, BetaSeries):
+        return BetaSeries.one(a.d_max)
+    return GradedPoly.one(a.w_max, a.d_max)
+
+
+def reference_log(a):
+    """log a as the power sum sum_m (-1)^(m+1) (a - 1)^m / m, summed until a
+    power of a - 1 vanishes (a BetaSeries or a GradedPoly with constant term 1)."""
+    one = _one_like(a)
+    u = a - one
+    out, power, m = one - one, one, 1
+    while True:
+        power = power * u
+        if not power:
+            return out
+        out = out + power * F((-1) ** (m + 1), m)
+        m += 1
+
+
+def reference_exp(u):
+    """exp u as the power sum sum_m u^m / m!, summed until a power of u vanishes."""
+    one = _one_like(u)
+    out, power, m = one, one, 1
+    while True:
+        power = power * u
+        if not power:
+            return out
+        out = out + power * F(1, factorial(m))
+        m += 1
+
+
+def reference_h_list(p, n_max):
+    """h_0..h_n from the power sums p[1..n] by Newton's identity
+    n h_n = sum_{k=1..n} p_k h_{n-k}."""
+    h = [F(1)] + [F(0)] * n_max
+    for n in range(1, n_max + 1):
+        h[n] = sum((p[k] * h[n - k] for k in range(1, n + 1)), F(0)) / n
+    return h
+
+
+def random_flow_polys(count=15, seed=123):
+    """(1 + u, u) for random GradedPolys u with t- or s-weight on every term."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        w_max, d_max = rng.randint(2, 4), rng.randint(0, 2)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            t = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 2)))
+            s = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 2)))
+            if exp_weight(t) > w_max or exp_weight(s) > w_max or exp_weight(t) + exp_weight(s) == 0:
+                continue
+            coeffs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d_max + 1)]
+            terms[(t, s, rng.randint(0, 2))] = BetaSeries(coeffs)
+        u = GradedPoly(terms, w_max, d_max)
+        yield GradedPoly.one(w_max, d_max) + u, u
 
 
 @pytest.mark.parametrize("fam", [belyi(), exponential()], ids=lambda f: f.label)
@@ -135,23 +207,46 @@ def test_tau_is_symmetric_in_t_and_s():
 
 
 def test_graded_exp_log_roundtrip_random():
-    rng = random.Random(123)
-    from hurwitztau.exactalg import exp_weight
-
-    for _ in range(15):
-        w_max, d_max = rng.randint(2, 4), rng.randint(0, 2)
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            t = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 2)))
-            s = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 2)))
-            if exp_weight(t) > w_max or exp_weight(s) > w_max or exp_weight(t) + exp_weight(s) == 0:
-                continue
-            coeffs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d_max + 1)]
-            terms[(t, s, rng.randint(0, 2))] = BetaSeries(coeffs)
-        u = GradedPoly(terms, w_max, d_max)
-        p = GradedPoly.one(w_max, d_max) + u
+    for p, u in random_flow_polys():
         assert p.log().exp() == p
         assert u.exp().log() == u
+
+
+def test_graded_log_exp_match_power_sums():
+    for p, u in random_flow_polys():
+        assert p.log() == reference_log(p)
+        assert u.exp() == reference_exp(u)
+
+
+@pytest.mark.parametrize(
+    "fam", [belyi(), C2, signed(), exponential(), quantum(F(1, 2))], ids=lambda f: f.label
+)
+def test_log_tau_matches_power_sum(fam):
+    tau = build_tau(fam, 6, 4)
+    assert log_tau(tau) == reference_log(tau.body)
+
+
+def test_beta_series_log_exp_match_power_sums():
+    rng = random.Random(5)
+    for _ in range(25):
+        d = rng.randint(0, 6)
+        u = BetaSeries([0] + [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d)])
+        a = u + 1
+        assert series_exp(u) == reference_exp(u)
+        assert BetaSeries(log_pieces(a.coeffs, F(0))) == reference_log(a)
+
+
+@pytest.mark.parametrize("c", [(F(1), F(1, 2)), (F(2), F(-1, 3))], ids=["1,1/2", "2,-1/3"])
+def test_complete_list_matches_newton(c):
+    p = [power_sum_value(k, c) for k in range(10)]
+    assert complete_list(c, 9) == reference_h_list(p, 9)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_h_of_sigma_matches_newton(sign):
+    sigma = (F(2, 3), F(-1, 5), F(1, 7))
+    p = [F(0)] + [sign * k * (sigma[k - 1] if k <= len(sigma) else 0) for k in range(1, 10)]
+    assert [h_of_sigma(n, sigma, sign) for n in range(10)] == reference_h_list(p, 9)
 
 
 def test_three_point_cumulant_identity():

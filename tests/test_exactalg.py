@@ -15,9 +15,9 @@ from hurwitztau.exactalg import (
     GradedPoly,
     LaurentWindow,
     QRing,
+    log_pieces,
     series_exp,
     series_inv,
-    series_log,
 )
 
 F = Fraction
@@ -61,14 +61,14 @@ class TestBetaSeries:
             series_inv(beta(3))
 
     def test_log_exp_basics(self):
-        assert series_log(BetaSeries.one(3)) == BetaSeries.zero(3)
+        assert BetaSeries(log_pieces(BetaSeries.one(3).coeffs, F(0))) == BetaSeries.zero(3)
         assert series_exp(BetaSeries.zero(3)) == BetaSeries.one(3)
-        mercator = series_log(BetaSeries.one(3) + beta(3))
+        mercator = BetaSeries(log_pieces((BetaSeries.one(3) + beta(3)).coeffs, F(0)))
         assert mercator == BetaSeries([0, F(1), F(-1, 2), F(1, 3)])
 
     def test_log_exp_preconditions(self):
         with pytest.raises(DomainError):
-            series_log(BetaSeries.constant(2, 3))
+            GradedPoly({((), (), 0): BetaSeries.constant(2, 3)}, 1, 3).log()
         with pytest.raises(DomainError):
             series_exp(BetaSeries.one(3))
 
@@ -79,7 +79,7 @@ class TestBetaSeries:
             coeffs = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d + 1)]
             coeffs[0] = F(1)
             a = BetaSeries(coeffs)
-            assert series_exp(series_log(a)) == a
+            assert series_exp(BetaSeries(log_pieces(a.coeffs, F(0)))) == a
             assert a * series_inv(a) == BetaSeries.one(d)
 
     def test_ring_axioms_random(self):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hurwitztau.errors import ConfigurationError, SingularParameterError
-from hurwitztau.exactalg import BetaSeries, BRing, QRing, series_exp, series_inv
+from hurwitztau.cutjoin import _family_signs
+from hurwitztau.exactalg import BetaSeries, BRing, QRing, log_pieces, series_exp, series_inv
 from hurwitztau.partitions import Partition, partitions_up_to
 from hurwitztau.symfun import elementary_list
 from hurwitztau.weights import (
@@ -206,6 +207,18 @@ class TestLogA:
 
     def test_quantum(self):
         assert log_A_coeffs(quantum(F(1, 2)), 2)[1] == F(1, 6)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [belyi(), WeightFamily("finite_c", c=(1, F(1, 2))), signed(),
+         WeightFamily("dual_finite_c", c=(1, F(1, 2))), exponential(), quantum(F(1, 2)),
+         quantum(F(1, 3))],
+        ids=lambda f: f.label,
+    )
+    def test_signed_A_are_log_G_coefficients(self, fam):
+        # log G(x) = sum_k sign_k A_k x^k, with G's Taylor coefficients g_coeff
+        log_g = log_pieces([g_coeff(fam, i) for i in range(9)], F(0))
+        assert log_g == [F(0)] + _family_signs(fam, 8)
 
     def test_t_consistency(self):
         # product-form rho_j / gamma^j equals exp(sum_k sign_k beta^k A_k p_k(j))
