@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import adaptedbasis, correlators, cutjoin, hurwitz, taufn
+from . import __version__, adaptedbasis, correlators, cutjoin, hurwitz, taufn
 from .errors import ConfigurationError, HurwitzTauError, ResourceError
 from .exactalg import BetaSeries
 from .weights import WeightFamily, belyi, exponential, quantum, signed
@@ -24,8 +24,20 @@ EXIT_CONFIG = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
 
-# integer flags that a negative value would turn into an empty, vacuous run
-NONNEGATIVE_FLAGS = ("N", "wmax", "dmax", "probe")
+# Flags that choose how a report is written, not what it computes: left out of
+# the report's config and of its config_hash.
+OUTPUT_FLAGS = ("format", "out", "config")
+
+# The smallest value of each integer flag, per command.  Below it a run would
+# be empty or vacuous: Q_1 and Q_2 act only from weight 2, at weight 0 tau is
+# the constant 1, and cut-and-join needs beta, which d_max 0 cannot represent.
+FLAG_MINIMUMS = {
+    "hurwitz": {"N": 0, "dmax": 0},
+    "tau": {"wmax": 1, "dmax": 0, "probe": 0},
+    "basis": {"dmax": 0},
+    "kernel": {"dmax": 0},
+    "cutjoin": {"wmax": 2, "dmax": 1},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,14 +107,11 @@ def serialize(obj):
     return str(obj)
 
 
-def config_dict(args, fields) -> dict:
-    out = {"command": args.command}
-    for f in fields:
-        out[f] = getattr(args, f, None)
-    return out
-
-
-def emit(args, config: dict, result: dict) -> None:
+def emit(args, result: dict) -> None:
+    """Write the report: the run's config (every flag of the subcommand but the
+    output flags, and the library version), its hash and the result."""
+    config = {"command": args.command, "version": __version__}
+    config.update((dest, getattr(args, dest)) for dest in args.config_flags)
     payload = {
         "config": config,
         "config_hash": hashlib.sha256(
@@ -112,7 +121,7 @@ def emit(args, config: dict, result: dict) -> None:
     }
     if args.format == "csv":
         text = _to_csv(result)
-    else:  # "text" prints the same JSON document
+    else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         _write_atomic(args.out, text)
@@ -182,7 +191,6 @@ def _report_ok(result) -> bool:
 
 def cmd_hurwitz(args) -> int:
     family = make_family(args)
-    config = config_dict(args, ["family", "c", "q", "N", "dmax", "connected", "verify_routes"])
     table = hurwitz.build_table(family, args.N, args.dmax, connected=args.connected)
     rows = []
     for (mu, nu, d), value in sorted(
@@ -210,22 +218,17 @@ def cmd_hurwitz(args) -> int:
         report = hurwitz.verify_routes(family, n_max=min(args.N, 4), d_max=min(args.dmax, 3))
         result["route_verification"] = report
         ok = report["ok"]
-    emit(args, config, result)
+    emit(args, result)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_tau(args) -> int:
-    if args.wmax < 1:
-        raise ConfigurationError(
-            f"tau needs --wmax >= 1, got {args.wmax}: at weight 0 tau is the constant 1"
-        )
     if args.probe and args.wmax < 2 * args.probe:
         raise ConfigurationError(
             f"tau --probe {args.probe} needs --wmax >= {2 * args.probe}, got {args.wmax}: "
             "the Hirota residual reads tau up to weight 2 * probe"
         )
     family = make_family(args)
-    config = config_dict(args, ["family", "c", "q", "wmax", "dmax", "probe"])
     tau = taufn.build_tau(family, args.wmax, args.dmax)
     from .exactalg import exp_weight
 
@@ -248,15 +251,12 @@ def cmd_tau(args) -> int:
             "monomials_checked": len(residual),
             "first_counterexample": serialize(nonzero[0]) if nonzero else None,
         }
-    emit(args, config, result)
+    emit(args, result)
     return EXIT_OK if _report_ok(result) else EXIT_VERIFY
 
 
 def cmd_basis(args) -> int:
     family = make_family(args)
-    config = config_dict(
-        args, ["family", "c", "q", "beta", "gamma", "s", "k_lo", "k_hi", "depth"]
-    )
     beta = None if args.beta == "series" else _fraction(args.beta)
     sigma = _fraction_list(args.sigma) if args.sigma else None
     b = adaptedbasis.build_basis(
@@ -286,16 +286,12 @@ def cmd_basis(args) -> int:
         }
         result["recursion_matrices"] = {"Q+": rq["Q+"], "Q-": rq["Q-"]}
         result["general_Q_cross_check"] = adaptedbasis.general_Q_cross_check(b, 6)
-    emit(args, config, result)
+    emit(args, result)
     return EXIT_OK if _report_ok(result) else EXIT_VERIFY
 
 
 def cmd_kernel(args) -> int:
     family = make_family(args)
-    config = config_dict(
-        args,
-        ["family", "c", "q", "beta", "gamma", "s", "window", "check_finiteness", "dmax"],
-    )
     beta = None if args.beta == "series" else _fraction(args.beta)
     gamma = _fraction(args.gamma)
     try:
@@ -310,19 +306,17 @@ def cmd_kernel(args) -> int:
         raise ConfigurationError(
             f"--window {args.window!r} is empty: needs zlo <= zhi and wlo <= whi"
         )
-    if args.sigma:
-        sig = _fraction_list(args.sigma)
-    elif beta is not None:
-        sig = tuple(x / beta for x in _fraction_list(args.s))
-    else:
-        raise ConfigurationError("series mode needs --sigma")
+    if args.check_finiteness and family.kind != "finite_c":
+        raise ConfigurationError("--check-finiteness needs a polynomial family")
     depth = min(window[0], window[2]) - 2
     k_hi = max(1, -window[0]) + 1
     k_lo = min(0, 1 + window[0]) - 1
     b = adaptedbasis.build_basis(
-        family, beta, gamma, sigma=sig, k_range=(k_lo, k_hi), depth=depth, d_max=args.dmax
+        family, beta, gamma, s=_fraction_list(args.s),
+        sigma=_fraction_list(args.sigma) if args.sigma else None,
+        k_range=(k_lo, k_hi), depth=depth, d_max=args.dmax,
     )
-    k_tau = correlators.K2_via_tau(family, beta, gamma, sig, window, d_max=args.dmax)
+    k_tau = correlators.K2_via_tau(family, beta, gamma, b.sigma, window, d_max=args.dmax)
     k_bas, info = correlators.K2_via_basis(b, window)
     result = {
         "kernel_routes_equal": {
@@ -332,8 +326,6 @@ def cmd_kernel(args) -> int:
         "kernel": k_tau,
     }
     if args.check_finiteness:
-        if family.kind != "finite_c":
-            raise ConfigurationError("--check-finiteness needs a polynomial family")
         rank_window = (max(window[0], -4), -1, max(window[2], -3), min(window[3], 3))
         cd = correlators.cd_kernel(b, rank_window)
         result["cd"] = {
@@ -342,42 +334,32 @@ def cmd_kernel(args) -> int:
             "finiteness_failures": cd["finiteness_failures"],
             "identity_failures": cd["identity_failures"],
         }
-        gen = correlators.gen_A(family, sig, (6, 6), beta_val=beta, d_max=args.dmax)
-        A = correlators.cd_matrix(family, beta, sig, 6, d_max=args.dmax)
+        gen = correlators.gen_A(family, b.sigma, (6, 6), beta_val=beta, d_max=args.dmax)
+        A = correlators.cd_matrix(family, beta, b.sigma, 6, d_max=args.dmax)
         result["gen_A_matches"] = {
             "ok": all(gen[(i, j)] == A[(i, j)] for i in range(7) for j in range(7))
         }
         result["h_orthogonality"] = {
-            "ok": correlators.h_orthogonality(sig, 3, 12)["ok"]
+            "ok": correlators.h_orthogonality(b.sigma, 3, 12)["ok"]
         }
-    emit(args, config, result)
+    emit(args, result)
     return EXIT_OK if _report_ok(result) else EXIT_VERIFY
 
 
 def cmd_curve(args) -> int:
     family = make_family(args)
-    config = config_dict(args, ["family", "c", "q", "gamma", "s"])
     curve = adaptedbasis.classical_curve(family, _fraction_list(args.s), _fraction(args.gamma))
     result = {
         "family": curve.family_label,
         "polynomial": curve.poly,
         "symbolic": curve.symbolic,
     }
-    emit(args, config, result)
+    emit(args, result)
     return EXIT_OK
 
 
-CUTJOIN_WMAX_MIN = 2  # Q_1 and Q_2 act from weight 2; below it every check is vacuous
-
-
 def cmd_cutjoin(args) -> int:
-    if args.wmax < CUTJOIN_WMAX_MIN:
-        raise ConfigurationError(
-            f"cutjoin needs --wmax >= {CUTJOIN_WMAX_MIN}, got {args.wmax}: "
-            "Q_1 and Q_2 act only from weight 2"
-        )
     family = make_family(args)
-    config = config_dict(args, ["family", "c", "q", "wmax", "dmax", "resolve_index"])
     result = {
         "eigen": cutjoin.schur_eigen_check(min(args.wmax + 2, 6), 8),
         "reconstruction": {
@@ -391,80 +373,76 @@ def cmd_cutjoin(args) -> int:
         result["single_hurwitz_rep"] = cutjoin.build_Vk_and_single_rep(family, min(args.wmax, 3))
     if args.resolve_index:
         result["exponential_index"] = cutjoin.resolve_exponential_index(3, 3)
-    emit(args, config, result)
+    emit(args, result)
     return EXIT_OK if _report_ok(result) else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
 
 
-def build_parser(suppress_defaults: bool = False) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="hurwitztau", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(p, *names, **kw):
-        if suppress_defaults and "default" in kw:
-            kw["default"] = argparse.SUPPRESS
-        p.add_argument(*names, **kw)
-
     def common(p):
-        add(p, "--family", default="belyi",
-            choices=["belyi", "exp", "signed", "quantum", "finite", "dual"])
-        add(p, "--c", default=None, help="comma-separated rational c-list for finite/dual")
-        add(p, "--q", default=None, help="rational q for the quantum family")
-        add(p, "--format", default="json", choices=["json", "csv", "text"])
-        add(p, "--out", default=None, help="write output to this file instead of stdout")
+        p.add_argument("--family", default="belyi",
+                       choices=["belyi", "exp", "signed", "quantum", "finite", "dual"])
+        p.add_argument("--c", default=None, help="comma-separated rational c-list for finite/dual")
+        p.add_argument("--q", default=None, help="rational q for the quantum family")
+        p.add_argument("--format", default="json", choices=["json", "csv"])
+        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
         p.add_argument("--config", help="JSON file with defaults; flags override")
 
     p = sub.add_parser("hurwitz", help="weighted Hurwitz number tables")
     common(p)
-    add(p, "--N", type=int, default=3)
-    add(p, "--dmax", type=int, default=3)
-    add(p, "--connected", action="store_true", default=False)
-    add(p, "--verify-routes", action="store_true", dest="verify_routes", default=False)
+    p.add_argument("--N", type=int, default=3)
+    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--connected", action="store_true", default=False)
+    p.add_argument("--verify-routes", action="store_true", dest="verify_routes", default=False)
     p.set_defaults(func=cmd_hurwitz)
 
     p = sub.add_parser("tau", help="build the tau-series and run its invariants")
     common(p)
-    add(p, "--wmax", type=int, default=4)
-    add(p, "--dmax", type=int, default=3)
-    add(p, "--probe", type=int, default=0, help="Hirota probe degree (0 = skip)")
+    p.add_argument("--wmax", type=int, default=4)
+    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--probe", type=int, default=0, help="Hirota probe degree (0 = skip)")
     p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("basis", help="adapted-basis verification suite")
     common(p)
-    add(p, "--beta", default="1/21")
-    add(p, "--gamma", default="1")
-    add(p, "--s", default="1/21")
-    add(p, "--sigma", default=None, help="series mode: sigma = s/beta directly")
-    add(p, "--k-lo", type=int, default=-3, dest="k_lo")
-    add(p, "--k-hi", type=int, default=5, dest="k_hi")
-    add(p, "--depth", type=int, default=-10)
-    add(p, "--dmax", type=int, default=4)
+    p.add_argument("--beta", default="1/21")
+    p.add_argument("--gamma", default="1")
+    p.add_argument("--s", default="1/21")
+    p.add_argument("--sigma", default=None, help="series mode: sigma = s/beta directly")
+    p.add_argument("--k-lo", type=int, default=-3, dest="k_lo")
+    p.add_argument("--k-hi", type=int, default=5, dest="k_hi")
+    p.add_argument("--depth", type=int, default=-10)
+    p.add_argument("--dmax", type=int, default=4)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("kernel", help="pair correlator and Christoffel-Darboux suite")
     common(p)
-    add(p, "--beta", default="1/21")
-    add(p, "--gamma", default="1")
-    add(p, "--s", default="1/21")
-    add(p, "--sigma", default=None)
-    add(p, "--window", default="-5,-1,-4,4")
-    add(p, "--dmax", type=int, default=4)
-    add(p, "--check-finiteness", action="store_true", dest="check_finiteness", default=False)
+    p.add_argument("--beta", default="1/21")
+    p.add_argument("--gamma", default="1")
+    p.add_argument("--s", default="1/21")
+    p.add_argument("--sigma", default=None)
+    p.add_argument("--window", default="-5,-1,-4,4")
+    p.add_argument("--dmax", type=int, default=4)
+    p.add_argument("--check-finiteness", action="store_true", dest="check_finiteness",
+                   default=False)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("curve", help="classical spectral curve")
     common(p)
-    add(p, "--gamma", default="1")
-    add(p, "--s", default="1")
+    p.add_argument("--gamma", default="1")
+    p.add_argument("--s", default="1")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("cutjoin", help="cut-and-join operator suite")
     common(p)
-    add(p, "--wmax", type=int, default=4)
-    add(p, "--dmax", type=int, default=3)
-    add(p, "--resolve-index", action="store_true", dest="resolve_index", default=False)
+    p.add_argument("--wmax", type=int, default=4)
+    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--resolve-index", action="store_true", dest="resolve_index", default=False)
     p.set_defaults(func=cmd_cutjoin)
     return parser
 
@@ -487,40 +465,45 @@ def _check_config_value(key: str, value, action) -> None:
         )
 
 
-def _merge_config_file(args, explicitly_given, parser) -> None:
-    if not getattr(args, "config", None):
-        return
+def _read_config_file(path: str, actions: dict) -> dict:
+    """The file's JSON object as flag defaults, each checked against its flag."""
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            defaults = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
     except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {args.config}: {exc.strerror}") from exc
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except ValueError as exc:
-        raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}") from exc
-    if not isinstance(defaults, dict):
-        raise ConfigurationError(f"config file {args.config} must hold a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions if a.dest != "help"}
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
+        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    defaults = {}
+    for key, value in values.items():
+        dest = key.replace("-", "_")
+        if dest not in actions:
             raise ConfigurationError(f"unknown config key {key!r}")
-        _check_config_value(key, value, actions[attr])
-        if attr not in explicitly_given:
-            setattr(args, attr, value)
+        _check_config_value(key, value, actions[dest])
+        defaults[dest] = value
+    return defaults
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # learn which flags were given explicitly so they override the file
-        given = vars(build_parser(suppress_defaults=True).parse_args(argv))
-        _merge_config_file(args, set(given), parser)
-        for name in NONNEGATIVE_FLAGS:
-            value = getattr(args, name, None)
-            if value is not None and value < 0:
-                raise ConfigurationError(f"--{name} must be >= 0, got {value}")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        command = sub.choices[args.command]
+        actions = {a.dest: a for a in command._actions if a.dest != "help"}
+        if args.config:
+            # the file's values become defaults, so flags given explicitly override them
+            command.set_defaults(**_read_config_file(args.config, actions))
+            args = parser.parse_args(argv)
+        for flag, least in FLAG_MINIMUMS.get(args.command, {}).items():
+            value = getattr(args, flag)
+            if value < least:
+                raise ConfigurationError(
+                    f"{args.command} needs --{flag} >= {least}, got {value}"
+                )
+        args.config_flags = [dest for dest in actions if dest not in OUTPUT_FLAGS]
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -46,12 +46,6 @@ class KernelWindow:
         return self.cells.get((ez, ew), ring.zero())
 
 
-def _hook_value(family, a: int, b: int, gamma, sigma, ring):
-    """(-1)^b pi_(a|b): the hook (a|b)'s term in tau([w^{-1}] - [z^{-1}])."""
-    hook = Partition([a + 1] + [1] * b)
-    return schur_weight(family, hook, gamma, sigma, ring) * (-1) ** b
-
-
 def K2_via_tau(
     family: WeightFamily,
     beta_val,
@@ -78,7 +72,9 @@ def K2_via_tau(
             cells[(ez, ew)] = ring.one()
     for ez in range(zlo, min(zhi, -1) + 1):
         for ew in range(wlo, min(whi, -1) + 1):
-            value = _hook_value(family, -ew - 1, -ez - 1, gamma_val, sigma, ring)
+            # the hook (a|b) with a = -ew - 1, b = -ez - 1, and its sign (-1)^b
+            hook = Partition([-ew] + [1] * (-ez - 1))
+            value = schur_weight(family, hook, gamma_val, sigma, ring) * (-1) ** (-ez - 1)
             if not ring.is_zero(value):
                 cells[(ez, ew)] = cells.get((ez, ew), ring.zero()) + value
     return KernelWindow(zlo, zhi, wlo, whi, cells)
@@ -110,6 +106,21 @@ def K2_via_basis(b: BasisWindow, window: tuple) -> tuple[KernelWindow, dict]:
             if not ring.is_zero(total):
                 cells[(ez, ew)] = total
     return KernelWindow(zlo, zhi, wlo, whi, cells), {"j_cutoff": j_used}
+
+
+def pair_T(k2: KernelWindow, ring) -> dict:
+    """T(z, w) = tau([w^{-1}] - [z^{-1}]) = (z - w) K2(z, w), read off a K2 window.
+
+    Each cell is K2(ez - 1, ew) - K2(ez, ew - 1), so T is known on
+    zlo < ez <= zhi, wlo < ew <= whi of the K2 window; zero cells are dropped.
+    """
+    cells = {}
+    for ez in range(k2.zlo + 1, k2.zhi + 1):
+        for ew in range(k2.wlo + 1, k2.whi + 1):
+            value = k2.cell(ez - 1, ew, ring) - k2.cell(ez, ew - 1, ring)
+            if not ring.is_zero(value):
+                cells[(ez, ew)] = value
+    return cells
 
 
 def kernels_equal(k1: KernelWindow, k2: KernelWindow, ring) -> bool:
@@ -199,16 +210,12 @@ def cd_kernel(b: BasisWindow, window: tuple) -> dict:
                         continue
                     total = total + a * b.w[1 - i].get(ew, ring) * b.ws[1 - j].get(ez, ring)
             numer[(ez, ew)] = total * b.gamma
-    k2 = K2_via_tau(
+    T = pair_T(K2_via_tau(
         b.family, ring.beta, b.gamma, b.sigma, (zlo - 1, zhi, wlo - 1, whi), d_max=ring.d_max
-    )
-    identity_failures = []
-    for ez in range(zlo, zhi + 1):
-        for ew in range(wlo, whi + 1):
-            lhs = numer[(ez, ew)]
-            rhs = k2.cell(ez - 1, ew, ring) - k2.cell(ez, ew - 1, ring)
-            if lhs != rhs:
-                identity_failures.append((ez, ew))
+    ), ring)
+    identity_failures = [
+        key for key, lhs in numer.items() if lhs != T.get(key, ring.zero())
+    ]
     return {
         "ok": not finiteness_failures and not identity_failures,
         "rank": rank,
@@ -352,23 +359,6 @@ def _dict4_mul(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _pair_T(family, gamma, sigma, ring, zdepth: int, wdepth: int) -> dict:
-    """T(z, w) = tau([w^{-1}] - [z^{-1}]) = (z - w) K2(z, w), as exact cells.
-
-    Hook (a|b) contributes on cells (-b, -a-1) and (-b-1, -a) with opposite
-    signs; the empty partition gives the cell (0, 0).
-    """
-    cells = {(0, 0): ring.one()}
-    for a in range(0, wdepth):
-        for b_leg in range(0, zdepth):
-            val = _hook_value(family, a, b_leg, gamma, sigma, ring)
-            if ring.is_zero(val):
-                continue
-            for key, sign in (((-b_leg, -a - 1), 1), ((-b_leg - 1, -a), -1)):
-                cells[key] = cells.get(key, ring.zero()) + val * sign
-    return {k: v for k, v in cells.items() if not ring.is_zero(v)}
-
-
 def multipair_two_point(
     family: WeightFamily,
     beta_val,
@@ -420,7 +410,11 @@ def multipair_two_point(
             if v:
                 tau_x[key] = tau_x.get(key, ring.zero()) + weight * v
 
-    t_cells = _pair_T(family, gamma_val, sigma, ring, D + 2, D + 2)
+    # T down to exponent -(D + 2): the checked cells read T only above -(D + 2)
+    depth = D + 3
+    t_cells = pair_T(K2_via_tau(
+        family, beta_val, gamma_val, sigma, (-depth, 0, -depth, 0), d_max=d_max
+    ), ring)
 
     def lift(cells, slots):
         # place a 2-variable dict into the 4-variable key layout

@@ -436,20 +436,13 @@ class GradedPoly:
     def constant_term(self) -> BetaSeries:
         return self.terms.get(((), (), 0), BetaSeries.zero(self.d_max))
 
-    def coeff(self, t_exp, s_exp=(), grade: int | None = None) -> BetaSeries:
+    def coeff(self, t_exp, s_exp, grade: int) -> BetaSeries:
         """Stored coefficient, or zero.  Keys beyond w_max raise OutOfWindowError."""
         t, s = _strip(t_exp), _strip(s_exp)
         if exp_weight(t) > self.w_max or exp_weight(s) > self.w_max:
             raise OutOfWindowError(
                 f"key (t={t}, s={s}) beyond weighted-degree cutoff {self.w_max}"
             )
-        if grade is None:
-            # sum over grades (useful when the grade is determined by context)
-            total = BetaSeries.zero(self.d_max)
-            for (tt, ss, _), c in self.terms.items():
-                if tt == t and ss == s:
-                    total = total + c
-            return total
         return self.terms.get((t, s, grade), BetaSeries.zero(self.d_max))
 
     def _pieces(self) -> list:

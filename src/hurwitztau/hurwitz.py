@@ -22,9 +22,10 @@ from .grouporacle import (
     transitive_factorization_count,
 )
 from .partitions import Partition, enumerate_partitions, genus_of
-from .symfun import char_table
+from .symfun import character
 from .weights import WeightFamily, content_product, path_weight, profile_weight
 
+CHAR_TABLE_N_CAP = 10
 PROFILE_N_CAP = 5
 PROFILE_D_CAP = 3
 
@@ -47,14 +48,15 @@ def H_via_characters(
     N = mu.weight
     if N == 0:
         return BetaSeries.one(d_max)
-    table = char_table(N)
+    if N > CHAR_TABLE_N_CAP:
+        raise ResourceError(f"character table cap exceeded: N={N} > {CHAR_TABLE_N_CAP}")
     ring = BRing(d_max)
     acc = BetaSeries.zero(d_max)
-    for lam in table.partitions:
-        chi_mu = table.chi(lam, mu)
+    for lam in enumerate_partitions(N):
+        chi_mu = character(lam, mu)
         if chi_mu == 0:
             continue
-        chi_nu = table.chi(lam, nu)
+        chi_nu = character(lam, nu)
         if chi_nu == 0:
             continue
         acc = acc + content_product(family, lam, ring) * (chi_mu * chi_nu)
@@ -65,7 +67,7 @@ def _profiles_with_colength(N: int, c: int):
     return [p for p in enumerate_partitions(N) if p.colength() == c]
 
 
-def H_via_profiles(family: WeightFamily, mu: Partition, nu: Partition, d: int) -> Fraction:
+def _profile_sum(family: WeightFamily, mu: Partition, nu: Partition, d: int, count) -> Fraction:
     """Weighted configuration sum over branch-profile tuples.
 
     For each signature lam of d, one nontrivial profile is assigned to every
@@ -73,24 +75,32 @@ def H_via_profiles(family: WeightFamily, mu: Partition, nu: Partition, d: int) -
     colength contributing once per assignment) -- this is the class-sum
     expansion of the content product, prod over parts of C-sums of the given
     colength, weighted by the monomial (or forgotten) symmetric function.
+    ``count(N, profiles)`` is 1/N! times the number of identity
+    factorizations with those cycle types: all of them for R2, the transitive
+    ones for the connected oracle.
     """
     if mu.weight != nu.weight:
         return Fraction(0)
     N = mu.weight
-    if N > PROFILE_N_CAP or d > PROFILE_D_CAP:
-        raise ResourceError(
-            f"profile oracle budget: need N <= {PROFILE_N_CAP}, d <= {PROFILE_D_CAP}"
-        )
     total = Fraction(0)
     for lam in enumerate_partitions(d):
         weight = profile_weight(family, lam)
         if weight == 0:
             continue
         for tup in itertools.product(*(_profiles_with_colength(N, c) for c in lam.parts)):
-            h = factorization_count(N, list(tup) + [mu, nu])
+            h = count(N, list(tup) + [mu, nu])
             if h:
                 total += weight * h
     return total
+
+
+def H_via_profiles(family: WeightFamily, mu: Partition, nu: Partition, d: int) -> Fraction:
+    """R2: the configuration sum over all factorizations (class algebra of S_N)."""
+    if mu.weight == nu.weight and (mu.weight > PROFILE_N_CAP or d > PROFILE_D_CAP):
+        raise ResourceError(
+            f"profile oracle budget: need N <= {PROFILE_N_CAP}, d <= {PROFILE_D_CAP}"
+        )
+    return _profile_sum(family, mu, nu, d, factorization_count)
 
 
 def H_via_paths(family: WeightFamily, mu: Partition, nu: Partition, d: int) -> Fraction:
@@ -117,20 +127,9 @@ def H_via_paths(family: WeightFamily, mu: Partition, nu: Partition, d: int) -> F
 def H_connected_via_oracle(
     family: WeightFamily, mu: Partition, nu: Partition, d: int
 ) -> Fraction:
-    """Transitivity-restricted configuration sum (the connected analogue of R2)."""
-    if mu.weight != nu.weight:
-        return Fraction(0)
-    N = mu.weight
-    total = Fraction(0)
-    for lam in enumerate_partitions(d):
-        weight = profile_weight(family, lam)
-        if weight == 0:
-            continue
-        for tup in itertools.product(*(_profiles_with_colength(N, c) for c in lam.parts)):
-            h = transitive_factorization_count(N, list(tup) + [mu, nu])
-            if h:
-                total += weight * h
-    return total
+    """The configuration sum restricted to transitive factorizations (the
+    connected analogue of R2)."""
+    return _profile_sum(family, mu, nu, d, transitive_factorization_count)
 
 
 def build_table(
@@ -170,8 +169,10 @@ def connected_table_entries(family: WeightFamily, N: int, d_max: int) -> dict:
 def verify_routes(family: WeightFamily, n_max: int = 4, d_max: int = 3) -> dict:
     """Cross-check R1 = R2 = R3 on every pair with N <= n_max, d <= d_max.
 
-    Returns a report with the first mismatch (if any) spelled out.
+    Returns a report of the window checked, with the first mismatch (if any)
+    spelled out.
     """
+    window = {"family": family.label, "n_max": n_max, "d_max": d_max}
     checked = 0
     for N in range(1, n_max + 1):
         parts = enumerate_partitions(N)
@@ -185,7 +186,7 @@ def verify_routes(family: WeightFamily, n_max: int = 4, d_max: int = 3) -> dict:
                     if not (r1[d] == r2 == r3):
                         return {
                             "ok": False,
-                            "family": family.label,
+                            **window,
                             "mu": mu.parts,
                             "nu": nu.parts,
                             "d": d,
@@ -194,7 +195,7 @@ def verify_routes(family: WeightFamily, n_max: int = 4, d_max: int = 3) -> dict:
                             "paths": str(r3),
                             "checked": checked,
                         }
-    return {"ok": True, "family": family.label, "checked": checked}
+    return {"ok": True, **window, "checked": checked}
 
 
 def verify_connected(family: WeightFamily, n_max: int = 3, d_max: int = 3) -> dict:

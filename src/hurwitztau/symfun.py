@@ -1,19 +1,16 @@
 """Symmetric-function layer: S_N characters via Murnaghan-Nakayama, the
-Schur <-> power-sum transition, and exact evaluations of the six standard
-bases at finite rational alphabets."""
+Schur <-> power-sum transition, and exact evaluations of the standard bases
+(p, e, h, m and the forgotten f) at finite rational alphabets."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConfigurationError, DomainError, ResourceError
+from .errors import ConfigurationError, DomainError
 from .exactalg import BetaSeries, GradedPoly, exp_pieces, monomial_from_partition
 from .partitions import Partition, enumerate_partitions, partitions_up_to
-
-CHAR_TABLE_N_CAP = 10
 
 
 def _border_strip_removals(lam: Partition, r: int):
@@ -57,27 +54,6 @@ def character(lam: Partition, mu: Partition) -> int:
     if lam.weight != mu.weight:
         raise DomainError("character needs |lambda| = |mu|")
     return _character(lam.parts, mu.parts)
-
-
-@dataclass(frozen=True)
-class CharTable:
-    N: int
-    partitions: tuple
-    values: dict  # (lam, mu) -> int
-
-    def chi(self, lam: Partition, mu: Partition) -> int:
-        return self.values[(lam, mu)]
-
-
-def char_table(N: int) -> CharTable:
-    """Complete integer character table of S_N, 1 <= N <= CHAR_TABLE_N_CAP."""
-    if not 1 <= N <= CHAR_TABLE_N_CAP:
-        raise ResourceError(f"character table cap exceeded: N={N} > {CHAR_TABLE_N_CAP}")
-    parts = enumerate_partitions(N)
-    values = {
-        (lam, mu): character(lam, mu) for lam in parts for mu in parts
-    }
-    return CharTable(N, parts, values)
 
 
 def schur_monomial_map(lam: Partition) -> dict:
@@ -142,28 +118,11 @@ def _distinct_arrangements(parts):
 
 
 def eval_basis(basis: str, lam: Partition, c) -> Fraction:
-    """Exact evaluation of m/e/h/f/p_lambda at the finite alphabet c."""
+    """Exact evaluation of m_lambda or f_lambda at the finite alphabet c."""
     c = [Fraction(x) for x in c]
     if lam.weight == 0:
         return Fraction(1)
     k = lam.length
-    if basis == "p":
-        out = Fraction(1)
-        for part in lam.parts:
-            out *= power_sum_value(part, c)
-        return out
-    if basis == "e":
-        e = elementary_list(c, lam.parts[0])
-        out = Fraction(1)
-        for part in lam.parts:
-            out *= e[part]
-        return out
-    if basis == "h":
-        h = complete_list(c, lam.parts[0])
-        out = Fraction(1)
-        for part in lam.parts:
-            out *= h[part]
-        return out
     if basis == "m":
         if k > len(c):
             return Fraction(0)
@@ -213,17 +172,17 @@ def h_of_sigma(n: int, sigma, sign: int = 1) -> Fraction:
     return _h_list_cached(sigma, sign, n)[n]
 
 
-def schur_at_sigma(lam: Partition, sigma, sign: int = 1) -> Fraction:
+def schur_at_sigma(lam: Partition, sigma) -> Fraction:
     """s_lambda of the sigma-alphabet via Jacobi-Trudi, det(h_{lam_i - i + j}).
 
-    Works for any |lambda| without touching the character-table cap.
+    Works for any |lambda| without reading a single character.
     """
     ell = lam.length
     if ell == 0:
         return Fraction(1)
     sigma = tuple(Fraction(x) for x in sigma)
     n_max = lam.parts[0] + ell
-    h = _h_list_cached(sigma, sign, n_max)
+    h = _h_list_cached(sigma, 1, n_max)
 
     def entry(i, j):
         n = lam.parts[i] - (i + 1) + (j + 1)

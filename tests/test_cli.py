@@ -1,3 +1,4 @@
+import argparse
 import errno
 import importlib.util
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import hurwitztau
 from hurwitztau import cli, correlators
 from hurwitztau.exactalg import BRing
 
@@ -22,6 +24,14 @@ def test_hurwitz_belyi_verify_routes_exit_zero():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["result"]["route_verification"]["ok"] is True
+
+
+def test_route_verification_reports_its_window():
+    # at N 5, d_max 4 the routes are compared only on N <= 4, d <= 3
+    proc = run_cli("hurwitz", "--family", "exp", "--N", "5", "--dmax", "4", "--verify-routes")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)["result"]["route_verification"]
+    assert (report["ok"], report["n_max"], report["d_max"]) == (True, 4, 3)
 
 
 def test_hurwitz_exp_contains_benchmark_entry():
@@ -269,3 +279,68 @@ def test_out_through_symlink_keeps_the_link(tmp_path):
     assert cli.main(["hurwitz", "--N", "1", "--dmax", "1", "--out", str(link)]) == 0
     assert link.is_symlink()
     assert json.loads(real.read_text())["config"]["N"] == 1
+
+
+# one cheap run of every subcommand
+CHEAP_RUNS = {
+    "hurwitz": ["--N", "1", "--dmax", "1"],
+    "tau": ["--wmax", "1", "--dmax", "0"],
+    "basis": ["--k-lo", "0", "--k-hi", "1", "--depth", "-2"],
+    "kernel": ["--window=-2,-1,-2,1"],
+    "curve": [],
+    "cutjoin": ["--wmax", "2", "--dmax", "1"],
+}
+
+
+def test_config_records_every_flag_and_the_version(capsys):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CHEAP_RUNS)
+    for command, argv in CHEAP_RUNS.items():
+        assert cli.main([command, *argv]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        flags = {a.dest for a in sub.choices[command]._actions}
+        flags -= {"help", "format", "out", "config"}
+        assert flags <= set(config), (command, flags - set(config))
+        assert config["version"] == hurwitztau.__version__
+
+
+def test_series_basis_runs_differ_in_config_hash(capsys):
+    hashes = set()
+    for sigma, dmax in (("1/2", "4"), ("1/3", "2")):
+        argv = ["basis", "--family", "exp", "--beta", "series", "--sigma", sigma,
+                "--dmax", dmax, "--k-lo", "-2", "--k-hi", "3", "--depth", "-8"]
+        assert cli.main(argv) == 0
+        hashes.add(json.loads(capsys.readouterr().out)["config_hash"])
+    assert len(hashes) == 2
+
+
+def test_format_text_is_refused():
+    proc = run_cli("hurwitz", "--N", "1", "--format", "text")
+    assert proc.returncode == 1 and proc.stdout == ""
+
+
+def _refuse(name):
+    def refuse(*args, **kw):
+        raise AssertionError(f"{name} ran")
+
+    return refuse
+
+
+def test_cutjoin_dmax_zero_refused_before_compute(monkeypatch, capsys):
+    # cut-and-join needs beta, and d_max 0 cannot represent it
+    for name in ("schur_eigen_check", "build_tau"):
+        monkeypatch.setattr(cli.cutjoin, name, _refuse(name))
+    assert cli.main(["cutjoin", "--wmax", "3", "--dmax", "0"]) == 1
+    assert capsys.readouterr().err == "configuration error: cutjoin needs --dmax >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("family", ["signed", "exp"])
+def test_kernel_finiteness_of_non_polynomial_family_refused_before_compute(
+    family, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    assert cli.main(["kernel", "--family", family, "--check-finiteness"]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: --check-finiteness needs a polynomial family\n"
+    )

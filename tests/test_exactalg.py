@@ -145,9 +145,9 @@ class TestGradedPoly:
 
     def test_coeff_out_of_window(self):
         p = GradedPoly.one(2, 0)
-        assert p.coeff((2,), ()) == BetaSeries.zero(0)
+        assert p.coeff((2,), (), 0) == BetaSeries.zero(0)
         with pytest.raises(OutOfWindowError):
-            p.coeff((3,), ())
+            p.coeff((3,), (), 0)
 
     def test_grades_add_under_mul(self):
         a = GradedPoly({((1,), (), 2): BetaSeries.one(0)}, 4, 0)

@@ -1,8 +1,11 @@
 """Source hygiene, read off the syntax trees with the standard library:
-no module imports a name it never uses, and no function or method exists
-that nothing calls or mentions by name."""
+no module imports a name it never uses, no function or method exists
+that nothing calls or mentions by name, and no optional parameter exists
+that no call passes."""
 
 import ast
+import math
+from collections import defaultdict
 from pathlib import Path
 
 import hurwitztau
@@ -137,4 +140,98 @@ use(Widget(), 3)
     refs.visit(tree)
     assert _unreferenced(list(_definitions("synthetic.py", tree)), refs) == [
         "synthetic.py: Widget.degree"
+    ]
+
+
+class _Calls(ast.NodeVisitor):
+    """What the calls of each name pass: keyword names, and the largest number
+    of positional arguments.  A call is keyed by its last name (``f(...)`` and
+    ``obj.f(...)`` both count for ``f``); a constructor call counts for its
+    class's ``__init__``.  ``*args`` passes every position, ``**kw`` every name."""
+
+    def __init__(self):
+        self.keywords = defaultdict(set)
+        self.positional = defaultdict(int)
+        self.any_keyword = set()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name is not None:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = math.inf if starred else len(node.args)
+            self.positional[name] = max(self.positional[name], count)
+            for kw in node.keywords:
+                if kw.arg is None:
+                    self.any_keyword.add(name)
+                else:
+                    self.keywords[name].add(kw.arg)
+        self.generic_visit(node)
+
+
+def _optional_parameters(module, tree):
+    """(label, call name, position or None, parameter) for every parameter
+    with a default, of module-level functions and class methods."""
+    defs = [(None, node) for node in tree.body]
+    defs += [(cls, item) for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for item in cls.body]
+    for cls, node in defs:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if _is_dunder(node.name) and node.name != "__init__":
+            continue
+        call_name = cls.name if node.name == "__init__" else node.name
+        label = f"{module}: {cls.name + '.' if cls else ''}{node.name}"
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        shift = 1 if cls is not None and not static else 0  # self or cls
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            yield label, call_name, index - shift, positional[index].arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield label, call_name, None, arg.arg
+
+
+def _never_passed(parameters, calls):
+    out = []
+    for label, name, position, param in parameters:
+        by_position = position is not None and position < calls.positional.get(name, 0)
+        if not (by_position or param in calls.keywords[name] or name in calls.any_keyword):
+            out.append(f"{label}({param}=)")
+    return out
+
+
+def test_every_optional_parameter_is_passed():
+    calls = _Calls()
+    for directory in SEARCH_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            calls.visit(_tree(path))
+    parameters = [p for path in _modules() for p in _optional_parameters(path.name, _tree(path))]
+    never = _never_passed(parameters, calls)
+    assert not never, never
+
+
+def test_optional_parameter_no_call_passes_is_flagged():
+    source = """
+def scale(x, factor=1, sign=1, *, exact=False):
+    return x * factor * sign
+
+
+class Box:
+    def __init__(self, size, label=None):
+        self.size = size
+
+    def grow(self, by=1):
+        return by
+
+
+scale(2, 3)
+Box(1, label="a").grow()
+"""
+    tree = ast.parse(source)
+    calls = _Calls()
+    calls.visit(tree)
+    assert _never_passed(list(_optional_parameters("synthetic.py", tree)), calls) == [
+        "synthetic.py: scale(sign=)", "synthetic.py: scale(exact=)", "synthetic.py: Box.grow(by=)"
     ]
