@@ -156,11 +156,12 @@ def _to_csv(result: dict) -> str:
     lines = []
     if "entries" in result:
         lines.append("mu,nu,d,value,connected")
-        for row in result["entries"]:
+        # connected-only entries (no disconnected value) follow the table rows
+        for row in result["entries"] + result.get("connected_only_entries", []):
             mu = " ".join(str(p) for p in row["mu"])
             nu = " ".join(str(p) for p in row["nu"])
             lines.append(
-                f"{mu},{nu},{row['d']},{row['value']},{row.get('connected', '')}"
+                f"{mu},{nu},{row['d']},{row.get('value', '')},{row.get('connected', '')}"
             )
     else:
         lines.append("check,ok")
@@ -190,6 +191,8 @@ def _report_ok(result) -> bool:
 
 
 def cmd_hurwitz(args) -> int:
+    if args.verify_routes and args.N < 1:  # at N 0 the routes share no entry to compare
+        raise ConfigurationError(f"hurwitz --verify-routes needs --N >= 1, got {args.N}")
     family = make_family(args)
     table = hurwitz.build_table(family, args.N, args.dmax, connected=args.connected)
     rows = []

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from .adaptedbasis import BasisWindow
 from .errors import ConfigurationError, OutOfWindowError
-from .exactalg import scalar_ring
+from .exactalg import exp_weight, scalar_ring
 from .partitions import Partition, partitions_up_to
 from .symfun import h_of_sigma, schur_monomial_map
-from .taufn import schur_weight
+from .taufn import miwa_expand, miwa_scale, schur_weight
 from .weights import FINITE_C, WeightFamily, g_at, g_coeff
 
 
@@ -381,34 +381,20 @@ def multipair_two_point(
     sigma = tuple(Fraction(x) for x in sigma)
     D = degree
 
-    # tau(X) through total degree D: s_lambda(X) with t_k = p_k(X) / k, where
-    # p_k(X) = w1^-k + w2^-k - z1^-k - z2^-k
-    def t_of(k):
-        return {
-            (0, 0, -k, 0): Fraction(1, k),
-            (0, 0, 0, -k): Fraction(1, k),
-            (-k, 0, 0, 0): Fraction(-1, k),
-            (0, -k, 0, 0): Fraction(-1, k),
-        }
-
-    tau_x: dict = {(0, 0, 0, 0): ring.one()}
+    # tau(X) through total degree D: sum over lambda of pi_lambda s_lambda(t),
+    # collected by t-monomial, at t_b = p_b(X) / b, where
+    # p_b(X) = w1^-b + w2^-b - z1^-b - z2^-b is a Miwa shift in each letter
+    by_monomial: dict = {}
     for lam in partitions_up_to(D):
-        if lam.weight == 0:
-            continue
         weight = schur_weight(family, lam, gamma_val, sigma, ring)
-        if ring.is_zero(weight):
-            continue
-        s_x: dict = {}
         for t_exp, coeff in schur_monomial_map(lam).items():
-            term = {(0, 0, 0, 0): coeff}
-            for k, e in enumerate(t_exp, start=1):
-                for _ in range(e):
-                    term = _dict4_mul(term, t_of(k))
-            for key, v in term.items():
-                s_x[key] = s_x.get(key, Fraction(0)) + v
-        for key, v in s_x.items():
-            if v:
-                tau_x[key] = tau_x.get(key, ring.zero()) + weight * v
+            by_monomial[t_exp] = by_monomial.get(t_exp, ring.zero()) + weight * coeff
+    letters = (miwa_scale(-1), miwa_scale(-1), miwa_scale(1), miwa_scale(1))  # z1 z2 w1 w2
+    tau_x: dict = {}
+    for t_exp, value in by_monomial.items():
+        for pieces, coeff in miwa_expand(t_exp, letters):
+            key = tuple(-exp_weight(piece) for piece in pieces)
+            tau_x[key] = tau_x.get(key, ring.zero()) + value * coeff
 
     # T down to exponent -(D + 2): the checked cells read T only above -(D + 2)
     depth = D + 3

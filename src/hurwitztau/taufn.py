@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .errors import ConfigurationError, OutOfWindowError
 from .exactalg import (
@@ -120,16 +120,36 @@ def baker(
 # ---------------------------------------------------------------------------
 
 
-def _sub_exponents(exps):
-    """All componentwise-dominated exponent vectors."""
-    ranges = [range(e + 1) for e in exps]
-    return itertools.product(*ranges)
+def miwa_scale(eps):
+    """The scale eps/b of the Miwa shift t_b -> t_b + eps z^{-b}/b."""
+    return lambda b: Fraction(eps, b)
 
 
-def _delta_monomials(weight: int):
-    """delta-t monomials of exact weighted degree, as exponent vectors."""
-    for lam in enumerate_partitions(weight):
-        yield monomial_from_partition(lam.parts)
+def _plain(b):
+    """The scale 1 of a plain variable."""
+    return 1
+
+
+def miwa_expand(exps, scales) -> list:
+    """Expand prod_b (sum_i scale_i(b) y_{i,b})^{e_b}, exps = (e_1, e_2, ...),
+    into pairs (pieces, multinomial * prod_{i,b} scale_i(b)^{pieces[i][b]}).
+
+    pieces[i] is the exponent vector of y_i; the pieces sum to exps and run in
+    lexicographic order.  A scale is miwa_scale(eps) for the Miwa shift
+    eps z^{-b}/b (y_b = z^{-b}) and _plain for a variable such as t_b itself.
+    """
+    out = [((), Fraction(1), tuple(exps))]  # (pieces so far, coefficient, remainder)
+    for i, scale in enumerate(scales):
+        last = i == len(scales) - 1
+        grown = []
+        for pieces, coeff, rem in out:
+            for piece in [rem] if last else itertools.product(*(range(e + 1) for e in rem)):
+                c = coeff
+                for b, (e, j) in enumerate(zip(rem, piece), start=1):
+                    c *= comb(e, j) * Fraction(scale(b)) ** j
+                grown.append((pieces + (piece,), c, tuple(e - j for e, j in zip(rem, piece))))
+        out = grown
+    return [(pieces, coeff) for pieces, coeff, _ in out]
 
 
 def hirota_residual(tau: TauSeries, probe_degree: int) -> dict:
@@ -144,65 +164,47 @@ def hirota_residual(tau: TauSeries, probe_degree: int) -> dict:
         raise OutOfWindowError(
             f"need w_max >= {2 * probe_degree} for probe_degree={probe_degree}"
         )
-    d_max = tau.d_max
     # only tau terms of t-weight <= probe_degree + 1 can reach the residue
     relevant = [
         (k, c) for k, c in tau.body.terms.items() if exp_weight(k[0]) <= probe_degree + 1
     ]
+    # each t-monomial of tau(t+dt+[z^{-1}]) splits into kept t, shifted dt and
+    # z^{-r}; each of tau(t-[z^{-1}]) into kept t and z^{-r}
+    left, right = {}, {}
+    for (t_exp, _, _), _ in relevant:
+        if t_exp not in left:
+            left[t_exp] = [
+                (j, l, exp_weight(r), c)
+                for (j, l, r), c in miwa_expand(t_exp, (_plain, _plain, miwa_scale(1)))
+            ]
+            right[t_exp] = [
+                (j, exp_weight(r), c)
+                for (j, r), c in miwa_expand(t_exp, (_plain, miwa_scale(-1)))
+            ]
+    # e^{-xi(dt,z)} = sum_m prod_b (-dt_b)^{m_b} / m_b! z^{b m_b}, by weight of m
+    xi = {
+        w: [(m, Fraction((-1) ** sum(m), prod(map(factorial, m))))
+            for m in (monomial_from_partition(lam.parts) for lam in enumerate_partitions(w))]
+        for w in range(probe_degree + 1)
+    }
     out: dict = {}
-
-    def add(key, value):
-        if key in out:
-            out[key] = out[key] + value
-        else:
-            out[key] = value
-
     for (k1, s1, g1), c1 in relevant:
-        w1 = exp_weight(k1)
-        # trinomial split of each t_b^{e}: kept t, shifted dt, moved-to-z
-        splits1 = []
-        for j1 in _sub_exponents(k1):
-            rem = tuple(e - j for e, j in zip(k1, j1))
-            for l1 in _sub_exponents(rem):
-                r1 = tuple(e - l for e, l in zip(rem, l1))
-                r1_weight = exp_weight(r1)
-                factor = Fraction(1)
-                for b0, (e, j, l) in enumerate(zip(k1, j1, l1)):
-                    r = e - j - l
-                    b = b0 + 1
-                    factor *= Fraction(
-                        factorial(e), factorial(j) * factorial(l) * factorial(r)
-                    ) * Fraction(1, b**r)
-                splits1.append((j1, l1, r1_weight, factor))
         for (k2, s2, g2), c2 in relevant:
             coeff12 = c1 * c2
-            for j2 in _sub_exponents(k2):
-                r2 = tuple(e - j for e, j in zip(k2, j2))
-                r2_weight = exp_weight(r2)
-                factor2 = Fraction(1)
-                for b0, (e, j) in enumerate(zip(k2, j2)):
-                    r = e - j
-                    b = b0 + 1
-                    factor2 *= Fraction(factorial(e), factorial(j) * factorial(r)) * Fraction(
-                        (-1) ** r, b**r
-                    )
-                for j1, l1, r1_weight, factor1 in splits1:
-                    pref_weight = r1_weight + r2_weight - 1
-                    if pref_weight < 0:
+            for j2, r2_weight, factor2 in right[k2]:
+                for j1, l1, r1_weight, factor1 in left[k1]:
+                    # the residue takes z^{-1}: m has weight r1 + r2 - 1
+                    m_weight = r1_weight + r2_weight - 1
+                    if m_weight < 0:
                         continue
-                    base_t = exps_mul(tuple(j1), tuple(j2))
-                    base_dt_weight = exp_weight(l1)
-                    total_so_far = exp_weight(base_t) + base_dt_weight + pref_weight
-                    if total_so_far > probe_degree:
+                    base_t = exps_mul(j1, j2)
+                    if exp_weight(base_t) + exp_weight(l1) + m_weight > probe_degree:
                         continue
-                    for m_exps in _delta_monomials(pref_weight):
-                        pref_factor = Fraction(1)
-                        for b0, m in enumerate(m_exps):
-                            pref_factor *= Fraction((-1) ** m, factorial(m))
-                        dt = exps_mul(tuple(l1), m_exps)
-                        key = (base_t, dt, exps_mul(s1, s2), g1 + g2)
-                        add(key, coeff12 * (factor1 * factor2 * pref_factor))
-    return {k: v for k, v in out.items()}
+                    for m, factor_m in xi[m_weight]:
+                        key = (base_t, exps_mul(l1, m), exps_mul(s1, s2), g1 + g2)
+                        value = coeff12 * (factor1 * factor2 * factor_m)
+                        out[key] = out[key] + value if key in out else value
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -344,3 +344,26 @@ def test_kernel_finiteness_of_non_polynomial_family_refused_before_compute(
     assert capsys.readouterr().err == (
         "configuration error: --check-finiteness needs a polynomial family\n"
     )
+
+
+def test_route_verification_at_weight_zero_refused_before_compute(monkeypatch, capsys):
+    # at N 0 verify_routes would compare no entry and report ok
+    for name in ("build_table", "verify_routes"):
+        monkeypatch.setattr(cli.hurwitz, name, _refuse(name))
+    assert cli.main(["hurwitz", "--N", "0", "--verify-routes"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert "--verify-routes needs --N >= 1, got 0" in err[0]
+
+
+def test_csv_keeps_connected_only_entries(capsys):
+    # H_0((1),(1)) = 1 is connected only: no disconnected entry at N 2 carries it
+    argv = ["hurwitz", "--N", "2", "--dmax", "2", "--connected"]
+    assert cli.main(argv) == 0
+    extra = json.loads(capsys.readouterr().out)["result"]["connected_only_entries"]
+    assert extra == [{"mu": [1], "nu": [1], "d": 0, "connected": "1"}]
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "mu,nu,d,value,connected"
+    assert rows[-1] == "1,1,0,,1"
+    assert len(rows) == 6  # header, four table rows, one connected-only row

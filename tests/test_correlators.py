@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitztau import correlators
 from hurwitztau.adaptedbasis import build_basis
 from hurwitztau.correlators import (
     K2_via_basis,
@@ -14,6 +15,7 @@ from hurwitztau.correlators import (
     multipair_two_point,
 )
 from hurwitztau.exactalg import BRing, QRing
+from hurwitztau.partitions import Partition
 from hurwitztau.weights import WeightFamily, belyi, exponential, signed
 
 F = Fraction
@@ -190,3 +192,16 @@ class TestMultipair:
             rep = multipair_two_point(fam, None, F(1), (F(1, 2),), degree=5, d_max=4)
         assert rep["ok"], rep["mismatches"]
         assert rep["antisymmetric"]
+
+    def test_corrupted_tau_of_x_fails(self, monkeypatch):
+        # (2,2) is not a hook, so T is unchanged and only tau(X) moves
+        weight = correlators.schur_weight
+
+        def corrupted(family, lam, gamma_val, sigma, ring):
+            value = weight(family, lam, gamma_val, sigma, ring)
+            return value + 1 if lam == Partition((2, 2)) else value
+
+        monkeypatch.setattr(correlators, "schur_weight", corrupted)
+        rep = multipair_two_point(belyi(), BETA, GAMMA, SIGMA1, degree=5)
+        assert not rep["ok"]
+        assert rep["mismatches"][0] == (-2, -1, 0, 1)

@@ -1,5 +1,6 @@
 """Deeper cross-module checks beyond the acceptance budgets."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,7 +8,8 @@ from math import factorial
 import pytest
 
 from hurwitztau.adaptedbasis import build_basis
-from hurwitztau.correlators import K2_via_basis, K2_via_tau, kernels_equal
+from hurwitztau.correlators import K2_via_basis, K2_via_tau, _dict4_mul, kernels_equal
+from hurwitztau.errors import OutOfWindowError
 from hurwitztau.exactalg import (
     BRing,
     BetaSeries,
@@ -15,13 +17,22 @@ from hurwitztau.exactalg import (
     LaurentWindow,
     QRing,
     exp_weight,
+    exps_mul,
     log_pieces,
+    monomial_from_partition,
     series_exp,
 )
 from hurwitztau.hurwitz import H_via_characters, H_via_paths, H_via_profiles
 from hurwitztau.partitions import Partition, enumerate_partitions
 from hurwitztau.symfun import complete_list, h_of_sigma, power_sum_value
-from hurwitztau.taufn import build_tau, log_tau
+from hurwitztau.taufn import (
+    TauSeries,
+    build_tau,
+    hirota_residual,
+    log_tau,
+    miwa_expand,
+    miwa_scale,
+)
 from hurwitztau.weights import (
     WeightFamily,
     belyi,
@@ -300,10 +311,142 @@ def test_three_point_cumulant_identity():
         assert w3_conn.get(key, zero) == rhs.get(key, zero), key
 
 
-def test_hirota_residual_signed_and_quantum():
-    from hurwitztau.taufn import build_tau, hirota_residual
-    from hurwitztau.weights import signed
+# The KP residual as computed before miwa_expand: a trinomial split of each
+# left term and a binomial split of each right term inside the pair loop.
+def _sub_exponents(exps):
+    """All componentwise-dominated exponent vectors."""
+    ranges = [range(e + 1) for e in exps]
+    return itertools.product(*ranges)
 
+
+def _delta_monomials(weight: int):
+    """delta-t monomials of exact weighted degree, as exponent vectors."""
+    for lam in enumerate_partitions(weight):
+        yield monomial_from_partition(lam.parts)
+
+
+def reference_hirota_residual(tau: TauSeries, probe_degree: int) -> dict:
+    """Formal residue of e^{-xi(dt,z)} tau(t+dt+[z^{-1}]) tau(t-[z^{-1}]).
+
+    Returned as a map (t_exps, dt_exps, s_exps, grade) -> BetaSeries over all
+    output monomials of combined weighted degree (t plus dt) <= probe_degree.
+    The KP bilinear identity says every entry vanishes.  Requires
+    w_max >= 2 * probe_degree (buffer = probe_degree).
+    """
+    if tau.w_max < 2 * probe_degree:
+        raise OutOfWindowError(
+            f"need w_max >= {2 * probe_degree} for probe_degree={probe_degree}"
+        )
+    d_max = tau.d_max
+    # only tau terms of t-weight <= probe_degree + 1 can reach the residue
+    relevant = [
+        (k, c) for k, c in tau.body.terms.items() if exp_weight(k[0]) <= probe_degree + 1
+    ]
+    out: dict = {}
+
+    def add(key, value):
+        if key in out:
+            out[key] = out[key] + value
+        else:
+            out[key] = value
+
+    for (k1, s1, g1), c1 in relevant:
+        w1 = exp_weight(k1)
+        # trinomial split of each t_b^{e}: kept t, shifted dt, moved-to-z
+        splits1 = []
+        for j1 in _sub_exponents(k1):
+            rem = tuple(e - j for e, j in zip(k1, j1))
+            for l1 in _sub_exponents(rem):
+                r1 = tuple(e - l for e, l in zip(rem, l1))
+                r1_weight = exp_weight(r1)
+                factor = Fraction(1)
+                for b0, (e, j, l) in enumerate(zip(k1, j1, l1)):
+                    r = e - j - l
+                    b = b0 + 1
+                    factor *= Fraction(
+                        factorial(e), factorial(j) * factorial(l) * factorial(r)
+                    ) * Fraction(1, b**r)
+                splits1.append((j1, l1, r1_weight, factor))
+        for (k2, s2, g2), c2 in relevant:
+            coeff12 = c1 * c2
+            for j2 in _sub_exponents(k2):
+                r2 = tuple(e - j for e, j in zip(k2, j2))
+                r2_weight = exp_weight(r2)
+                factor2 = Fraction(1)
+                for b0, (e, j) in enumerate(zip(k2, j2)):
+                    r = e - j
+                    b = b0 + 1
+                    factor2 *= Fraction(factorial(e), factorial(j) * factorial(r)) * Fraction(
+                        (-1) ** r, b**r
+                    )
+                for j1, l1, r1_weight, factor1 in splits1:
+                    pref_weight = r1_weight + r2_weight - 1
+                    if pref_weight < 0:
+                        continue
+                    base_t = exps_mul(tuple(j1), tuple(j2))
+                    base_dt_weight = exp_weight(l1)
+                    total_so_far = exp_weight(base_t) + base_dt_weight + pref_weight
+                    if total_so_far > probe_degree:
+                        continue
+                    for m_exps in _delta_monomials(pref_weight):
+                        pref_factor = Fraction(1)
+                        for b0, m in enumerate(m_exps):
+                            pref_factor *= Fraction((-1) ** m, factorial(m))
+                        dt = exps_mul(tuple(l1), m_exps)
+                        key = (base_t, dt, exps_mul(s1, s2), g1 + g2)
+                        add(key, coeff12 * (factor1 * factor2 * pref_factor))
+    return {k: v for k, v in out.items()}
+
+
+@pytest.mark.parametrize(
+    "fam,w_max,probe",
+    [(exponential(), 6, 3), (belyi(), 6, 3), (signed(), 6, 3), (quantum(F(1, 2)), 6, 3),
+     (exponential(), 8, 4)],
+    ids=["exp-w6", "belyi-w6", "signed-w6", "quantum-w6", "exp-w8"],
+)
+def test_hirota_residual_matches_reference(fam, w_max, probe):
+    tau = build_tau(fam, w_max, 3)
+    residual = hirota_residual(tau, probe)
+    reference = reference_hirota_residual(tau, probe)
+    assert residual == reference
+    # same key order too: the CLI reports the first nonzero entry
+    assert list(residual) == list(reference)
+
+
+def reference_miwa_expand(exps, scales):
+    """prod_b (sum_i scale_i(b) y_{i,b})^{e_b} by repeated multiplication, one
+    factor t_b at a time, as tau(X) was once built from t_of(b) and _dict4_mul;
+    a key lists the exponents of y_1, then of y_2, and so on."""
+    width = len(exps)
+
+    def t_of(b):
+        out = {}
+        for i, scale in enumerate(scales):
+            key = [0] * (len(scales) * width)
+            key[i * width + b - 1] = 1
+            out[tuple(key)] = F(scale(b))
+        return out
+
+    term = {(0,) * (len(scales) * width): F(1)}
+    for b, e in enumerate(exps, start=1):
+        for _ in range(e):
+            term = _dict4_mul(term, t_of(b))
+    return term
+
+
+def test_miwa_expand_matches_repeated_multiplication():
+    rng = random.Random(7)
+    choices = [lambda b: 1] + [miwa_scale(eps) for eps in (1, -1, F(1, 2), -3)]
+    for _ in range(40):
+        exps = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+        scales = [rng.choice(choices) for _ in range(rng.randint(1, 4))]
+        expansion = miwa_expand(exps, scales)
+        flat = {sum(pieces, ()): coeff for pieces, coeff in expansion}
+        assert len(flat) == len(expansion)
+        assert flat == reference_miwa_expand(exps, scales), (exps, len(scales))
+
+
+def test_hirota_residual_signed_and_quantum():
     for fam in (signed(), quantum(F(1, 2))):
         tau = build_tau(fam, 6, 3)
         residual = hirota_residual(tau, 3)

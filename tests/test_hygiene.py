@@ -1,7 +1,7 @@
 """Source hygiene, read off the syntax trees with the standard library:
 no module imports a name it never uses, no function or method exists
-that nothing calls or mentions by name, and no optional parameter exists
-that no call passes."""
+that nothing calls or mentions by name, none but a listed few exists only
+for the tests, and no optional parameter exists that no call passes."""
 
 import ast
 import math
@@ -108,14 +108,60 @@ def _unreferenced(definitions, refs):
     return out
 
 
-def test_every_function_is_referenced():
+def _references(directories):
     refs = _References()
-    for directory in SEARCH_DIRS:
+    for directory in directories:
         for path in sorted(directory.rglob("*.py")):
             refs.visit(_tree(path))
+    return refs
+
+
+def test_every_function_is_referenced():
+    refs = _references(SEARCH_DIRS)
     definitions = [d for path in _modules() for d in _definitions(path.name, _tree(path))]
     unreferenced = _unreferenced(definitions, refs)
     assert not unreferenced, unreferenced
+
+
+# The library functions that only the tests call: the Baker functions at
+# t = 0, the Frobenius coordinates that ROADMAP item 5's Giambelli route needs,
+# and the value of the power-sum polynomial p_k.  The list is exact, so a
+# function that the library starts to use must leave it.
+TEST_ONLY = {"taufn.py: baker", "partitions.py: Partition.frobenius", "weights.py: pk_eval"}
+
+
+def test_every_function_is_used_by_the_library():
+    refs = _references([ROOT / "src", ROOT / "bench"])
+    definitions = [d for path in _modules() for d in _definitions(path.name, _tree(path))]
+    assert set(_unreferenced(definitions, refs)) == TEST_ONLY
+
+
+def test_function_called_only_by_tests_is_flagged():
+    library = """
+def kernel(x):
+    return x + 1
+
+
+def only_for_tests(x):
+    return kernel(x) * 2
+
+
+print(kernel(0))
+"""
+    tests = """
+from library import only_for_tests
+
+
+def test_it():
+    assert only_for_tests(1) == 4
+"""
+    tree = ast.parse(library)
+    definitions = list(_definitions("library.py", tree))
+    refs = _References()
+    refs.visit(tree)
+    assert _unreferenced(definitions, refs) == ["library.py: only_for_tests"]
+    refs.visit(ast.parse(tests))
+    assert _unreferenced(definitions, refs) == []
 
 
 def test_method_named_only_as_a_bare_name_is_flagged():
