@@ -39,6 +39,12 @@ FLAG_MINIMUMS = {
     "cutjoin": {"wmax": 2, "dmax": 1},
 }
 
+# Every beta-series holds d_max + 1 coefficients and a product of two costs
+# (d_max + 1)^2, so a huge --dmax would allocate and multiply without end:
+# at 64, ``basis --family exp --beta series --sigma 1/2`` takes about 23 s on a
+# 2-core machine.
+DMAX_CAP = 64
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # config errors exit 1, not argparse's default 2
@@ -506,6 +512,9 @@ def main(argv=None) -> int:
                 raise ConfigurationError(
                     f"{args.command} needs --{flag} >= {least}, got {value}"
                 )
+        dmax = getattr(args, "dmax", 0)  # ``curve`` has no beta-series
+        if dmax > DMAX_CAP:
+            raise ResourceError(f"--dmax cap exceeded: {dmax} > {DMAX_CAP}")
         args.config_flags = [dest for dest in actions if dest not in OUTPUT_FLAGS]
         return args.func(args)
     except ConfigurationError as exc:

@@ -1,12 +1,13 @@
 """Exact truncated rings: beta-series over Q, graded flow-variable polynomials,
 and Laurent windows.
 
-Every computation in this package happens in one of three rings, all over
-`fractions.Fraction`:
+Every computation in this package happens in one of three rings, all exact
+over the rationals:
 
 * ``BetaSeries`` -- truncated power series in the expansion parameter beta,
-  indices 0..d_max.  Arithmetic above d_max is silently dropped; mixing two
-  different truncation orders is a configuration error.
+  indices 0..d_max, stored as integer numerators over one common denominator
+  and read out as `fractions.Fraction`.  Arithmetic above d_max is silently
+  dropped; mixing two different truncation orders is a configuration error.
 * ``GradedPoly`` -- polynomials in two alphabets of weighted flow variables
   t_1, t_2, ... and s_1, s_2, ... (weight of t_i and s_i is i) with an integer
   grade per term and BetaSeries coefficients, truncated at weighted degree
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -35,52 +37,91 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of an int or Fraction, denominator > 0."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
-class BetaSeries:
-    """Truncated formal power series in beta with exact rational coefficients."""
+def _as_fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
-    __slots__ = ("coeffs",)
+
+class BetaSeries:
+    """Truncated formal power series in beta with exact rational coefficients.
+
+    Stored as integer numerators over one common denominator (FLINT's
+    ``fmpq_poly`` layout): coefficient d is ``nums[d] / den``.  The pair is
+    always canonical, den > 0 and gcd(den, *nums) = 1, so equal series have
+    equal fields and the zero series has den = 1.  Arithmetic takes one gcd
+    per result; only the constructor's input, ``coeffs`` and ``__getitem__``
+    deal in Fractions.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction]):
-        self.coeffs = tuple(_as_fraction(c) for c in coeffs)
-        if not self.coeffs:
+        pairs = [_ratio(c) for c in coeffs]
+        if not pairs:
             raise ConfigurationError("BetaSeries needs at least the order-0 coefficient")
+        # over the lcm of reduced denominators the numerators are already coprime to it
+        den = lcm(*(q for _, q in pairs))
+        self.nums = tuple(p * (den // q) for p, q in pairs)
+        self.den = den
+
+    @staticmethod
+    def _reduced(nums, den: int) -> "BetaSeries":
+        """The canonical series nums/den, given den > 0."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [n // g for n in nums]
+                den //= g
+        out = object.__new__(BetaSeries)
+        out.nums = tuple(nums)
+        out.den = den
+        return out
 
     @property
     def d_max(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, orders 0..d_max."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     @staticmethod
     def zero(d_max: int) -> "BetaSeries":
-        return BetaSeries([_ZERO] * (d_max + 1))
+        return BetaSeries._reduced((0,) * (d_max + 1), 1)
 
     @staticmethod
     def one(d_max: int) -> "BetaSeries":
-        return BetaSeries([_ONE] + [_ZERO] * d_max)
+        return BetaSeries._reduced((1,) + (0,) * d_max, 1)
 
     @staticmethod
     def constant(value, d_max: int) -> "BetaSeries":
-        return BetaSeries([_as_fraction(value)] + [_ZERO] * d_max)
+        p, q = _ratio(value)
+        return BetaSeries._reduced((p,) + (0,) * d_max, q)
 
     @staticmethod
     def variable(d_max: int) -> "BetaSeries":
         """The series beta itself."""
         if d_max < 1:
             raise ConfigurationError("need d_max >= 1 to represent beta")
-        return BetaSeries([_ZERO, _ONE] + [_ZERO] * (d_max - 1))
+        return BetaSeries._reduced((0, 1) + (0,) * (d_max - 1), 1)
 
     def _check_compatible(self, other: "BetaSeries") -> None:
-        if self.d_max != other.d_max:
+        if len(self.nums) != len(other.nums):
             raise ConfigurationError(
                 f"mismatched truncation orders {self.d_max} != {other.d_max}"
             )
+
+    def _scaled(self, p: int, q: int) -> "BetaSeries":
+        """self * p/q, for q > 0."""
+        return BetaSeries._reduced([n * p for n in self.nums], self.den * q)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -88,12 +129,19 @@ class BetaSeries:
         if not isinstance(other, BetaSeries):
             return NotImplemented
         self._check_compatible(other)
-        return BetaSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
+        da, db = self.den, other.den
+        if da == db:
+            return BetaSeries._reduced([a + b for a, b in zip(self.nums, other.nums)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return BetaSeries._reduced(
+            [a * ma + b * mb for a, b in zip(self.nums, other.nums)], da * ma
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BetaSeries(-c for c in self.coeffs)
+        return BetaSeries._reduced([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -107,30 +155,28 @@ class BetaSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return BetaSeries(c * f for c in self.coeffs)
+            return self._scaled(*_ratio(other))
         if not isinstance(other, BetaSeries):
             return NotImplemented
         self._check_compatible(other)
-        d = self.d_max
-        out = [_ZERO] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(0, d - i + 1):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return BetaSeries(out)
+        b = other.nums
+        n = len(b)
+        out = [0] * n
+        for i, a in enumerate(self.nums):
+            if a:
+                for j in range(n - i):
+                    if b[j]:
+                        out[i + j] += a * b[j]
+        return BetaSeries._reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if f == 0:
+            p, q = _ratio(other)
+            if p == 0:
                 raise ZeroDivisionError("division of BetaSeries by zero scalar")
-            return self * (1 / f)
+            return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
         if isinstance(other, BetaSeries):
             return self * series_inv(other)
         return NotImplemented
@@ -140,24 +186,25 @@ class BetaSeries:
             other = BetaSeries.constant(other, self.d_max)
         if not isinstance(other, BetaSeries):
             return NotImplemented
-        return self.d_max == other.d_max and self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self.nums)
 
     def __getitem__(self, d: int) -> Fraction:
         if not 0 <= d <= self.d_max:
             raise OutOfWindowError(f"beta order {d} outside [0, {self.d_max}]")
-        return self.coeffs[d]
+        return Fraction(self.nums[d], self.den)
 
     def shift(self, k: int) -> "BetaSeries":
         """Multiply by beta^k (k >= 0), truncating at the same d_max."""
         if k < 0:
             raise ConfigurationError("shift exponent must be nonnegative")
-        return BetaSeries(((_ZERO,) * k + self.coeffs)[: self.d_max + 1])
+        n = len(self.nums)
+        return BetaSeries._reduced(((0,) * min(k, n) + self.nums)[:n], self.den)
 
     def __repr__(self):
         return f"BetaSeries({list(self.coeffs)})"
@@ -166,20 +213,23 @@ class BetaSeries:
 def series_inv(a: BetaSeries) -> BetaSeries:
     """Multiplicative inverse; requires a nonzero constant term.
 
-    Recurrence: b_0 = 1/a_0, b_m = -(1/a_0) * sum_{k=1..m} a_k b_{m-k}.
+    With a = A/D over the integers, 1/A has coefficients C_m / A_0^{m+1}, where
+    C_0 = 1 and C_m = -sum_{k=1..m} A_k A_0^{k-1} C_{m-k}: the recurrence
+    b_m = -(1/a_0) sum_{k=1..m} a_k b_{m-k} cleared of denominators.
     """
-    if a.coeffs[0] == 0:
+    A = a.nums
+    if not A[0]:
         raise NonInvertibleError("series with zero constant term is not invertible")
-    d = a.d_max
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0] + [_ZERO] * d
+    d = len(A) - 1
+    powers = [A[0] ** k for k in range(d + 1)]
+    C = [1]
     for m in range(1, d + 1):
-        s = _ZERO
-        for k in range(1, m + 1):
-            if a.coeffs[k] != 0:
-                s += a.coeffs[k] * out[m - k]
-        out[m] = -inv0 * s
-    return BetaSeries(out)
+        C.append(-sum(A[k] * powers[k - 1] * C[m - k] for k in range(1, m + 1) if A[k]))
+    den = A[0] * powers[d]
+    sign = 1 if den > 0 else -1
+    return BetaSeries._reduced(
+        [sign * a.den * c * powers[d - m] for m, c in enumerate(C)], sign * den
+    )
 
 
 def exp_pieces(a, one, zero) -> list:
@@ -224,7 +274,7 @@ def log_pieces(a, zero) -> list:
 
 def series_exp(a: BetaSeries) -> BetaSeries:
     """exp of a series with constant term 0."""
-    if a.coeffs[0] != 0:
+    if a.nums[0]:
         raise DomainError("series_exp requires constant term 0")
     return BetaSeries(exp_pieces(a.coeffs, _ONE, _ZERO))
 
@@ -403,8 +453,7 @@ class GradedPoly:
         return self + (-other)
 
     def scale(self, factor) -> "GradedPoly":
-        if isinstance(factor, (int, Fraction)):
-            factor = BetaSeries.constant(factor, self.d_max)
+        """Multiply every coefficient by an int, a Fraction or a BetaSeries."""
         return GradedPoly(
             {k: c * factor for k, c in self.terms.items()}, self.w_max, self.d_max
         )

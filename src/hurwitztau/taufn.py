@@ -1,5 +1,5 @@
-"""Hypergeometric tau-series: construction, logarithm, Baker evaluation at
-t=0, the KP Hirota residual, and the multicurrent correlators W_n / F_n."""
+"""Hypergeometric tau-series: construction, logarithm, the KP Hirota
+residual, and the multicurrent correlators W_n / F_n."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from .exactalg import (
     BetaSeries,
     BRing,
     GradedPoly,
-    LaurentWindow,
-    QRing,
     exp_weight,
     exps_mul,
     monomial_from_partition,
@@ -75,44 +73,6 @@ def pair_series(body: GradedPoly, mu: Partition, nu: Partition) -> BetaSeries:
     for p in nu.parts:
         norm *= p
     return coeff / norm
-
-
-# ---------------------------------------------------------------------------
-# Baker functions at t = 0.
-# ---------------------------------------------------------------------------
-
-
-def baker(
-    tau: TauSeries,
-    z_lo: int,
-    beta_val,
-    gamma_val,
-    s=(),
-) -> tuple[LaurentWindow, LaurentWindow]:
-    """(Psi^-, Psi^+) at t = 0 on the window [z_lo, 0], at rational beta, gamma.
-
-    Psi^-(z, 0) = tau(-[z^{-1}])/tau(0) and Psi^+(z, 0) = tau(+[z^{-1}])/tau(0).
-    Only column (1^m) respectively row (m) partitions survive the evaluation
-    of s_lambda at the (negated) single-variable alphabet, which gives the
-    z^{-m} coefficients directly.
-    """
-    if z_lo > 0:
-        raise ConfigurationError("z_lo must be <= 0")
-    depth = -z_lo
-    if depth > tau.w_max:
-        raise OutOfWindowError(
-            f"window depth {depth} exceeds w_max={tau.w_max} support"
-        )
-    ring = QRing(beta_val)
-    sigma = tuple(Fraction(x) / ring.beta for x in s)
-    minus = [Fraction(0)] * (depth + 1)
-    plus = [Fraction(0)] * (depth + 1)
-    for m in range(0, depth + 1):
-        col = Partition([1] * m)
-        row = Partition([m] if m else [])
-        minus[depth - m] = (-1) ** m * schur_weight(tau.family, col, gamma_val, sigma, ring)
-        plus[depth - m] = schur_weight(tau.family, row, gamma_val, sigma, ring)
-    return LaurentWindow(z_lo, tuple(minus)), LaurentWindow(z_lo, tuple(plus))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Weight generating functions G / G-dual and their derived data: Taylor
 coefficients, content products, the convolution coefficients rho_j, and the
-log-expansion data (A_k and the telescoping polynomials p_k)."""
+log-expansion data A_k."""
 
 from __future__ import annotations
 
@@ -188,52 +188,6 @@ def log_A_coeffs(family: WeightFamily, k_max: int) -> list[Fraction]:
         else:
             qk = family.q**k
             out.append(qk / (k * (1 - qk)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def pk_poly(k: int) -> tuple:
-    """Coefficients (by ascending power, constant first) of the unique
-    polynomial p_k in x*Q[x] with p_k(x) - p_k(x-1) = x^k.
-
-    p_k has degree k+1 and p_k(m) = 1^k + ... + m^k for integer m >= 0, so it
-    is recovered by Lagrange interpolation through x = 0..k+1.
-    """
-    if k < 0:
-        raise DomainError("pk_poly index must be nonnegative")
-    xs = list(range(k + 2))
-    ys = []
-    acc = Fraction(0)
-    for m in xs:
-        if m > 0:
-            acc += Fraction(m) ** k
-        ys.append(acc)
-    # Lagrange interpolation, assembling coefficient lists exactly
-    coeffs = [Fraction(0)] * (k + 2)
-    for i, xi in enumerate(xs):
-        # numerator polynomial prod_{j != i} (x - x_j)
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num
-            for idx in range(len(num) - 1):
-                num[idx] -= Fraction(xj) * num[idx + 1]
-            denom *= xi - xj
-        scale = ys[i] / denom
-        for idx, cval in enumerate(num):
-            coeffs[idx] += scale * cval
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def pk_eval(k: int, x) -> Fraction:
-    x = Fraction(x)
-    out = Fraction(0)
-    for c in reversed(pk_poly(k)):
-        out = out * x + c
     return out
 
 

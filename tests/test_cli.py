@@ -140,6 +140,14 @@ PINNED_RESULT_DIGESTS = {
         "c85fa8180ac874afca69db2770cc7d5b18042b7f9b257fe843de58813711b414",
     "kernel --family belyi --beta 1/21 --s 1/21 --check-finiteness":
         "c63e79f3a5e931db1c6f77a362557caa896823009d203aec709385c003973440",
+    "hurwitz --family exp --N 6 --dmax 4":
+        "d3edcde65ca33370d9328774dee013d2f9ff0f135f2c03bd8403ed699fc110c8",
+    "hurwitz --family quantum --q 1/2 --N 5 --dmax 3 --connected":
+        "cfcb97fbeefb69a1ac24b34d29c87b9712f337826ab29e351eea838b8f6395ff",
+    "tau --family belyi --wmax 6 --dmax 3 --probe 3":
+        "5b593e8f8cedd9eb164c42987d830c78ce3e5edfed387d5f21b2c5ee2fa59b5b",
+    "cutjoin --family finite --c 1,1/2 --wmax 5 --dmax 4":
+        "90ffcb93d9ff73bf6174259cc8d45e325b88bb829ab9ef37c0b4db88594a59a6",
 }
 
 
@@ -354,6 +362,17 @@ def test_route_verification_at_weight_zero_refused_before_compute(monkeypatch, c
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
     assert "--verify-routes needs --N >= 1, got 0" in err[0]
+
+
+def test_dmax_above_cap_refused_before_compute(monkeypatch, capsys):
+    # every beta-series holds d_max + 1 coefficients: 10^8 would never finish
+    monkeypatch.setattr(cli.hurwitz, "build_table", _refuse("build_table"))
+    assert cli.main(["hurwitz", "--family", "exp", "--N", "3", "--dmax", "100000000"]) == 2
+    assert capsys.readouterr().err == (
+        f"resource error: --dmax cap exceeded: 100000000 > {cli.DMAX_CAP}\n"
+    )
+    monkeypatch.undo()
+    assert cli.main(["hurwitz", "--N", "1", "--dmax", str(cli.DMAX_CAP)]) == 0
 
 
 def test_csv_keeps_connected_only_entries(capsys):

@@ -462,12 +462,13 @@ def test_reconstruct_dual_family():
 
 def test_baker_matches_basis_for_dual_family():
     from hurwitztau.exactalg import QRing
-    from hurwitztau.taufn import baker, build_tau
+    from hurwitztau.taufn import build_tau
     from hurwitztau.weights import signed
+    from test_taufn import reference_baker
 
     fam, beta, gamma, s = signed(), F(1, 19), F(3, 2), (F(2, 19),)
     tau = build_tau(fam, 5, 3)
-    minus, plus = baker(tau, -5, beta, gamma, s)
+    minus, plus = reference_baker(tau, -5, beta, gamma, s)
     b = build_basis(fam, beta, gamma, s=s, k_range=(1, 1), depth=-7)
     ring = QRing()
     for j in range(-5, 1):

