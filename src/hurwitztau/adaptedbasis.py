@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
 from .exactalg import LaurentWindow, scalar_ring
@@ -62,9 +62,6 @@ class BasisWindow:
         if self.ring.is_zero(value):
             raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
         return self.ring.inv(value)
-
-    def h(self, n: int, sign: int = 1) -> Fraction:
-        return h_of_sigma(n, self.sigma, sign)
 
     def built_sides(self) -> list:
         """(side, elements) for each side that was built: +1 is w, -1 is w*."""
@@ -120,7 +117,7 @@ def build_basis(
     for k in range(k_lo, k_hi + 1):
         for side, el in built:
             el[k] = LaurentWindow(depth, tuple(
-                ring.coerce(scratch.h(k - j - 1, side)) * rho_factor[side](j)
+                ring.coerce(h_of_sigma(k - j - 1, sig, side)) * rho_factor[side](j)
                 for j in range(depth, k)
             ))
     return BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, w, ws)
@@ -314,12 +311,15 @@ def q_band(b: BasisWindow) -> int:
     return b.sigma_support * len(b.family.c)
 
 
-def _q(b: BasisWindow, i: int, j: int, side: int):
+def recursion_entry(family: WeightFamily, ring, sigma: tuple, i: int, j: int, side: int):
     """Q+_{ij} = sum_{k=i-1}^{j} G(k beta) h_{k-i+1}(sigma) h_{j-k}(-sigma), and
-    Q-_{ij} likewise with beta -> -beta, sigma -> -sigma."""
-    acc = b.ring.zero()
+    Q-_{ij} (side -1) likewise with beta -> -beta, sigma -> -sigma.  The
+    Christoffel-Darboux matrix reads A_{ij} = -Q+_{1-i,j} off it (i, j >= 1)."""
+    acc = ring.zero()
     for k in range(i - 1, j + 1):
-        acc = acc + b.r_value(side * k) * (b.h(k - i + 1, side) * b.h(j - k, -side))
+        acc = acc + g_at(family, side * k, ring) * (
+            h_of_sigma(k - i + 1, sigma, side) * h_of_sigma(j - k, sigma, -side)
+        )
     return acc
 
 
@@ -337,6 +337,7 @@ def recursion_Q(b: BasisWindow) -> dict:
     """
     ring = b.ring
     band = q_band(b)
+    q = partial(recursion_entry, b.family, ring, b.sigma)
     c = _Checks(ring)
     # recursion: i such that w_{1-i} (i <= i_hi) and all needed w_{1-j}
     # (i-1 <= j <= i-1+band) are in range; band 0 needs only the first bound
@@ -344,17 +345,17 @@ def recursion_Q(b: BasisWindow) -> dict:
     for i in range(i_lo + 1, i_hi - max(band, 1) + 2):
         for side, el in b.built_sides():
             rhs = _lincomb(
-                ((_q(b, i, j, side) * b.gamma, el[1 - j]) for j in range(i - 1, i + band)), ring
+                ((q(i, j, side) * b.gamma, el[1 - j]) for j in range(i - 1, i + band)), ring
             )
             c.equal("Q" + _PLUS_MINUS[side], el[1 - i].shift(1), rhs, i=i)
     # band vanishing with margin
     for i in range(i_lo, i_hi + 1):
         for j in range(i + band, i + band + Q_BAND_MARGIN):
             for side in (1, -1):
-                c.expect(ring.is_zero(_q(b, i, j, side)), op=f"Q{_PLUS_MINUS[side]} band", i=i, j=j)
+                c.expect(ring.is_zero(q(i, j, side)), op=f"Q{_PLUS_MINUS[side]} band", i=i, j=j)
     matrices = {
         "Q" + _PLUS_MINUS[side]: {
-            (i, j): _q(b, i, j, side) for i in range(i_lo, i_hi + 1) for j in range(i - 1, i + band)
+            (i, j): q(i, j, side) for i in range(i_lo, i_hi + 1) for j in range(i - 1, i + band)
         }
         for side in (1, -1)
     }
@@ -371,12 +372,13 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
     and the bridge is Q+_{kj} = gamma^{-1} Qt-_{jk}, Q-_{kj} = gamma^{-1} Qt+_{jk}.
     """
     ring = b.ring
+    q = partial(recursion_entry, b.family, ring, b.sigma)
 
     def g_el(i, j):
-        return b.rho_value(i) * ring.coerce(b.h(i - j, 1)) if i >= j else ring.zero()
+        return b.rho_value(i) * h_of_sigma(i - j, b.sigma, 1) if i >= j else ring.zero()
 
     def g_inv_el(i, j):
-        return b.rho_inv(j) * ring.coerce(b.h(i - j, -1)) if i >= j else ring.zero()
+        return b.rho_inv(j) * h_of_sigma(i - j, b.sigma, -1) if i >= j else ring.zero()
 
     def qt_plus(k, j):
         acc = ring.zero()
@@ -395,8 +397,8 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
     lo = -(size // 2)
     for k in range(lo, lo + size):
         for j in range(lo, lo + size):
-            c.expect(_q(b, k, j, 1) == qt_minus(j, k) * gamma_inv, rel="Q+ vs Qt-", k=k, j=j)
-            c.expect(_q(b, k, j, -1) == qt_plus(j, k) * gamma_inv, rel="Q- vs Qt+", k=k, j=j)
+            c.expect(q(k, j, 1) == qt_minus(j, k) * gamma_inv, rel="Q+ vs Qt-", k=k, j=j)
+            c.expect(q(k, j, -1) == qt_plus(j, k) * gamma_inv, rel="Q- vs Qt+", k=k, j=j)
     return c.report()
 
 

@@ -45,6 +45,27 @@ FLAG_MINIMUMS = {
 # 2-core machine.
 DMAX_CAP = 64
 
+# The largest magnitude of each integer flag, per command, checked with the
+# minimums and refused with exit 2 before any compute.  Each cost is one run
+# at the cap (or as named) with every other flag at its default, on a 2-core
+# machine; a run's cost grows without bound in each of these flags.
+FLAG_CAPS = {
+    # N: ``hurwitz --N 10 --dmax 3`` takes 20 s; the character route sums over
+    # the p(N) partitions of N for each of the p(N)^2 pairs
+    "hurwitz": {"N": hurwitz.CHAR_TABLE_N_CAP, "dmax": DMAX_CAP},
+    # wmax: ``tau --wmax 12 --dmax 3`` takes 5.9 s; probe: ``--wmax 10 --probe 5``
+    # takes 14 s, while ``--wmax 12 --probe 6`` ran past 60 s
+    "tau": {"wmax": 12, "probe": 5, "dmax": DMAX_CAP},
+    # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 8.4 s (over 100 s at
+    # 100) and at ``--depth -100`` 8.3 s (46 s at -200)
+    "basis": {"k_lo": 40, "k_hi": 40, "depth": 100, "dmax": DMAX_CAP},
+    # each entry of zlo,zhi,wlo,whi: ``--window=-40,-1,-40,40`` takes 7.1 s at
+    # ``--beta 1/1001 --s 1/1001`` and 11.7 s with ``--family exp --beta series``
+    "kernel": {"window": 40, "dmax": DMAX_CAP},
+    # ``cutjoin --wmax 10`` takes 9.4 s, and the cost doubles with each weight
+    "cutjoin": {"wmax": 10, "dmax": DMAX_CAP},
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # config errors exit 1, not argparse's default 2
@@ -299,22 +320,26 @@ def cmd_basis(args) -> int:
     return EXIT_OK if _report_ok(result) else EXIT_VERIFY
 
 
+def _kernel_window(text: str) -> tuple:
+    """--window zlo,zhi,wlo,whi as four integers, refused if the window is empty."""
+    try:
+        window = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        window = ()
+    if len(window) != 4:
+        raise ConfigurationError(f"--window needs four integers zlo,zhi,wlo,whi, got {text!r}")
+    if window[0] > window[1] or window[2] > window[3]:
+        raise ConfigurationError(
+            f"--window {text!r} is empty: needs zlo <= zhi and wlo <= whi"
+        )
+    return window
+
+
 def cmd_kernel(args) -> int:
     family = make_family(args)
     beta = None if args.beta == "series" else _fraction(args.beta)
     gamma = _fraction(args.gamma)
-    try:
-        window = tuple(int(x) for x in args.window.split(","))
-    except ValueError:
-        window = ()
-    if len(window) != 4:
-        raise ConfigurationError(
-            f"--window needs four integers zlo,zhi,wlo,whi, got {args.window!r}"
-        )
-    if window[0] > window[1] or window[2] > window[3]:
-        raise ConfigurationError(
-            f"--window {args.window!r} is empty: needs zlo <= zhi and wlo <= whi"
-        )
+    window = _kernel_window(args.window)
     if args.check_finiteness and family.kind != "finite_c":
         raise ConfigurationError("--check-finiteness needs a polynomial family")
     depth = min(window[0], window[2]) - 2
@@ -512,9 +537,14 @@ def main(argv=None) -> int:
                 raise ConfigurationError(
                     f"{args.command} needs --{flag} >= {least}, got {value}"
                 )
-        dmax = getattr(args, "dmax", 0)  # ``curve`` has no beta-series
-        if dmax > DMAX_CAP:
-            raise ResourceError(f"--dmax cap exceeded: {dmax} > {DMAX_CAP}")
+        for flag, cap in FLAG_CAPS.get(args.command, {}).items():
+            values = _kernel_window(args.window) if flag == "window" else [getattr(args, flag)]
+            for value in values:
+                if abs(value) > cap:
+                    shown = value if value >= 0 else f"|{value}|"
+                    raise ResourceError(
+                        f"--{flag.replace('_', '-')} cap exceeded: {shown} > {cap}"
+                    )
         args.config_flags = [dest for dest in actions if dest not in OUTPUT_FLAGS]
         return args.func(args)
     except ConfigurationError as exc:

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adaptedbasis import BasisWindow
+from .adaptedbasis import BasisWindow, q_band, recursion_entry
 from .errors import ConfigurationError, OutOfWindowError
 from .exactalg import exp_weight, scalar_ring
 from .partitions import Partition, partitions_up_to
 from .symfun import h_of_sigma, schur_monomial_map
 from .taufn import miwa_expand, miwa_scale, schur_weight
-from .weights import FINITE_C, WeightFamily, g_at, g_coeff
+from .weights import FINITE_C, WeightFamily, g_coeff
 
 
 @dataclass(frozen=True)
@@ -147,30 +147,21 @@ def cd_matrix(
     bounds: int,
     d_max: int | None = None,
 ) -> dict:
-    """A_{ij} for 0 <= i, j <= bounds by the explicit formula
+    """A_{ij} for 0 <= i, j <= bounds, read off the recursion matrix Q+
     (gen_A is the independent route through the generating function).
 
     A_00 = 1, A_{0j} = A_{i0} = 0 and for i, j >= 1
-        A_{ij} = -sum_{k=-i}^{j} G(beta k) h_{j-k}(-sigma) h_{i+k}(sigma).
+        A_{ij} = -Q+_{1-i,j} = -sum_{k=-i}^{j} G(beta k) h_{j-k}(-sigma) h_{i+k}(sigma).
     """
     ring = scalar_ring(beta_val, d_max)
     sigma = tuple(Fraction(x) for x in sigma)
-    out = {}
-    for i in range(bounds + 1):
-        for j in range(bounds + 1):
-            if i == 0 and j == 0:
-                out[(i, j)] = ring.one()
-                continue
-            if i == 0 or j == 0:
-                out[(i, j)] = ring.zero()
-                continue
-            acc = ring.zero()
-            for k in range(-i, j + 1):
-                acc = acc + g_at(family, k, ring) * (
-                    h_of_sigma(j - k, sigma, -1) * h_of_sigma(i + k, sigma, 1)
-                )
-            out[(i, j)] = -acc
-    return out
+
+    def entry(i, j):
+        if i == 0 or j == 0:
+            return ring.one() if i == j else ring.zero()
+        return -recursion_entry(family, ring, sigma, 1 - i, j, 1)
+
+    return {(i, j): entry(i, j) for i in range(bounds + 1) for j in range(bounds + 1)}
 
 
 CD_RANK_MARGIN = 3  # columns beyond the rank LM checked to vanish
@@ -179,17 +170,13 @@ CD_RANK_MARGIN = 3  # columns beyond the rank LM checked to vanish
 def cd_kernel(b: BasisWindow, window: tuple) -> dict:
     """Assemble the finite-rank kernel numerator and verify the CD identity.
 
-    With L = sigma support and M = deg G, checks
+    The rank is Q+'s band LM (L = sigma support, M = deg G); checks
       * A_{ij} = 0 for all i + j > LM up to i + j <= LM + CD_RANK_MARGIN;
       * gamma * sum_{i,j<=LM} A_{ij} w_{1-i}(w) w*_{1-j}(z) == (z-w) K2(z,w)
         on the window, against the tau-route kernel.
     """
-    if b.family.kind != FINITE_C:
-        raise ConfigurationError("finite-rank kernel needs a polynomial G")
     ring = b.ring
-    L = b.sigma_support
-    M = len(b.family.c)
-    rank = L * M
+    rank = q_band(b)
     A = cd_matrix(b.family, ring.beta, b.sigma, rank + CD_RANK_MARGIN, d_max=ring.d_max)
     finiteness_failures = [
         (i, j)
@@ -343,19 +330,16 @@ def h_orthogonality(s, k_max: int, n_max: int) -> dict:
     return {"ok": ok, "L": L, "values": rows}
 
 
-def _dict4_mul(a: dict, b: dict) -> dict:
-    """Product of 4-variable Laurent polynomials, exponent tuple -> coefficient.
-
-    Coefficients are Fractions or BetaSeries; zero ones are dropped (a zero of
-    either type is falsy).
-    """
+def _times_difference(poly: dict, a: int, b: int) -> dict:
+    """poly * (x_a - x_b), for a Laurent polynomial keyed by exponent tuples:
+    each term is shifted up in slot a, and subtracted shifted up in slot b.
+    Zero coefficients are dropped (a zero Fraction or BetaSeries is falsy)."""
     out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            prev = out.get(key)
-            term = va * vb
-            out[key] = term if prev is None else prev + term
+    for key, value in poly.items():
+        for slot, term in ((a, value), (b, -value)):
+            shifted = key[:slot] + (key[slot] + 1,) + key[slot + 1:]
+            prev = out.get(shifted)
+            out[shifted] = term if prev is None else prev + term
     return {k: v for k, v in out.items() if v}
 
 
@@ -402,42 +386,19 @@ def multipair_two_point(
         family, beta_val, gamma_val, sigma, (-depth, 0, -depth, 0), d_max=d_max
     ), ring)
 
-    def lift(cells, slots):
-        # place a 2-variable dict into the 4-variable key layout
-        out = {}
-        for (ez, ew), v in cells.items():
-            key = [0, 0, 0, 0]
-            key[slots[0]], key[slots[1]] = ez, ew
-            out[tuple(key)] = v
-        return out
-
-    def poly(*pairs):
-        # (z_i - w_j) as a 4-variable dict; slots: z1 z2 w1 w2
-        out = {}
-        for slot, coeff in pairs:
-            key = [0, 0, 0, 0]
-            key[slot] = 1
-            out[tuple(key)] = Fraction(coeff)
-        return out
-
+    # T(z1,w1) T(z2,w2) and T(z1,w2) T(z2,w1): outer products, the variables
+    # of the two factors being disjoint; keys are (z1, z2, w1, w2)
     z1, z2, w1, w2 = 0, 1, 2, 3
-    lhs = _dict4_mul(tau_x, poly((z1, 1), (z2, -1)))
-    lhs = _dict4_mul(lhs, poly((w1, 1), (w2, -1)))
-    lhs = {k: -v for k, v in lhs.items()}
-
-    t11 = lift(t_cells, (z1, w1))
-    t22 = lift(t_cells, (z2, w2))
-    t12 = lift(t_cells, (z1, w2))
-    t21 = lift(t_cells, (z2, w1))
-    term1 = _dict4_mul(t11, t22)
-    term1 = _dict4_mul(term1, poly((z1, 1), (w2, -1)))
-    term1 = _dict4_mul(term1, poly((z2, 1), (w1, -1)))
-    term2 = _dict4_mul(t12, t21)
-    term2 = _dict4_mul(term2, poly((z1, 1), (w1, -1)))
-    term2 = _dict4_mul(term2, poly((z2, 1), (w2, -1)))
+    term1 = {(ez1, ez2, ew1, ew2): v1 * v2
+             for (ez1, ew1), v1 in t_cells.items() for (ez2, ew2), v2 in t_cells.items()}
+    term2 = {(ez1, ez2, ew1, ew2): v1 * v2
+             for (ez1, ew2), v1 in t_cells.items() for (ez2, ew1), v2 in t_cells.items()}
+    term1 = _times_difference(_times_difference(term1, z1, w2), z2, w1)
+    term2 = _times_difference(_times_difference(term2, z1, w1), z2, w2)
     rhs = dict(term1)
     for k, v in term2.items():
         rhs[k] = rhs.get(k, ring.zero()) - v
+    lhs = _times_difference(_times_difference(tau_x, z2, z1), w1, w2)  # -(z1-z2)(w1-w2)
 
     mismatches = []
     keys = set(lhs) | set(rhs)

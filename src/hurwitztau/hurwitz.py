@@ -39,6 +39,11 @@ class HurwitzTable:
     connected: dict | None = None
 
 
+def _check_char_table_cap(N: int) -> None:
+    if N > CHAR_TABLE_N_CAP:
+        raise ResourceError(f"character table cap exceeded: N={N} > {CHAR_TABLE_N_CAP}")
+
+
 def H_via_characters(
     family: WeightFamily, mu: Partition, nu: Partition, d_max: int
 ) -> BetaSeries:
@@ -48,8 +53,7 @@ def H_via_characters(
     N = mu.weight
     if N == 0:
         return BetaSeries.one(d_max)
-    if N > CHAR_TABLE_N_CAP:
-        raise ResourceError(f"character table cap exceeded: N={N} > {CHAR_TABLE_N_CAP}")
+    _check_char_table_cap(N)
     ring = BRing(d_max)
     acc = BetaSeries.zero(d_max)
     for lam in enumerate_partitions(N):
@@ -136,6 +140,7 @@ def build_table(
     family: WeightFamily, N: int, d_max: int, connected: bool = False
 ) -> HurwitzTable:
     """Production table via characters; connected entries from log tau on request."""
+    _check_char_table_cap(N)  # before the p(N) partitions are enumerated
     table = HurwitzTable(family, N, d_max)
     pairs = enumerate_partitions(N)
     for mu in pairs:

@@ -140,6 +140,8 @@ PINNED_RESULT_DIGESTS = {
         "c85fa8180ac874afca69db2770cc7d5b18042b7f9b257fe843de58813711b414",
     "kernel --family belyi --beta 1/21 --s 1/21 --check-finiteness":
         "c63e79f3a5e931db1c6f77a362557caa896823009d203aec709385c003973440",
+    "kernel --family belyi --beta series --sigma 1/2 --dmax 3 --check-finiteness":
+        "dd406fab8719e77627a7b44c30d4272712bdceca184815b8fdd0df6871c75f11",
     "hurwitz --family exp --N 6 --dmax 4":
         "d3edcde65ca33370d9328774dee013d2f9ff0f135f2c03bd8403ed699fc110c8",
     "hurwitz --family quantum --q 1/2 --N 5 --dmax 3 --connected":
@@ -373,6 +375,54 @@ def test_dmax_above_cap_refused_before_compute(monkeypatch, capsys):
     )
     monkeypatch.undo()
     assert cli.main(["hurwitz", "--N", "1", "--dmax", str(cli.DMAX_CAP)]) == 0
+
+
+# the compute entry points of each command, none of which may run on a refused flag
+ENTRY_POINTS = {
+    "hurwitz": [(cli.hurwitz, "build_table"), (cli.hurwitz, "H_via_characters")],
+    "tau": [(cli.taufn, "build_tau"), (cli.taufn, "hirota_residual")],
+    "basis": [(cli.adaptedbasis, "build_basis")],
+    "kernel": [(cli.adaptedbasis, "build_basis"), (cli.correlators, "K2_via_tau")],
+    "cutjoin": [(cli.cutjoin, name) for name in
+                ("schur_eigen_check", "reconstruct_tau", "pde_check")],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["hurwitz", "--N", "80"], "--N cap exceeded: 80 > 10"),
+        (["tau", "--wmax", "100000"], "--wmax cap exceeded: 100000 > 12"),
+        (["tau", "--wmax", "12", "--probe", "6"], "--probe cap exceeded: 6 > 5"),
+        (["tau", "--dmax", "65"], "--dmax cap exceeded: 65 > 64"),
+        (["basis", "--k-lo", "-41", "--depth", "-50"], "--k-lo cap exceeded: |-41| > 40"),
+        (["basis", "--k-hi", "41"], "--k-hi cap exceeded: 41 > 40"),
+        (["basis", "--depth", "-100000000"], "--depth cap exceeded: |-100000000| > 100"),
+        (["basis", "--dmax", "65"], "--dmax cap exceeded: 65 > 64"),
+        (["kernel", "--window=-100000000,0,-3,3"],
+         "--window cap exceeded: |-100000000| > 40"),
+        (["kernel", "--window=-5,-1,-4,41"], "--window cap exceeded: 41 > 40"),
+        (["kernel", "--dmax", "65"], "--dmax cap exceeded: 65 > 64"),
+        (["cutjoin", "--wmax", "100000"], "--wmax cap exceeded: 100000 > 10"),
+        (["cutjoin", "--dmax", "65"], "--dmax cap exceeded: 65 > 64"),
+    ],
+    ids=["hurwitz-N", "tau-wmax", "tau-probe", "tau-dmax", "basis-k-lo", "basis-k-hi",
+         "basis-depth", "basis-dmax", "kernel-window-lo", "kernel-window-hi", "kernel-dmax",
+         "cutjoin-wmax", "cutjoin-dmax"],
+)
+def test_flag_above_cap_refused_before_compute(argv, message, monkeypatch, capsys):
+    for module, name in ENTRY_POINTS[argv[0]]:
+        monkeypatch.setattr(module, name, _refuse(name))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"resource error: {message}\n"
+
+
+def test_every_integer_flag_has_a_cap():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        integers = {a.dest for a in p._actions if a.type is int}
+        assert integers <= set(cli.FLAG_CAPS.get(command, {})), command
 
 
 def test_csv_keeps_connected_only_entries(capsys):

@@ -14,9 +14,10 @@ from hurwitztau.correlators import (
     kernels_equal,
     multipair_two_point,
 )
-from hurwitztau.exactalg import BRing, QRing
+from hurwitztau.exactalg import BRing, QRing, scalar_ring
 from hurwitztau.partitions import Partition
-from hurwitztau.weights import WeightFamily, belyi, exponential, signed
+from hurwitztau.symfun import h_of_sigma
+from hurwitztau.weights import WeightFamily, belyi, exponential, g_at, quantum, signed
 
 F = Fraction
 
@@ -65,7 +66,44 @@ class TestPairKernel:
         assert kernels_equal(k_tau, k_bas, ring)
 
 
+def reference_cd_matrix(family, beta_val, sigma, bounds, d_max=None):
+    """A_{ij} by its own sum: A_00 = 1, A_{0j} = A_{i0} = 0 and for i, j >= 1
+    A_{ij} = -sum_{k=-i}^{j} G(beta k) h_{j-k}(-sigma) h_{i+k}(sigma)."""
+    ring = scalar_ring(beta_val, d_max)
+    out = {}
+    for i in range(bounds + 1):
+        for j in range(bounds + 1):
+            if i == 0 or j == 0:
+                out[(i, j)] = ring.one() if i == j else ring.zero()
+                continue
+            acc = ring.zero()
+            for k in range(-i, j + 1):
+                acc = acc + g_at(family, k, ring) * (
+                    h_of_sigma(j - k, sigma, -1) * h_of_sigma(i + k, sigma, 1)
+                )
+            out[(i, j)] = -acc
+    return out
+
+
 class TestCDMatrix:
+    @pytest.mark.parametrize(
+        "fam,beta,sig,d_max",
+        [
+            (belyi(), BETA, (F(2), F(1, 3)), None),
+            (C2, BETA, (F(2), F(1, 3)), None),
+            (signed(), F(1, 19), (F(2),), None),
+            (exponential(), None, (F(1, 2),), 4),
+            (belyi(), None, (F(1, 2), F(1, 3)), 3),
+            (quantum(F(1, 2)), None, (F(1, 2),), 3),
+        ],
+        ids=["belyi", "c2", "signed", "exp-series", "belyi-series", "quantum-series"],
+    )
+    def test_matches_reference_sum(self, fam, beta, sig, d_max):
+        # A_ij = -Q+_{1-i,j}: the recursion entries reproduce the explicit CD sum
+        assert cd_matrix(fam, beta, sig, 6, d_max=d_max) == reference_cd_matrix(
+            fam, beta, sig, 6, d_max=d_max
+        )
+
     def test_boundary_values(self):
         A = cd_matrix(belyi(), BETA, SIGMA1, 3)
         assert A[(0, 0)] == 1
@@ -205,3 +243,17 @@ class TestMultipair:
         rep = multipair_two_point(belyi(), BETA, GAMMA, SIGMA1, degree=5)
         assert not rep["ok"]
         assert rep["mismatches"][0] == (-2, -1, 0, 1)
+
+    def test_corrupted_pair_T_fails(self, monkeypatch):
+        # the hook cell T(z^-2, w^-1) off by one: tau(X) is unchanged, only T moves
+        pair_T = correlators.pair_T
+
+        def corrupted(k2, ring):
+            cells = pair_T(k2, ring)
+            cells[(-2, -1)] = cells.get((-2, -1), ring.zero()) + 1
+            return cells
+
+        monkeypatch.setattr(correlators, "pair_T", corrupted)
+        rep = multipair_two_point(belyi(), BETA, GAMMA, SIGMA1, degree=5)
+        assert not rep["ok"]
+        assert rep["mismatches"][0] == (-2, -1, -1, 1)

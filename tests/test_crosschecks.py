@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from hurwitztau.adaptedbasis import build_basis
-from hurwitztau.correlators import K2_via_basis, K2_via_tau, _dict4_mul, kernels_equal
+from hurwitztau.correlators import K2_via_basis, K2_via_tau, _times_difference, kernels_equal
 from hurwitztau.errors import OutOfWindowError
 from hurwitztau.exactalg import (
     BRing,
@@ -413,6 +413,22 @@ def test_hirota_residual_matches_reference(fam, w_max, probe):
     assert list(residual) == list(reference)
 
 
+def _dict4_mul(a: dict, b: dict) -> dict:
+    """Product of Laurent polynomials, exponent tuple -> coefficient.
+
+    Coefficients are Fractions or BetaSeries; zero ones are dropped (a zero of
+    either type is falsy).
+    """
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            prev = out.get(key)
+            term = va * vb
+            out[key] = term if prev is None else prev + term
+    return {k: v for k, v in out.items() if v}
+
+
 def reference_miwa_expand(exps, scales):
     """prod_b (sum_i scale_i(b) y_{i,b})^{e_b} by repeated multiplication, one
     factor t_b at a time, as tau(X) was once built from t_of(b) and _dict4_mul;
@@ -444,6 +460,45 @@ def test_miwa_expand_matches_repeated_multiplication():
         flat = {sum(pieces, ()): coeff for pieces, coeff in expansion}
         assert len(flat) == len(expansion)
         assert flat == reference_miwa_expand(exps, scales), (exps, len(scales))
+
+
+def _random_dict4(rng, coefficient):
+    cells = {}
+    for _ in range(rng.randint(1, 8)):
+        key = tuple(rng.randint(-3, 1) for _ in range(4))
+        cells[key] = coefficient(rng)
+    return cells
+
+
+def _random_fraction(rng):
+    return F(rng.randint(-3, 3), rng.randint(1, 4))
+
+
+def _random_series(rng):
+    return BetaSeries([_random_fraction(rng) for _ in range(3)])
+
+
+@pytest.mark.parametrize("coefficient", [_random_fraction, _random_series],
+                         ids=["fraction", "beta-series"])
+def test_two_pair_products_match_generic_product(coefficient):
+    # the two-pair identity multiplies by (x_a - x_b) with one shift and one
+    # subtraction, and forms T(z1,w1) T(z2,w2) as an outer product
+    rng = random.Random(11)
+    one = F(1) if coefficient is _random_fraction else BetaSeries.one(2)
+
+    def difference(a, b):
+        return {tuple(int(k == a) for k in range(4)): one,
+                tuple(int(k == b) for k in range(4)): -one}
+
+    for _ in range(30):
+        poly = _random_dict4(rng, coefficient)
+        a, b = rng.sample(range(4), 2)
+        assert _times_difference(poly, a, b) == _dict4_mul(poly, difference(a, b)), (a, b)
+        left = {(k[0], 0, k[2], 0): v for k, v in _random_dict4(rng, coefficient).items()}
+        right = {(0, k[1], 0, k[3]): v for k, v in _random_dict4(rng, coefficient).items()}
+        outer = {(lk[0], rk[1], lk[2], rk[3]): lv * rv
+                 for lk, lv in left.items() for rk, rv in right.items()}
+        assert {k: v for k, v in outer.items() if v} == _dict4_mul(left, right)
 
 
 def test_hirota_residual_signed_and_quantum():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitztau import hurwitz
+from hurwitztau.errors import ResourceError
 from hurwitztau.exactalg import BetaSeries
 from hurwitztau.hurwitz import (
     H_connected_via_oracle,
@@ -114,3 +116,13 @@ def test_connected_parity_vanishing():
             for (mu, nu, d), value in entries.items():
                 g, admissible = genus_of(mu, nu, d)
                 assert admissible, (mu, nu, d, value, g)
+
+
+def test_build_table_refuses_large_N_before_enumerating(monkeypatch):
+    # p(80) is about 1.6 * 10^7: the cap must be checked before any partition is listed
+    def refuse(N):
+        raise AssertionError(f"enumerate_partitions({N}) ran")
+
+    monkeypatch.setattr(hurwitz, "enumerate_partitions", refuse)
+    with pytest.raises(ResourceError, match="N=80 > 10"):
+        build_table(exponential(), 80, 1)
