@@ -289,12 +289,15 @@ def cmd_basis(args) -> int:
     family = make_family(args)
     beta = None if args.beta == "series" else _fraction(args.beta)
     sigma = _fraction_list(args.sigma) if args.sigma else None
+    gamma, s = _fraction(args.gamma), _fraction_list(args.s)
+    k_range = (args.k_lo, args.k_hi)
+    adaptedbasis.refuse_singular_a(family, beta, gamma, k_range, args.depth)
     b = adaptedbasis.build_basis(
         family,
         beta,
-        _fraction(args.gamma),
-        s=_fraction_list(args.s),
-        k_range=(args.k_lo, args.k_hi),
+        gamma,
+        s=s,
+        k_range=k_range,
         depth=args.depth,
         sigma=sigma,
         d_max=args.dmax,

@@ -353,12 +353,15 @@ def multipair_two_point(
 ) -> dict:
     """The n = 2 determinantal identity, cleared of denominators.
 
-    Verifies, on all cells of total inverse degree <= degree - 2,
+    Verifies, on all cells (z1, z2, w1, w2) of total inverse degree
+    <= degree - 2 whose exponents are each >= -degree,
         -tau(X) (z1-z2)(w1-w2)
           == T(z1,w1) T(z2,w2) (z1-w2)(z2-w1) - T(z1,w2) T(z2,w1) (z1-w1)(z2-w2)
     where X = [w1^{-1}] + [w2^{-1}] - [z1^{-1}] - [z2^{-1}] and
     T(z,w) = tau([w^{-1}] - [z^{-1}]).  This is the two-pair correlator
-    determinant identity with every 1/(z_i - w_j) multiplied through.
+    determinant identity with every 1/(z_i - w_j) multiplied through.  Only
+    the products T T of inverse degree <= degree are formed: no other can
+    reach a checked cell.
     """
     ring = scalar_ring(beta_val, d_max)
     gamma_val = Fraction(gamma_val)
@@ -387,12 +390,17 @@ def multipair_two_point(
     ), ring)
 
     # T(z1,w1) T(z2,w2) and T(z1,w2) T(z2,w1): outer products, the variables
-    # of the two factors being disjoint; keys are (z1, z2, w1, w2)
+    # of the two factors being disjoint; keys are (z1, z2, w1, w2).  Only keys
+    # of inverse degree <= D are formed: each (x_a - x_b) factor below lowers
+    # the inverse degree by one, so any other product lands above D - 2,
+    # outside every checked cell
     z1, z2, w1, w2 = 0, 1, 2, 3
     term1 = {(ez1, ez2, ew1, ew2): v1 * v2
-             for (ez1, ew1), v1 in t_cells.items() for (ez2, ew2), v2 in t_cells.items()}
+             for (ez1, ew1), v1 in t_cells.items() for (ez2, ew2), v2 in t_cells.items()
+             if -(ez1 + ez2 + ew1 + ew2) <= D}
     term2 = {(ez1, ez2, ew1, ew2): v1 * v2
-             for (ez1, ew2), v1 in t_cells.items() for (ez2, ew1), v2 in t_cells.items()}
+             for (ez1, ew2), v1 in t_cells.items() for (ez2, ew1), v2 in t_cells.items()
+             if -(ez1 + ez2 + ew1 + ew2) <= D}
     term1 = _times_difference(_times_difference(term1, z1, w2), z2, w1)
     term2 = _times_difference(_times_difference(term2, z1, w1), z2, w2)
     rhs = dict(term1)

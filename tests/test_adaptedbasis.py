@@ -13,6 +13,7 @@ from hurwitztau.adaptedbasis import (
     pairing_check,
     quantum_curve_residual,
     recursion_Q,
+    refuse_singular_a,
 )
 from hurwitztau.errors import SingularParameterError
 from hurwitztau.exactalg import BRing, LaurentWindow, QRing, series_inv
@@ -154,6 +155,45 @@ class TestBuild:
         # Belyi at beta = 1: G(-beta) = 0 makes rho_{-2} undefined
         with pytest.raises(SingularParameterError):
             build_basis(belyi(), F(1), F(1), s=(F(1),), k_range=(2, 2), depth=-4)
+
+
+def _outcome(run):
+    try:
+        run()
+    except SingularParameterError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "family,first,message",
+    [
+        (belyi(), -22, "a* undefined: gamma G(-21 beta) = 0"),
+        (WeightFamily("finite_c", c=(F(-1),)), -21, "a undefined: gamma G(21 beta) = 0"),
+        (WeightFamily("finite_c", c=(F(1), F(-1))), -21, "a undefined: gamma G(21 beta) = 0"),
+    ],
+    ids=["belyi", "c=-1", "c=1,-1"],
+)
+def test_singular_a_refused_as_kac_schwarz_raises(family, first, message):
+    # belyi vanishes at G(-21 beta), which a* meets; c = -1 at G(21 beta), which
+    # a meets first in the [c, a] step, at depth -21; c = 1,-1 at both, so the
+    # side order decides which is named from depth -22 on
+    beta, gamma, s, k_range = F(1, 21), F(1), (F(1, 21),), (-3, 5)
+    seen = {}
+    for depth in range(-19, -26, -1):
+        want = _outcome(lambda: kac_schwarz_check(
+            build_basis(family, beta, gamma, s=s, k_range=k_range, depth=depth)
+        ))
+        assert _outcome(lambda: refuse_singular_a(family, beta, gamma, k_range, depth)) == want
+        seen[depth] = want
+    assert seen[first + 1] is None and seen[first] == message
+
+
+def test_singular_rho_left_to_build_basis():
+    # at beta = 1, G(-beta) = 0 makes rho_{-2} singular: build_basis raises first
+    refuse_singular_a(belyi(), F(1), F(1), (-3, 5), -10)
+    with pytest.raises(SingularParameterError, match="rho_-2 undefined"):
+        build_basis(belyi(), F(1), F(1), s=(F(1),), k_range=(-3, 5), depth=-10)
 
 
 class TestRelations:

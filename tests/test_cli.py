@@ -417,6 +417,13 @@ def test_flag_above_cap_refused_before_compute(argv, message, monkeypatch, capsy
     assert capsys.readouterr().err == f"resource error: {message}\n"
 
 
+def test_singular_a_window_refused_before_build(monkeypatch, capsys):
+    # G(-21 beta) = 0 at the default beta 1/21: a* on w*_k divides by it
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    assert cli.main(["basis", "--family", "belyi", "--depth", "-100"]) == 1
+    assert capsys.readouterr().err == "error: a* undefined: gamma G(-21 beta) = 0\n"
+
+
 def test_every_integer_flag_has_a_cap():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,10 @@ from hurwitztau.correlators import (
     kernels_equal,
     multipair_two_point,
 )
-from hurwitztau.exactalg import BRing, QRing, scalar_ring
-from hurwitztau.partitions import Partition
-from hurwitztau.symfun import h_of_sigma
+from hurwitztau.exactalg import BRing, QRing, exp_weight, scalar_ring
+from hurwitztau.partitions import Partition, partitions_up_to
+from hurwitztau.symfun import h_of_sigma, schur_monomial_map
+from hurwitztau.taufn import miwa_expand, miwa_scale
 from hurwitztau.weights import WeightFamily, belyi, exponential, g_at, quantum, signed
 
 F = Fraction
@@ -216,6 +218,75 @@ class TestHOrthogonality:
         assert rep["values"][(1, 1)] != 0  # N = 1 <= kL = 2: no vanishing forced
 
 
+def reference_multipair_two_point(family, beta_val, gamma_val, sigma, degree=4, d_max=None):
+    """The two-pair identity with every product T.T formed, whatever its
+    degree.  pair_T and schur_weight are read through the module, so a
+    monkeypatched corruption reaches both this and the library route."""
+    ring = scalar_ring(beta_val, d_max)
+    gamma_val = F(gamma_val)
+    sigma = tuple(F(x) for x in sigma)
+    D = degree
+    by_monomial = {}
+    for lam in partitions_up_to(D):
+        weight = correlators.schur_weight(family, lam, gamma_val, sigma, ring)
+        for t_exp, coeff in schur_monomial_map(lam).items():
+            by_monomial[t_exp] = by_monomial.get(t_exp, ring.zero()) + weight * coeff
+    letters = (miwa_scale(-1), miwa_scale(-1), miwa_scale(1), miwa_scale(1))
+    tau_x = {}
+    for t_exp, value in by_monomial.items():
+        for pieces, coeff in miwa_expand(t_exp, letters):
+            key = tuple(-exp_weight(piece) for piece in pieces)
+            tau_x[key] = tau_x.get(key, ring.zero()) + value * coeff
+    depth = D + 3
+    t_cells = correlators.pair_T(K2_via_tau(
+        family, beta_val, gamma_val, sigma, (-depth, 0, -depth, 0), d_max=d_max
+    ), ring)
+    times = correlators._times_difference
+    z1, z2, w1, w2 = 0, 1, 2, 3
+    term1 = {(ez1, ez2, ew1, ew2): v1 * v2
+             for (ez1, ew1), v1 in t_cells.items() for (ez2, ew2), v2 in t_cells.items()}
+    term2 = {(ez1, ez2, ew1, ew2): v1 * v2
+             for (ez1, ew2), v1 in t_cells.items() for (ez2, ew1), v2 in t_cells.items()}
+    term1 = times(times(term1, z1, w2), z2, w1)
+    term2 = times(times(term2, z1, w1), z2, w2)
+    rhs = dict(term1)
+    for k, v in term2.items():
+        rhs[k] = rhs.get(k, ring.zero()) - v
+    lhs = times(times(tau_x, z2, z1), w1, w2)
+
+    def checked(key):
+        return -sum(key) <= D - 2 and all(e >= -D for e in key)
+
+    mismatches = [key for key in set(lhs) | set(rhs) if checked(key)
+                  and lhs.get(key, ring.zero()) != rhs.get(key, ring.zero())]
+    antisym = all(lhs.get((k[1], k[0], k[2], k[3]), ring.zero()) == -v
+                  for k, v in lhs.items() if checked(k))
+    return {"ok": not mismatches, "mismatches": sorted(mismatches)[:5], "antisymmetric": antisym}
+
+
+def _corrupt_pair_T(monkeypatch):
+    # the hook cell T(z^-2, w^-1) off by one: tau(X) is unchanged, only T moves
+    pair_T = correlators.pair_T
+
+    def corrupted(k2, ring):
+        cells = pair_T(k2, ring)
+        cells[(-2, -1)] = cells.get((-2, -1), ring.zero()) + ring.one()
+        return cells
+
+    monkeypatch.setattr(correlators, "pair_T", corrupted)
+
+
+def _corrupt_non_hook_weight(monkeypatch):
+    # pi_(2,2) off by one: (2,2) is not a hook, so T is unchanged and only tau(X) moves
+    weight = correlators.schur_weight
+
+    def corrupted(family, lam, gamma_val, sigma, ring):
+        value = weight(family, lam, gamma_val, sigma, ring)
+        return value + ring.one() if lam == Partition((2, 2)) else value
+
+    monkeypatch.setattr(correlators, "schur_weight", corrupted)
+
+
 class TestMultipair:
     def test_free_case_is_cauchy_identity(self):
         fam = WeightFamily("finite_c", c=())
@@ -232,28 +303,48 @@ class TestMultipair:
         assert rep["antisymmetric"]
 
     def test_corrupted_tau_of_x_fails(self, monkeypatch):
-        # (2,2) is not a hook, so T is unchanged and only tau(X) moves
-        weight = correlators.schur_weight
-
-        def corrupted(family, lam, gamma_val, sigma, ring):
-            value = weight(family, lam, gamma_val, sigma, ring)
-            return value + 1 if lam == Partition((2, 2)) else value
-
-        monkeypatch.setattr(correlators, "schur_weight", corrupted)
+        _corrupt_non_hook_weight(monkeypatch)
         rep = multipair_two_point(belyi(), BETA, GAMMA, SIGMA1, degree=5)
         assert not rep["ok"]
         assert rep["mismatches"][0] == (-2, -1, 0, 1)
 
     def test_corrupted_pair_T_fails(self, monkeypatch):
-        # the hook cell T(z^-2, w^-1) off by one: tau(X) is unchanged, only T moves
-        pair_T = correlators.pair_T
-
-        def corrupted(k2, ring):
-            cells = pair_T(k2, ring)
-            cells[(-2, -1)] = cells.get((-2, -1), ring.zero()) + 1
-            return cells
-
-        monkeypatch.setattr(correlators, "pair_T", corrupted)
+        _corrupt_pair_T(monkeypatch)
         rep = multipair_two_point(belyi(), BETA, GAMMA, SIGMA1, degree=5)
         assert not rep["ok"]
         assert rep["mismatches"][0] == (-2, -1, -1, 1)
+
+    # forming only the products of inverse degree <= D changes no result
+    @pytest.mark.parametrize("corruption", [None, _corrupt_pair_T, _corrupt_non_hook_weight],
+                             ids=["intact", "pair_T", "non-hook-weight"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "fam,beta,gamma,sig,d_max",
+        [
+            (belyi(), BETA, GAMMA, SIGMA1, None),
+            (C2, BETA, GAMMA, SIGMA1, None),
+            (signed(), F(1, 19), GAMMA, SIGMA1, None),
+            (exponential(), None, F(1), (F(1, 2),), 3),
+            (quantum(F(1, 2)), None, F(1), (F(1, 2),), 2),
+        ],
+        ids=["belyi", "c2", "signed", "exp-series", "quantum-series"],
+    )
+    def test_matches_unbounded_products(self, monkeypatch, fam, beta, gamma, sig, d_max,
+                                        degree, corruption):
+        if corruption is not None:
+            corruption(monkeypatch)
+        args = (fam, beta, gamma, sig)
+        assert multipair_two_point(*args, degree=degree, d_max=d_max) == (
+            reference_multipair_two_point(*args, degree=degree, d_max=d_max)
+        )
+
+    def test_traced_peak_under_one_megabyte(self):
+        args = (belyi(), BETA, GAMMA, SIGMA1)
+        multipair_two_point(*args, degree=5)  # warm the character and Schur caches
+        tracemalloc.start()
+        try:
+            multipair_two_point(*args, degree=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak

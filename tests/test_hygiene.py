@@ -1,7 +1,8 @@
 """Source hygiene, read off the syntax trees with the standard library:
 no module imports a name it never uses, no function or method exists
 that nothing calls or mentions by name, none but a listed few exists only
-for the tests, and no optional parameter exists that no call passes."""
+for the tests, no optional parameter exists that no call passes, and no
+module-level cache is unbounded but a listed few."""
 
 import ast
 import math
@@ -279,4 +280,94 @@ Box(1, label="a").grow()
     calls.visit(tree)
     assert _never_passed(list(_optional_parameters("synthetic.py", tree)), calls) == [
         "synthetic.py: scale(sign=)", "synthetic.py: scale(exact=)", "synthetic.py: Box.grow(by=)"
+    ]
+
+
+def _unbounded_cache(expr):
+    """``cache``, ``lru_cache(maxsize=None)`` or ``lru_cache(None)``, bare or
+    through ``functools.``, as a decorator or as a call that wraps a function."""
+    if isinstance(expr, ast.Call):
+        name = getattr(expr.func, "id", None) or getattr(expr.func, "attr", None)
+        if name == "lru_cache":
+            sizes = [kw.value for kw in expr.keywords if kw.arg == "maxsize"] + expr.args[:1]
+            return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+        return name == "cache" or _unbounded_cache(expr.func)
+    return (getattr(expr, "id", None) or getattr(expr, "attr", None)) == "cache"
+
+
+def _unbounded_caches(module, tree):
+    """module: name of each module-level function, method or assignment that
+    holds an unbounded cache.  Caches made inside a function live as long as
+    its call, so they are not scanned."""
+    nodes = list(tree.body)
+    nodes += [item for cls in tree.body if isinstance(cls, ast.ClassDef) for item in cls.body]
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_unbounded_cache(d) for d in node.decorator_list):
+                yield f"{module}: {node.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if _unbounded_cache(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from (f"{module}: {ast.unparse(t)}" for t in targets)
+
+
+# The module-level caches without a bound, which ROADMAP item 8 bounds or scopes
+# once the N caps are lifted.  The list is exact: a new unbounded cache fails.
+UNBOUNDED_CACHES = {
+    "grouporacle.py: conjugacy_classes",
+    "grouporacle.py: build_class_algebra",
+    "partitions.py: enumerate_partitions",
+    "symfun.py: _character",
+    "weights.py: _quantum_g",
+}
+
+
+def test_no_new_unbounded_cache():
+    found = {c for path in _modules() for c in _unbounded_caches(path.name, _tree(path))}
+    assert found == UNBOUNDED_CACHES
+
+
+def test_unbounded_module_cache_is_flagged():
+    source = """
+import functools
+from functools import cache, lru_cache
+
+
+@lru_cache(maxsize=None)
+def table(n):
+    return n
+
+
+@functools.cache
+def memo(n):
+    return n
+
+
+@lru_cache(maxsize=64)
+def bounded(n):
+    return n
+
+
+@lru_cache
+def default_size(n):
+    return n
+
+
+class Box:
+    @functools.lru_cache(None)
+    def size(self):
+        return 1
+
+
+wrapped = cache(bounded)
+lookup = lru_cache(maxsize=None)(bounded)
+
+
+def scoped(values):
+    local = cache(values.get)
+    return local(1)
+"""
+    assert list(_unbounded_caches("synthetic.py", ast.parse(source))) == [
+        "synthetic.py: table", "synthetic.py: memo", "synthetic.py: wrapped",
+        "synthetic.py: lookup", "synthetic.py: size",
     ]
