@@ -510,7 +510,7 @@ def classical_curve(family: WeightFamily, s, gamma_val) -> ClassicalCurve:
         return ClassicalCurve(
             family.label,
             None,
-            "x*y = sum_i i*s_i*gamma^i*x^i*(prod_{j>=1}(1 - q^j*x*y))^i",
+            "x*y = sum_i i*s_i*gamma^i*x^i*(prod_{j>=1}(1 + q^j*x*y))^i",
         )
     if family.kind != FINITE_C:
         raise ConfigurationError("classical curve needs a polynomial G")

@@ -62,7 +62,7 @@ FLAG_CAPS = {
     # each entry of zlo,zhi,wlo,whi: ``--window=-40,-1,-40,40`` takes 7.1 s at
     # ``--beta 1/1001 --s 1/1001`` and 11.7 s with ``--family exp --beta series``
     "kernel": {"window": 40, "dmax": DMAX_CAP},
-    # ``cutjoin --wmax 10`` takes 9.4 s, and the cost doubles with each weight
+    # ``cutjoin --wmax 10`` takes 7-9 s, and the cost doubles with each weight
     "cutjoin": {"wmax": 10, "dmax": DMAX_CAP},
 }
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 
 from .errors import ConfigurationError, UnsupportedDegreeError
 from .exactalg import (
@@ -14,8 +15,9 @@ from .exactalg import (
     exps_mul,
     monomial_from_partition,
     series_exp,
+    series_inv,
 )
-from .partitions import Partition, partitions_up_to
+from .partitions import Partition, enumerate_partitions, partitions_up_to
 from .symfun import cauchy_kernel, schur_sector_sum, schur_to_power
 from .taufn import build_tau
 from .weights import DUAL_FINITE_C, FINITE_C, WeightFamily, g_coeff, log_A_coeffs
@@ -71,39 +73,38 @@ def _mono(*parts) -> tuple:
 
 
 def build_Qk(k: int, w_max: int) -> DiffOp:
-    """Explicit bosonic Q_0, Q_1, Q_2, restricted to weight <= w_max."""
+    """Q_k on weight <= w_max, read off the bosonized vertex operator
+    (Okounkov-Pandharipande, math/0204305, section 2)
+
+        sum_k z^k/k! Q_k = vs(z)^-2 ([x^0] exp(sum_n vs(nz)/n a_{-n} x^n)
+                                         exp(sum_n vs(nz)/n a_n x^{-n}) - 1)
+
+    with vs(z) = e^{z/2} - e^{-z/2}, a_{-n} = n t_n, a_n = d/dt_n.  Partitions
+    nu, mu of one weight give the term t^nu d^mu with coefficient
+    k!/(|Aut nu| |Aut mu|) [z^{k+2-l(nu)-l(mu)}] prod_{n in nu} vs(nz)/z
+    prod_{m in mu} vs(mz)/(m z) (z/vs(z))^2, where every factor is even in z.
+    """
+    # vs(nz)/z = sum_j n^{2j+1} z^{2j} / (4^j (2j+1)!), as a z-series through z^k
+    vs = [BetaSeries([Fraction(n ** (d + 1) * (1 - d % 2), 2**d * factorial(d + 1))
+                      for d in range(k + 1)]) for n in range(w_max + 1)]
+    z_over_vs_sq = series_inv(vs[1] * vs[1])
     terms = []
-    if k == 0:
-        for a in range(1, w_max + 1):
-            terms.append((_mono(a), _mono(a), Fraction(a)))
-    elif k == 1:
-        for a in range(1, w_max + 1):
-            for b in range(1, w_max - a + 1):
-                terms.append((_mono(a, b), _mono(a + b), Fraction(a * b, 2)))
-                terms.append((_mono(a + b), exps_mul(_mono(a), _mono(b)), Fraction(a + b, 2)))
-    elif k == 2:
-        for a in range(1, w_max + 1):
-            for b in range(1, w_max - a + 1):
-                for c in range(1, w_max - a - b + 1):
-                    n = a + b + c
-                    terms.append((_mono(a, b, c), _mono(n), Fraction(a * b * c, 3)))
-                    terms.append(
-                        (_mono(n), exps_mul(exps_mul(_mono(a), _mono(b)), _mono(c)), Fraction(n, 3))
-                    )
-        for a in range(1, w_max + 1):
-            for b in range(1, w_max - a + 1):
-                for c in range(1, a + b):
-                    terms.append(
-                        (
-                            _mono(c, a + b - c),
-                            exps_mul(_mono(a), _mono(b)),
-                            Fraction(c * (a + b - c), 2),
-                        )
-                    )
-        for a in range(1, w_max + 1):
-            terms.append((_mono(a), _mono(a), Fraction(a * (a * a - 1), 6)))
-    else:
-        raise UnsupportedDegreeError("explicit Q_k available only for k <= 2")
+    for w in range(1, w_max + 1):
+        parts = enumerate_partitions(w)
+        # the multiplier side also carries (z/vs(z))^2
+        left = [prod((vs[n] for n in nu.parts), start=z_over_vs_sq) / nu.aut_order()
+                for nu in parts]
+        right = [prod((vs[m] / m for m in mu.parts), start=BetaSeries.one(k)) / mu.aut_order()
+                 for mu in parts]
+        for nu, a in zip(parts, left):
+            for mu, b in zip(parts, right):
+                order = k + 2 - nu.length - mu.length
+                if order < 0 or order % 2:
+                    continue
+                c = sum(a[i] * b[order - i] for i in range(order + 1))
+                if c:
+                    terms.append((monomial_from_partition(nu.parts),
+                                  monomial_from_partition(mu.parts), c * factorial(k)))
     return DiffOp(tuple(terms), 0)
 
 
@@ -135,7 +136,7 @@ def diagonal_Qk(k: int, lam: Partition) -> Fraction:
 
 
 def schur_eigen_check(weight_max: int = 6, commutator_weight: int = 8) -> dict:
-    """Explicit Q_0, Q_1, Q_2 have every s_lambda as eigenvector with the
+    """The generated Q_0, Q_1, Q_2 have every s_lambda as eigenvector with the
     content-power eigenvalue; [Q_1, Q_2] = 0 on the low-weight component."""
     failures = []
     checks = 0
@@ -249,10 +250,10 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
     """The three parametric identities, verified per (t, s)-monomial.
 
     * gamma d/dgamma tau = Q_0 tau: the grade times each coefficient equals the
-      explicit Q_0 action.
-    * d/dA_k tau = sign_k beta^k Q_k tau (k = 1, 2): the A_k-derivative is
-      computed symbolically through the per-sector exponential of the
-      reconstruction; the right side applies the explicit operator to the
+      generated Q_0 action.
+    * d/dA_k tau = sign_k beta^k Q_k tau (k = 1..d_max): the A_k-derivative
+      is computed symbolically through the per-sector exponential of the
+      reconstruction; the right side applies the generated operator to the
       content-product tau.
     * beta d/dbeta tau = sum_k k A_k d/dA_k tau, as exact beta-series.
 
@@ -264,8 +265,7 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
     body = tau.body
     failures = []
 
-    q0 = build_Qk(0, w_max)
-    got = q0.apply(body)
+    got = build_Qk(0, w_max).apply(body)
     want = GradedPoly(
         {key: coeff * key[2] for key, coeff in body.terms.items()}, w_max, d_max
     )
@@ -275,10 +275,8 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
     factors = {lam: diagonal_exponent(family, lam, d_max) for lam in partitions_up_to(w_max)}
 
     # dA_k tau = sign_k beta^k Q_k tau; both sides carry sign_k beta^k, so the
-    # content to verify is (diagonal q_k-weighted sectors) == (explicit Q_k tau)
-    for k in (1, 2):
-        if k > d_max:
-            continue
+    # content to verify is (diagonal q_k-weighted sectors) == (generated Q_k tau)
+    for k in range(1, d_max + 1):
         lhs = schur_sector_sum(w_max, d_max, lambda lam: factors[lam] * diagonal_Qk(k, lam))
         if lhs != build_Qk(k, w_max).apply(body):
             failures.append(f"A_{k}-derivative")

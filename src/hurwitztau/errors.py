@@ -36,4 +36,4 @@ class ResourceError(HurwitzTauError):
 
 
 class UnsupportedDegreeError(ConfigurationError):
-    """Explicit operator forms are only available up to a small degree."""
+    """The V_k of the single-Hurwitz representation are written out only for M <= 2."""

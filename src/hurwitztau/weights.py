@@ -76,7 +76,7 @@ def quantum(q) -> WeightFamily:
     return WeightFamily(QUANTUM, q=Fraction(q), label=f"quantum(q={Fraction(q)})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # one entry per (q, i): the verify sweep holds 3, a --dmax 64 run 64
 def _quantum_g(q: Fraction, i: int) -> Fraction:
     # e_i(q, q^2, ...) = q^{i(i+1)/2} / prod_{j=1..i} (1 - q^j)
     num = q ** (i * (i + 1) // 2)

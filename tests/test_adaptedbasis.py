@@ -298,7 +298,12 @@ class TestClassicalCurve:
         assert curve.poly == {(1, 1): F(1)}
 
     def test_transcendental_families_symbolic(self):
-        assert classical_curve(exponential(), (1,), 1).symbolic is not None
+        # x y = S(gamma x G(x y)) with G = e^z and G = prod_{j>=1} (1 + q^j z)
+        curve = classical_curve(exponential(), (1,), 1)
+        assert curve.poly is None
+        assert curve.symbolic == "x*y = sum_i i*s_i*gamma^i*x^i*exp(i*x*y)"
         from hurwitztau.weights import quantum
 
-        assert classical_curve(quantum(F(1, 2)), (1,), 1).symbolic is not None
+        curve = classical_curve(quantum(F(1, 2)), (1,), 1)
+        assert curve.poly is None
+        assert curve.symbolic == "x*y = sum_i i*s_i*gamma^i*x^i*(prod_{j>=1}(1 + q^j*x*y))^i"

@@ -150,6 +150,8 @@ PINNED_RESULT_DIGESTS = {
         "5b593e8f8cedd9eb164c42987d830c78ce3e5edfed387d5f21b2c5ee2fa59b5b",
     "cutjoin --family finite --c 1,1/2 --wmax 5 --dmax 4":
         "90ffcb93d9ff73bf6174259cc8d45e325b88bb829ab9ef37c0b4db88594a59a6",
+    "cutjoin --family exp --wmax 4 --dmax 3 --resolve-index":
+        "9704ee607479f99c0604daeed4fbabddb76a31661206f8d2b35e26012774613e",
 }
 
 

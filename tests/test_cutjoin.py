@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,11 @@ from hurwitztau.cutjoin import (
     schur_eigen_check,
 )
 from hurwitztau.errors import UnsupportedDegreeError
-from hurwitztau.exactalg import BetaSeries, GradedPoly
-from hurwitztau.partitions import Partition
+from hurwitztau.exactalg import BetaSeries, GradedPoly, monomial_from_partition
+from hurwitztau.partitions import Partition, partitions_up_to
 from hurwitztau.symfun import schur_to_power
 from hurwitztau.taufn import TauSeries, build_tau
-from hurwitztau.weights import WeightFamily, belyi, exponential, quantum
+from hurwitztau.weights import WeightFamily, belyi, exponential, quantum, signed
 
 F = Fraction
 C2 = WeightFamily("finite_c", c=(1, F(1, 2)), label="finite_c(1,1/2)")
@@ -26,6 +27,42 @@ C2 = WeightFamily("finite_c", c=(1, F(1, 2)), label="finite_c(1,1/2)")
 
 def mono(exps, w_max):
     return GradedPoly({(tuple(exps), (), 0): BetaSeries.one(0)}, w_max, 0)
+
+
+def _mono(*parts):
+    return monomial_from_partition(parts)
+
+
+def reference_build_Qk(k, w_max):
+    """The hand-derived Q_0, Q_1, Q_2 terms, one per ordered choice of parts,
+    so a (multiplier, derivative) pair may repeat and a coefficient may be 0."""
+    terms = []
+    if k == 0:
+        for a in range(1, w_max + 1):
+            terms.append((_mono(a), _mono(a), F(a)))
+    elif k == 1:
+        for a in range(1, w_max + 1):
+            for b in range(1, w_max - a + 1):
+                terms.append((_mono(a, b), _mono(a + b), F(a * b, 2)))
+                terms.append((_mono(a + b), _mono(a, b), F(a + b, 2)))
+    elif k == 2:
+        for a in range(1, w_max + 1):
+            for b in range(1, w_max - a + 1):
+                for c in range(1, w_max - a - b + 1):
+                    n = a + b + c
+                    terms.append((_mono(a, b, c), _mono(n), F(a * b * c, 3)))
+                    terms.append((_mono(n), _mono(a, b, c), F(n, 3)))
+                for c in range(1, a + b):
+                    terms.append((_mono(c, a + b - c), _mono(a, b), F(c * (a + b - c), 2)))
+            terms.append((_mono(a), _mono(a), F(a * (a * a - 1), 6)))
+    return terms
+
+
+def summed_terms(terms):
+    out = defaultdict(F)
+    for mult, deriv, c in terms:
+        out[mult, deriv] += c
+    return {key: c for key, c in out.items() if c}
 
 
 class TestExplicitOperators:
@@ -48,9 +85,31 @@ class TestExplicitOperators:
         s1 = schur_to_power(Partition((1,)), 0, 3)
         assert not q2.apply(s1).terms  # content 0
 
-    def test_unsupported_degree(self):
-        with pytest.raises(UnsupportedDegreeError):
-            build_Qk(3, 4)
+
+class TestGenerator:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_hand_derived_terms(self, k):
+        for w_max in range(1, 10):
+            generated = build_Qk(k, w_max).terms
+            assert summed_terms(reference_build_Qk(k, w_max)) == summed_terms(generated)
+            # one term per (nu, mu), none with coefficient 0
+            assert len(generated) == len(summed_terms(generated))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_schur_eigenvalues_beyond_q2(self, k):
+        op = build_Qk(k, 6)
+        for lam in partitions_up_to(6):
+            s_lam = schur_to_power(lam, 0, 6)
+            assert op.apply(s_lam) == s_lam.scale(diagonal_Qk(k, lam)), lam.parts
+
+    def test_operators_commute(self):
+        ops = [build_Qk(k, 6) for k in range(5)]
+        for lam in partitions_up_to(6):
+            m = mono(monomial_from_partition(lam.parts), 6)
+            for j in range(5):
+                for k in range(j + 1, 5):
+                    left = ops[j].apply(ops[k].apply(m))
+                    assert left == ops[k].apply(ops[j].apply(m)), (j, k, lam.parts)
 
 
 class TestDiagonal:
@@ -91,13 +150,19 @@ class TestReconstruction:
 
 
 class TestPDE:
-    @pytest.mark.parametrize("fam", [belyi(), C2, exponential()], ids=lambda f: f.label)
+    @pytest.mark.parametrize(
+        "fam", [belyi(), C2, exponential(), signed(), quantum(F(1, 2))], ids=lambda f: f.label
+    )
     def test_all_three_identities(self, fam):
         assert pde_check(fam, 4, 3)["ok"]
 
+    def test_every_k_through_dmax(self):
+        # d/dA_k tau = sign_k beta^k Q_k tau for k = 1..6
+        assert pde_check(C2, 6, 6)["ok"]
+
 
 def test_corrupted_tau_fails_pde_and_reconstruction(monkeypatch):
-    # add beta to the t_1^2 s_1^2 coefficient: Q_1 and Q_2 both act on t_1^2,
+    # add beta to the t_1^2 s_1^2 coefficient: Q_1, Q_2 and Q_3 act on t_1^2,
     # and a beta term changes beta d/dbeta
     def corrupted_build_tau(family, w_max, d_max):
         tau = build_tau(family, w_max, d_max)
@@ -109,7 +174,9 @@ def test_corrupted_tau_fails_pde_and_reconstruction(monkeypatch):
     monkeypatch.setattr(cutjoin, "build_tau", corrupted_build_tau)
     report = pde_check(belyi(), 4, 3)
     assert not report["ok"]
-    assert report["failures"] == ["A_1-derivative", "A_2-derivative", "beta-Euler identity"]
+    assert report["failures"] == [
+        "A_1-derivative", "A_2-derivative", "A_3-derivative", "beta-Euler identity"
+    ]
     assert reconstruct_tau(belyi(), 4, 3)["diagonal_ok"] is False
 
 

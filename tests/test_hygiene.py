@@ -318,7 +318,6 @@ UNBOUNDED_CACHES = {
     "grouporacle.py: build_class_algebra",
     "partitions.py: enumerate_partitions",
     "symfun.py: _character",
-    "weights.py: _quantum_g",
 }
 
 
