@@ -397,17 +397,21 @@ def cmd_curve(args) -> int:
 
 def cmd_cutjoin(args) -> int:
     family = make_family(args)
+    single_rep = family.kind == "finite_c"
+    # the single-Hurwitz check runs at beta-order M * w, like a --dmax of that size
+    rep_w = min(args.wmax, 3)
+    if single_rep and len(family.c) * rep_w > DMAX_CAP:
+        raise ResourceError(
+            f"--c cap exceeded: {len(family.c)} entries need single-Hurwitz beta-order "
+            f"{len(family.c) * rep_w} > {DMAX_CAP}"
+        )
     result = {
         "eigen": cutjoin.schur_eigen_check(min(args.wmax + 2, 6), 8),
-        "reconstruction": {
-            k: v
-            for k, v in cutjoin.reconstruct_tau(family, args.wmax, args.dmax).items()
-            if k != "rebuilt"
-        },
+        "reconstruction": cutjoin.reconstruct_tau(family, args.wmax, args.dmax),
         "pde": cutjoin.pde_check(family, args.wmax, args.dmax),
     }
-    if family.kind == "finite_c" and len(family.c) <= 2:
-        result["single_hurwitz_rep"] = cutjoin.build_Vk_and_single_rep(family, min(args.wmax, 3))
+    if single_rep:
+        result["single_hurwitz_rep"] = cutjoin.build_Vk_and_single_rep(family, rep_w)
     if args.resolve_index:
         result["exponential_index"] = cutjoin.resolve_exponential_index(3, 3)
     emit(args, result)

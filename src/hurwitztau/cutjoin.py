@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .errors import ConfigurationError, UnsupportedDegreeError
+from .errors import ConfigurationError
 from .exactalg import (
     BetaSeries,
     GradedPoly,
@@ -68,10 +68,6 @@ class DiffOp:
         return GradedPoly(out, poly.w_max, d_max)
 
 
-def _mono(*parts) -> tuple:
-    return monomial_from_partition(parts)
-
-
 def build_Qk(k: int, w_max: int) -> DiffOp:
     """Q_k on weight <= w_max, read off the bosonized vertex operator
     (Okounkov-Pandharipande, math/0204305, section 2)
@@ -108,23 +104,15 @@ def build_Qk(k: int, w_max: int) -> DiffOp:
     return DiffOp(tuple(terms), 0)
 
 
-def build_V1(w_max: int) -> DiffOp:
-    """V_1 = sum_k k t_k d/dt_{k-1} (the t_0-derivative is dropped: charge is fixed)."""
+def build_Vk(k: int, w_max: int) -> DiffOp:
+    """V_k = [Q_k, t_1] for k >= 1, which adds one box weighted by content^k, so
+    that G t_1 G^-1 = sum_k g_k beta^k V_k (math/0204305, section 2): each term
+    c t^nu d^mu of Q_k with mu_1 >= 1 becomes mu_1 c t^nu d^(mu - e_1)."""
     terms = []
-    for k in range(2, w_max + 1):
-        terms.append((_mono(k), _mono(k - 1), Fraction(k)))
-    return DiffOp(tuple(terms), 1)
-
-
-def build_V2(w_max: int) -> DiffOp:
-    """V_2 = sum_{k,l} (k t_k l t_l d_{k+l-1} + (k+l+1) t_{k+l+1} d_k d_l)."""
-    terms = []
-    for k in range(1, w_max + 1):
-        for l in range(1, w_max - k + 2):
-            if k + l - 1 >= 1 and k + l <= w_max + 1:
-                terms.append((_mono(k, l), _mono(k + l - 1), Fraction(k * l)))
-            if k + l + 1 <= w_max:
-                terms.append((_mono(k + l + 1), exps_mul(_mono(k), _mono(l)), Fraction(k + l + 1)))
+    for mult, deriv, c in build_Qk(k, w_max).terms:
+        if deriv and deriv[0]:
+            lowered = (deriv[0] - 1,) + deriv[1:]
+            terms.append((mult, lowered if any(lowered) else (), deriv[0] * c))
     return DiffOp(tuple(terms), 1)
 
 
@@ -208,10 +196,9 @@ def reconstruct_tau(family: WeightFamily, w_max: int, d_max: int) -> dict:
     additionally checked through beta^2.
     """
     tau = build_tau(family, w_max, d_max)
-    rebuilt = schur_sector_sum(
+    diagonal_ok = tau.body == schur_sector_sum(
         w_max, d_max, lambda lam: diagonal_exponent(family, lam, d_max)
     )
-    diagonal_ok = rebuilt == tau.body
 
     # explicit operator route through beta^2: exp(A_1 beta Q_1 + sign A_2 beta^2 Q_2)
     signed = _family_signs(family, min(2, d_max))
@@ -231,7 +218,6 @@ def reconstruct_tau(family: WeightFamily, w_max: int, d_max: int) -> dict:
         "ok": diagonal_ok and operator_ok,
         "diagonal_ok": diagonal_ok,
         "operator_ok_through_beta2": operator_ok,
-        "rebuilt": rebuilt,
     }
 
 
@@ -257,9 +243,10 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
       content-product tau.
     * beta d/dbeta tau = sum_k k A_k d/dA_k tau, as exact beta-series.
 
-    The left sides are Schur-sector sums weighted by the reconstruction's
+    The A_k left sides are Schur-sector sums weighted by the reconstruction's
     per-sector exponential, so they test the content-product tau against the
-    log-expansion data.
+    log-expansion data; the beta-Euler left side is their sum with weights
+    k sign_k A_k beta^k.
     """
     tau = build_tau(family, w_max, d_max)
     body = tau.body
@@ -276,18 +263,19 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
 
     # dA_k tau = sign_k beta^k Q_k tau; both sides carry sign_k beta^k, so the
     # content to verify is (diagonal q_k-weighted sectors) == (generated Q_k tau)
+    signed = _family_signs(family, d_max)
+    beta = BetaSeries.variable(d_max)
+    euler_lhs = GradedPoly.zero(w_max, d_max)
     for k in range(1, d_max + 1):
         lhs = schur_sector_sum(w_max, d_max, lambda lam: factors[lam] * diagonal_Qk(k, lam))
         if lhs != build_Qk(k, w_max).apply(body):
             failures.append(f"A_{k}-derivative")
+        # beta d/dbeta of a sector's log weight is sum_k k sign_k A_k beta^k q_k
+        euler_lhs = euler_lhs + lhs.scale(beta.shift(k - 1) * (k * signed[k - 1]))
 
-    # Euler identity in beta: sum_k k A_k dA_k acts on sector lambda as
-    # beta d/dbeta of its log weight
-    def euler_weight(lam):
-        return factors[lam] * _beta_euler(_diagonal_log(family, lam, d_max))
-
+    # Euler identity in beta: beta d/dbeta tau = sum_k k A_k dA_k tau
     euler_body = GradedPoly({key: _beta_euler(c) for key, c in body.terms.items()}, w_max, d_max)
-    if euler_body != schur_sector_sum(w_max, d_max, euler_weight):
+    if euler_body != euler_lhs:
         failures.append("beta-Euler identity")
     return {"ok": not failures, "failures": failures}
 
@@ -298,23 +286,16 @@ def build_Vk_and_single_rep(family: WeightFamily, w_max: int) -> dict:
     if family.kind != FINITE_C:
         raise ConfigurationError("single-Hurwitz V_k representation needs polynomial G")
     M = len(family.c)
-    if M > 2:
-        raise UnsupportedDegreeError("explicit V_k available only for M <= 2")
     d_max = max(M * w_max, 1)
     beta = BetaSeries.variable(d_max)
-    ops = [build_V1(w_max)]
-    if M == 2:
-        ops.append(build_V2(w_max))
+    t1 = GradedPoly({((1,), (), 1): BetaSeries.one(d_max)}, w_max, d_max)
+    ops = [(build_Vk(k, w_max), beta.shift(k - 1) * g_coeff(family, k))
+           for k in range(1, M + 1) if g_coeff(family, k)]
 
     def x_apply(p: GradedPoly) -> GradedPoly:
-        t1 = GradedPoly(
-            {((1,), (), 1): BetaSeries.one(d_max)}, w_max, d_max
-        )
         out = t1 * p
-        for k, op in enumerate(ops, start=1):
-            gk = g_coeff(family, k)
-            if gk:
-                out = out + op.apply(p).scale(beta.shift(k - 1) * gk)
+        for op, factor in ops:
+            out = out + op.apply(p).scale(factor)
         return out
 
     sectors = exp_terms(x_apply, GradedPoly.one(w_max, d_max), w_max)

@@ -2,8 +2,9 @@
 
 Errors are deliberately fine-grained so callers (and the CLI) can map them to
 exit codes: configuration problems are caller mistakes, resource errors are
-budget overruns, out-of-window errors mean a truncated object was asked for a
-coefficient it does not reliably hold (distinct from a true zero).
+budget overruns or work refused before it starts because it cannot finish,
+out-of-window errors mean a truncated object was asked for a coefficient it
+does not reliably hold (distinct from a true zero).
 """
 
 
@@ -32,8 +33,5 @@ class SingularParameterError(HurwitzTauError):
 
 
 class ResourceError(HurwitzTauError):
-    """An enumeration exceeded its configured budget (oracle routes, character-table cap)."""
-
-
-class UnsupportedDegreeError(ConfigurationError):
-    """The V_k of the single-Hurwitz representation are written out only for M <= 2."""
+    """An enumeration exceeded its configured budget (oracle routes, character-table
+    cap), or a run was refused because it could not finish (the CLI caps)."""

@@ -72,6 +72,12 @@ def test_cutjoin_resolve_index():
     assert payload["result"]["exponential_index"]["matching_index"] == [1]
 
 
+def test_cutjoin_single_hurwitz_rep_for_cubic_g(capsys):
+    assert cli.main(["cutjoin", "--family", "finite", "--c", "1,1/2,1/3"]) == 0
+    rep = json.loads(capsys.readouterr().out)["result"]["single_hurwitz_rep"]
+    assert rep == {"M": 3, "failing_sectors": [], "ok": True}
+
+
 def test_config_error_exit_code():
     proc = run_cli("hurwitz", "--family", "quantum", "--N", "2")  # missing --q
     assert proc.returncode == 1
@@ -386,7 +392,8 @@ ENTRY_POINTS = {
     "basis": [(cli.adaptedbasis, "build_basis")],
     "kernel": [(cli.adaptedbasis, "build_basis"), (cli.correlators, "K2_via_tau")],
     "cutjoin": [(cli.cutjoin, name) for name in
-                ("schur_eigen_check", "reconstruct_tau", "pde_check")],
+                ("schur_eigen_check", "reconstruct_tau", "pde_check",
+                 "build_Vk_and_single_rep")],
 }
 
 
@@ -407,16 +414,29 @@ ENTRY_POINTS = {
         (["kernel", "--dmax", "65"], "--dmax cap exceeded: 65 > 64"),
         (["cutjoin", "--wmax", "100000"], "--wmax cap exceeded: 100000 > 10"),
         (["cutjoin", "--dmax", "65"], "--dmax cap exceeded: 65 > 64"),
+        # the single-Hurwitz check runs at beta-order M * min(wmax, 3)
+        (["cutjoin", "--family", "finite", "--c", ",".join(["1"] * 22)],
+         "--c cap exceeded: 22 entries need single-Hurwitz beta-order 66 > 64"),
+        (["cutjoin", "--family", "finite", "--wmax", "2", "--c", ",".join(["1"] * 33)],
+         "--c cap exceeded: 33 entries need single-Hurwitz beta-order 66 > 64"),
     ],
     ids=["hurwitz-N", "tau-wmax", "tau-probe", "tau-dmax", "basis-k-lo", "basis-k-hi",
          "basis-depth", "basis-dmax", "kernel-window-lo", "kernel-window-hi", "kernel-dmax",
-         "cutjoin-wmax", "cutjoin-dmax"],
+         "cutjoin-wmax", "cutjoin-dmax", "cutjoin-c", "cutjoin-c-wmax-2"],
 )
 def test_flag_above_cap_refused_before_compute(argv, message, monkeypatch, capsys):
     for module, name in ENTRY_POINTS[argv[0]]:
         monkeypatch.setattr(module, name, _refuse(name))
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"resource error: {message}\n"
+
+
+def test_cutjoin_c_list_at_cap_runs(capsys):
+    # 32 entries at weight 2 need beta-order 64, the cap itself
+    argv = ["cutjoin", "--family", "finite", "--wmax", "2", "--dmax", "1",
+            "--c", ",".join(["1"] * 32)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["single_hurwitz_rep"]["M"] == 32
 
 
 def test_singular_a_window_refused_before_build(monkeypatch, capsys):

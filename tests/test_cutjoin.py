@@ -5,8 +5,9 @@ import pytest
 
 from hurwitztau import cutjoin
 from hurwitztau.cutjoin import (
+    DiffOp,
     build_Qk,
-    build_V1,
+    build_Vk,
     build_Vk_and_single_rep,
     diagonal_Qk,
     pde_check,
@@ -14,8 +15,13 @@ from hurwitztau.cutjoin import (
     resolve_exponential_index,
     schur_eigen_check,
 )
-from hurwitztau.errors import UnsupportedDegreeError
-from hurwitztau.exactalg import BetaSeries, GradedPoly, monomial_from_partition
+from hurwitztau.exactalg import (
+    BetaSeries,
+    GradedPoly,
+    exp_weight,
+    exps_mul,
+    monomial_from_partition,
+)
 from hurwitztau.partitions import Partition, partitions_up_to
 from hurwitztau.symfun import schur_to_power
 from hurwitztau.taufn import TauSeries, build_tau
@@ -58,6 +64,24 @@ def reference_build_Qk(k, w_max):
     return terms
 
 
+def reference_build_V1(w_max):
+    """The hand-derived V_1 = sum_k k t_k d/dt_{k-1} (no t_0: the charge is fixed)."""
+    return [(_mono(k), _mono(k - 1), F(k)) for k in range(2, w_max + 1)]
+
+
+def reference_build_V2(w_max):
+    """The hand-derived V_2 = sum_{k,l} (k t_k l t_l d_{k+l-1} + (k+l+1) t_{k+l+1} d_k d_l),
+    including terms of multiplier weight w_max + 1, which DiffOp.apply drops."""
+    terms = []
+    for k in range(1, w_max + 1):
+        for l in range(1, w_max - k + 2):
+            if k + l - 1 >= 1 and k + l <= w_max + 1:
+                terms.append((_mono(k, l), _mono(k + l - 1), F(k * l)))
+            if k + l + 1 <= w_max:
+                terms.append((_mono(k + l + 1), exps_mul(_mono(k), _mono(l)), F(k + l + 1)))
+    return terms
+
+
 def summed_terms(terms):
     out = defaultdict(F)
     for mult, deriv, c in terms:
@@ -94,6 +118,16 @@ class TestGenerator:
             assert summed_terms(reference_build_Qk(k, w_max)) == summed_terms(generated)
             # one term per (nu, mu), none with coefficient 0
             assert len(generated) == len(summed_terms(generated))
+
+    @pytest.mark.parametrize("k,reference", [(1, reference_build_V1), (2, reference_build_V2)])
+    def test_vk_matches_hand_derived_terms(self, k, reference):
+        for w_max in range(1, 10):
+            want = {key: c for key, c in summed_terms(reference(w_max)).items()
+                    if exp_weight(key[0]) <= w_max}
+            generated = build_Vk(k, w_max)
+            assert generated.grading_shift == 1
+            assert summed_terms(generated.terms) == want, w_max
+            assert len(generated.terms) == len(want)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_schur_eigenvalues_beyond_q2(self, k):
@@ -203,16 +237,30 @@ class TestSingleHurwitzRep:
         rep = build_Vk_and_single_rep(belyi(), 3)
         assert not rep["ok"] and rep["failing_sectors"] == [3]
 
+    @pytest.mark.parametrize(
+        "c", [(1, F(1, 2), F(-2, 3)), (1, 1, 1), (1, F(1, 2), F(1, 3), F(-1, 4))],
+        ids=["m3", "m3-ones", "m4"],
+    )
+    def test_every_m(self, c):
+        rep = build_Vk_and_single_rep(WeightFamily("finite_c", c=c), 3)
+        assert rep["ok"] and rep["M"] == len(c)
+
+    def test_dropping_top_vk_fails(self, monkeypatch):
+        # without V_3 the beta^3 g_3 V_3 terms are missing from sectors 2 and 3
+        fam = WeightFamily("finite_c", c=(1, F(1, 2), F(-2, 3)))
+
+        def without_v3(k, w_max):
+            return DiffOp((), 1) if k == 3 else build_Vk(k, w_max)
+
+        monkeypatch.setattr(cutjoin, "build_Vk", without_v3)
+        rep = build_Vk_and_single_rep(fam, 3)
+        assert not rep["ok"] and rep["failing_sectors"] == [2, 3]
+
     def test_v1_action(self):
-        v1 = build_V1(4)
+        v1 = build_Vk(1, 4)
         assert v1.apply(mono((1,), 4)) == GradedPoly(
             {((0, 1), (), 1): BetaSeries.constant(2, 0)}, 4, 0
         )
-
-    def test_m3_unsupported(self):
-        fam = WeightFamily("finite_c", c=(1, 1, 1))
-        with pytest.raises(UnsupportedDegreeError):
-            build_Vk_and_single_rep(fam, 2)
 
 
 def test_exponential_index_resolution():
