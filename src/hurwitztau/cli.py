@@ -221,28 +221,27 @@ def cmd_hurwitz(args) -> int:
     if args.verify_routes and args.N < 1:  # at N 0 the routes share no entry to compare
         raise ConfigurationError(f"hurwitz --verify-routes needs --N >= 1, got {args.N}")
     family = make_family(args)
-    table = hurwitz.build_table(family, args.N, args.dmax, connected=args.connected)
+    table = hurwitz.build_table(family, args.N, args.dmax)
+    connected = (
+        hurwitz.connected_table_entries(family, args.N, args.dmax) if args.connected else {}
+    )
+
+    def by_key(kv):
+        return kv[0][0].parts, kv[0][1].parts, kv[0][2]
+
     rows = []
-    for (mu, nu, d), value in sorted(
-        table.entries.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts, kv[0][2])
-    ):
+    for (mu, nu, d), value in sorted(table.items(), key=by_key):
         row = {"mu": list(mu.parts), "nu": list(nu.parts), "d": d, "value": str(value)}
-        if table.connected is not None:
-            conn = table.connected.get((mu, nu, d))
-            if conn is not None:
-                row["connected"] = str(conn)
+        if (mu, nu, d) in connected:
+            row["connected"] = str(connected[(mu, nu, d)])
         rows.append(row)
     result = {"route": "characters", "entries": rows}
-    if args.connected and table.connected is not None:
-        extra = []
-        for (mu, nu, d), value in sorted(
-            table.connected.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts, kv[0][2])
-        ):
-            if (mu, nu, d) not in table.entries:
-                extra.append(
-                    {"mu": list(mu.parts), "nu": list(nu.parts), "d": d, "connected": str(value)}
-                )
-        result["connected_only_entries"] = extra
+    if args.connected:
+        result["connected_only_entries"] = [
+            {"mu": list(mu.parts), "nu": list(nu.parts), "d": d, "connected": str(value)}
+            for (mu, nu, d), value in sorted(connected.items(), key=by_key)
+            if (mu, nu, d) not in table
+        ]
     ok = True
     if args.verify_routes:
         report = hurwitz.verify_routes(family, n_max=min(args.N, 4), d_max=min(args.dmax, 3))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, perm, prod
 
 from .errors import ConfigurationError
 from .exactalg import (
@@ -35,37 +35,27 @@ class DiffOp:
     grading_shift: int
 
     def apply(self, poly: GradedPoly) -> GradedPoly:
+        by_deriv: dict = {}  # each derivative monomial is tried once per term
+        for mult, deriv, c in self.terms:
+            by_deriv.setdefault(deriv, []).append((mult, c))
         out: dict = {}
-        d_max = poly.d_max
         for (t, s, g), coeff in poly.terms.items():
-            for mult, deriv, c in self.terms:
+            for deriv, group in by_deriv.items():
                 if len(deriv) > len(t):
                     continue
-                factor = 1
-                ok = True
-                new_t = list(t)
-                for idx, d in enumerate(deriv):
-                    if d == 0:
+                # d^mu t^nu = prod_i perm(nu_i, mu_i) t^(nu - mu), zero unless mu <= nu
+                factor = prod(map(perm, t, deriv))
+                if not factor:
+                    continue
+                rest = tuple(e - d for e, d in zip(t, deriv)) + t[len(deriv):]
+                for mult, c in group:
+                    t_out = exps_mul(rest, mult)
+                    if exp_weight(t_out) > poly.w_max:
                         continue
-                    e = t[idx]
-                    if e < d:
-                        ok = False
-                        break
-                    for step in range(d):
-                        factor *= e - step
-                    new_t[idx] = e - d
-                if not ok or factor == 0:
-                    continue
-                t_out = exps_mul(tuple(new_t), mult)
-                if exp_weight(t_out) > poly.w_max:
-                    continue
-                key = (t_out, s, g + self.grading_shift)
-                contrib = coeff * (c * factor)
-                if key in out:
-                    out[key] = out[key] + contrib
-                else:
-                    out[key] = contrib
-        return GradedPoly(out, poly.w_max, d_max)
+                    key = (t_out, s, g + self.grading_shift)
+                    contrib = coeff * (c * factor)
+                    out[key] = out[key] + contrib if key in out else contrib
+        return GradedPoly(out, poly.w_max, poly.d_max)
 
 
 def build_Qk(k: int, w_max: int) -> DiffOp:
@@ -128,8 +118,9 @@ def schur_eigen_check(weight_max: int = 6, commutator_weight: int = 8) -> dict:
     content-power eigenvalue; [Q_1, Q_2] = 0 on the low-weight component."""
     failures = []
     checks = 0
+    lams = partitions_up_to(weight_max)  # refuses a negative weight before any Q_k
     ops = {k: build_Qk(k, weight_max) for k in (0, 1, 2)}
-    for lam in partitions_up_to(weight_max):
+    for lam in lams:
         s_lam = schur_to_power(lam, 0, weight_max)
         for k, op in ops.items():
             got = op.apply(s_lam)

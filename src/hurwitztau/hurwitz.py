@@ -9,7 +9,6 @@ from log tau with a transitivity oracle as a further check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ResourceError
@@ -28,15 +27,6 @@ from .weights import WeightFamily, content_product, path_weight, profile_weight
 CHAR_TABLE_N_CAP = 10
 PROFILE_N_CAP = 5
 PROFILE_D_CAP = 3
-
-
-@dataclass
-class HurwitzTable:
-    family: WeightFamily
-    N: int
-    d_max: int
-    entries: dict = field(default_factory=dict)  # (mu, nu, d) -> Fraction
-    connected: dict | None = None
 
 
 def _check_char_table_cap(N: int) -> None:
@@ -136,21 +126,17 @@ def H_connected_via_oracle(
     return _profile_sum(family, mu, nu, d, transitive_factorization_count)
 
 
-def build_table(
-    family: WeightFamily, N: int, d_max: int, connected: bool = False
-) -> HurwitzTable:
-    """Production table via characters; connected entries from log tau on request."""
+def build_table(family: WeightFamily, N: int, d_max: int) -> dict:
+    """(mu, nu, d) -> nonzero H^d(mu, nu) for |mu| = |nu| = N, via characters."""
     _check_char_table_cap(N)  # before the p(N) partitions are enumerated
-    table = HurwitzTable(family, N, d_max)
+    table = {}
     pairs = enumerate_partitions(N)
     for mu in pairs:
         for nu in pairs:
             series = H_via_characters(family, mu, nu, d_max)
             for d in range(d_max + 1):
                 if series[d] != 0:
-                    table.entries[(mu, nu, d)] = series[d]
-    if connected:
-        table.connected = connected_table_entries(family, N, d_max)
+                    table[(mu, nu, d)] = series[d]
     return table
 
 
@@ -204,10 +190,14 @@ def verify_routes(family: WeightFamily, n_max: int = 4, d_max: int = 3) -> dict:
 
 
 def verify_connected(family: WeightFamily, n_max: int = 3, d_max: int = 3) -> dict:
-    """log-tau connected numbers vs the transitivity oracle, plus genus parity."""
+    """log-tau connected numbers vs the transitivity oracle, plus genus parity.
+
+    One log tau at n_max serves every N: its weight-N coefficients read only
+    the terms of tau of weight <= N.
+    """
+    entries = connected_table_entries(family, max(n_max, 0), d_max)
     checked = 0
     for N in range(1, n_max + 1):
-        entries = connected_table_entries(family, N, d_max)
         parts = enumerate_partitions(N)
         for mu in parts:
             for nu in parts:

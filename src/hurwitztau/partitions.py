@@ -124,6 +124,8 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 
 def partitions_up_to(n: int) -> list[Partition]:
+    if n < 0:
+        raise DomainError("cannot partition a negative integer")
     out: list[Partition] = []
     for m in range(n + 1):
         out.extend(enumerate_partitions(m))

@@ -172,50 +172,28 @@ def hirota_residual(tau: TauSeries, probe_degree: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _derivative_factor(t_exps) -> int:
-    out = 1
-    for e in t_exps:
-        out *= factorial(e)
-    return out
+def multicurrent_W(body: GradedPoly, n: int, x_degree: int) -> dict:
+    """W_n as a map (x-exponent vector, s_exps, grade) -> BetaSeries, read off
+    ``body``: tau's for W_n, log tau's for the connected W_n.
 
-
-def multicurrent_W(
-    tau: TauSeries,
-    n: int,
-    x_degree: int,
-    connected: bool = False,
-    log_body: GradedPoly | None = None,
-) -> dict:
-    """W_n as a map (x-exponent vector, s_exps, grade) -> BetaSeries.
-
-    In the beta-rescaled normalization the true coefficient additionally
-    carries beta^{-ell}, where ell is the part count of the s-monomial; that
-    offset is implied by the key and shared with build_F_n.
+    Each term whose t-monomial has n parts, none above x_degree + 1, gives
+    one key per arrangement of its parts.  In the beta-rescaled normalization
+    the true coefficient additionally carries beta^{-ell}, where ell is the
+    part count of the s-monomial; that offset is implied by the key and shared
+    with build_F_n.
     """
     if n < 1 or n > 4:
         raise ConfigurationError("multicurrent_W supports 1 <= n <= 4")
-    if x_degree + n > tau.w_max:
+    if x_degree + n > body.w_max:
         raise OutOfWindowError("x_degree + n exceeds w_max")
-    if connected:
-        body = log_body if log_body is not None else log_tau(tau)
-    else:
-        body = tau.body
     out: dict = {}
-    for a_vec in itertools.product(range(1, x_degree + 2), repeat=n):
-        if sum(a_vec) > tau.w_max:
+    for (t, s, g), c in body.terms.items():
+        parts = [a for a, e in enumerate(t, start=1) for _ in range(e)]
+        if len(parts) != n or parts[-1] > x_degree + 1:
             continue
-        t_exp = monomial_from_partition(a_vec)
-        mult = _derivative_factor(t_exp)
-        x_key = tuple(a - 1 for a in a_vec)
-        for (t, s, g), c in body.terms.items():
-            if t != t_exp:
-                continue
-            key = (x_key, s, g)
-            contrib = c * mult
-            if key in out:
-                out[key] = out[key] + contrib
-            else:
-                out[key] = contrib
+        c = c * prod(map(factorial, t))
+        for arrangement in set(itertools.permutations(parts)):
+            out[(tuple(a - 1 for a in arrangement), s, g)] = c
     return out
 
 
@@ -226,9 +204,8 @@ def build_F_n(
     d_max: int,
     x_degree: int,
     connected: bool = False,
-    genus: int | None = None,
 ) -> dict:
-    """F_n (or connected/genus slices) keyed like multicurrent_W's x-keys but
+    """F_n (or its connected part) keyed like multicurrent_W's x-keys but
     with the undifferentiated x-exponents: (x-exponents, s_exps, grade).
 
     Only the rows mu with n parts, none above x_degree + 1, are computed; they
@@ -258,13 +235,7 @@ def build_F_n(
                            for d in range(d_max + 1)]
                 else:
                     row = H_via_characters(family, mu, nu, d_max)
-                series = [Fraction(0)] * (d_max + 1)
-                for d in range(d_max + 1):
-                    val = row[d]
-                    if genus is not None and d != riemann_hurwitz_d(n, nu.length, genus):
-                        val = Fraction(0)
-                    series[d] = val * norm
-                coeff = BetaSeries(series)
+                coeff = BetaSeries([row[d] * norm for d in range(d_max + 1)])
                 if not coeff:
                     continue
                 s_exp = monomial_from_partition(nu.parts)
@@ -304,19 +275,17 @@ def check_W_equals_dF(
     connected: bool = False,
     genus: int | None = None,
 ) -> dict:
-    """Verify W_n == d^n F_n / dx_1..dx_n on the shared window.
+    """Verify W_n == d^n F_n / dx_1..dx_n on the shared window, both sides
+    read off log tau if connected and cut to one genus if genus is given.
 
     Returns {"equal": bool, "mismatches": [...]} listing offending monomials.
     """
     tau = build_tau(family, w_max, d_max)
-    log_body = log_tau(tau) if connected else None
-    w_terms = multicurrent_W(tau, n, x_degree, connected=connected, log_body=log_body)
+    w_terms = multicurrent_W(log_tau(tau) if connected else tau.body, n, x_degree)
+    df = differentiate_F(build_F_n(family, n, w_max, d_max, x_degree, connected), n, d_max)
     if genus is not None:
         w_terms = _genus_slice(w_terms, n, genus, d_max)
-    f_terms = build_F_n(
-        family, n, w_max, d_max, x_degree, connected=connected, genus=genus
-    )
-    df = differentiate_F(f_terms, n, d_max)
+        df = _genus_slice(df, n, genus, d_max)
     mismatches = []
     zero = BetaSeries.zero(d_max)
     for key in sorted(set(w_terms) | set(df)):

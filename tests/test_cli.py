@@ -168,6 +168,26 @@ def test_pinned_result_digest(command, capsys):
     assert digest == PINNED_RESULT_DIGESTS[command]
 
 
+# canonical digest of the verify sweep's report for each of its parameter
+# sets, keyed by the set's q and recorded from an earlier commit
+PINNED_SWEEP_DIGESTS = {
+    "1/2": "f0ea8b1b0fc03e0334553d6c1274c7a0a62ebc597fb971e7fd86ea39abdb365f",
+    "1/3": "f09af50f713bc0b1d196bb4116eb0b8a9594b40e510db859a1a0099522861a39",
+    "2/3": "517976d865afed67f33b780e81319a2adf98a594c7c0f5c056399ef1fa3df1fd",
+    "1/4": "c27ee64c201a6a2d9dd1f2a281ccb2c654f1c191337d9d1ca81d752366bc7d11",
+}
+
+
+@pytest.mark.parametrize(
+    "params", _load_bench_workloads().SWEEP_PARAMS, ids=lambda p: f"q={p['q']}"
+)
+def test_pinned_sweep_digest(params):
+    workloads = _load_bench_workloads()
+    report = workloads.run_sweep(params)
+    assert workloads.all_ok(report)
+    assert workloads.canonical_digest(report) == PINNED_SWEEP_DIGESTS[params["q"]]
+
+
 def test_series_kernel_compares_gen_A_in_series(monkeypatch, capsys):
     # a series-mode A_11 off by beta^dmax must fail the gen_A comparison
     cd_matrix = correlators.cd_matrix

@@ -269,11 +269,11 @@ def test_three_point_cumulant_identity():
     d_max = 2
     tau = build_tau(belyi(), 5, d_max)
     log_body = log_tau(tau)
-    w1 = multicurrent_W(tau, 1, 1)
-    w2 = multicurrent_W(tau, 2, 1)
-    w3 = multicurrent_W(tau, 3, 1)
-    w3_conn = multicurrent_W(tau, 3, 1, connected=True, log_body=log_body)
-    w2_conn = multicurrent_W(tau, 2, 1, connected=True, log_body=log_body)
+    w1 = multicurrent_W(tau.body, 1, 1)
+    w2 = multicurrent_W(tau.body, 2, 1)
+    w3 = multicurrent_W(tau.body, 3, 1)
+    w3_conn = multicurrent_W(log_body, 3, 1)
+    w2_conn = multicurrent_W(log_body, 2, 1)
 
     def combine(parts_maps, arrangement):
         # parts_maps: list of (x-slot tuple, terms dict); produce 3-slot keyed dict

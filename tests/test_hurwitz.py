@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitztau import hurwitz
-from hurwitztau.errors import ResourceError
+from hurwitztau.errors import DomainError, ResourceError
 from hurwitztau.exactalg import BetaSeries
 from hurwitztau.hurwitz import (
     H_connected_via_oracle,
@@ -85,7 +85,7 @@ def test_symmetry_in_mu_nu():
 def test_exact_rationality_everywhere():
     fam = WeightFamily("finite_c", c=(F(2, 3), F(1, 5)))
     table = build_table(fam, 4, 3)
-    assert all(isinstance(v, F) for v in table.entries.values())
+    assert all(isinstance(v, F) for v in table.values())
 
 
 def test_single_sheet_connected_equals_disconnected():
@@ -107,6 +107,54 @@ def test_connected_two_sheets():
 def test_connected_consistency(fam):
     report = verify_connected(fam, n_max=3, d_max=3)
     assert report["ok"], report
+
+
+def test_verify_connected_logs_tau_once(monkeypatch):
+    # the weight-N coefficients of log tau read only tau terms of weight <= N,
+    # so one log tau at n_max serves every N
+    weights = []
+
+    def spy(family, N, d_max):
+        weights.append(N)
+        return connected_table_entries(family, N, d_max)
+
+    monkeypatch.setattr(hurwitz, "connected_table_entries", spy)
+    assert verify_connected(exponential(), 3, 3)["ok"]
+    assert weights == [3]
+
+
+def _negative_window_cases():
+    from hurwitztau import correlators, cutjoin, partitions, taufn
+
+    fam = belyi()
+    refused = {
+        "partitions_up_to": lambda: partitions.partitions_up_to(-1),
+        "build_tau": lambda: taufn.build_tau(fam, -1, 2),
+        "build_table": lambda: build_table(fam, -1, 2),
+        "connected_table_entries": lambda: connected_table_entries(fam, -1, 2),
+        "pde_check": lambda: cutjoin.pde_check(fam, -1, 2),
+        "reconstruct_tau": lambda: cutjoin.reconstruct_tau(fam, -1, 2),
+        "schur_eigen_check": lambda: cutjoin.schur_eigen_check(-1, 2),
+        "multipair_two_point": lambda: correlators.multipair_two_point(
+            fam, F(1, 21), F(2, 3), (F(2),), degree=-1),
+    }
+    cases = [pytest.param(call, DomainError, id=name) for name, call in refused.items()]
+    for n_max in (0, -1):
+        vacuous = {"ok": True, "family": fam.label, "checked": 0}
+        cases.append(pytest.param(lambda n_max=n_max: verify_connected(fam, n_max, 3),
+                                  vacuous, id=f"verify_connected-n_max{n_max}"))
+    return cases
+
+
+@pytest.mark.parametrize("call,expected", _negative_window_cases())
+def test_negative_window(call, expected):
+    # a negative weight window is refused as outside the domain, not with an
+    # IndexError; verify_connected checks nothing below n_max 1
+    if expected is DomainError:
+        with pytest.raises(DomainError, match="cannot partition a negative integer"):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_connected_parity_vanishing():

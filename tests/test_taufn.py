@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hurwitztau.partitions import Partition, enumerate_partitions, partitions_up
 from hurwitztau.symfun import cauchy_kernel, schur_monomial_map
 from hurwitztau.taufn import (
     TauSeries,
+    _genus_slice,
     build_F_n,
     build_tau,
     check_W_equals_dF,
@@ -84,14 +86,15 @@ F_N_WINDOW_IDS = ["n1", "n2", "n2-connected", "n2-genus0"]
 
 
 def reference_F_n(family, n, w_max, d_max, x_degree, connected=False, genus=None):
-    """F_n assembled from a full build_table per N (connected: log tau at each N)."""
+    """F_n assembled from a full table per N (connected: log tau at each N),
+    cut to the beta-order n + l(nu) + 2 genus - 2 if genus is given."""
     out = {}
     for N in range(n, w_max + 1):
         mus = [m for m in enumerate_partitions(N) if m.length == n and m.parts[0] <= x_degree + 1]
         if not mus:
             continue
-        table = build_table(family, N, d_max, connected=connected)
-        entries = table.connected if connected else table.entries
+        table = connected_table_entries if connected else build_table
+        entries = table(family, N, d_max)
         for mu in mus:
             for nu in enumerate_partitions(N):
                 norm = Fraction(mu.aut_order())
@@ -108,6 +111,25 @@ def reference_F_n(family, n, w_max, d_max, x_degree, connected=False, genus=None
                 for arrangement in set(itertools.permutations(mu.parts)):
                     key = (arrangement, s_exp, N)
                     out[key] = out[key] + coeff if key in out else coeff
+    return out
+
+
+def reference_multicurrent_W(body, n, x_degree):
+    """W_n by scanning every x-exponent vector against every term of body."""
+    out = {}
+    for a_vec in itertools.product(range(1, x_degree + 2), repeat=n):
+        if sum(a_vec) > body.w_max:
+            continue
+        t_exp = monomial_from_partition(a_vec)
+        mult = 1
+        for e in t_exp:
+            mult *= math.factorial(e)
+        x_key = tuple(a - 1 for a in a_vec)
+        for (t, s, g), c in body.terms.items():
+            if t != t_exp:
+                continue
+            key = (x_key, s, g)
+            out[key] = out[key] + c * mult if key in out else c * mult
     return out
 
 
@@ -228,21 +250,20 @@ class TestHirota:
 class TestMulticurrent:
     def test_w1_leading_term_beta_rescaled(self):
         tau = build_tau(exponential(), 4, 3)
-        w1 = multicurrent_W(tau, 1, 2)
+        w1 = multicurrent_W(tau.body, 1, 2)
         # key: x-power 0, s-monomial s_1 (one part => implied beta^{-1}), grade 1
         assert w1[((0,), (1,), 1)] == BetaSeries([1, 0, 0, 0])
 
     def test_trivial_tau_has_no_s_free_terms(self):
         tau = build_tau(TRIVIAL, 4, 0)
-        w1 = multicurrent_W(tau, 1, 2)
+        w1 = multicurrent_W(tau.body, 1, 2)
         assert all(s != () for (_, s, _) in w1)
 
     def test_cumulant_relation_w2(self):
         tau = build_tau(exponential(), 4, 3)
-        log_body = log_tau(tau)
-        w1 = multicurrent_W(tau, 1, 1)
-        w2 = multicurrent_W(tau, 2, 1)
-        w2_conn = multicurrent_W(tau, 2, 1, connected=True, log_body=log_body)
+        w1 = multicurrent_W(tau.body, 1, 1)
+        w2 = multicurrent_W(tau.body, 2, 1)
+        w2_conn = multicurrent_W(log_tau(tau), 2, 1)
         prod = {}
         for (x1, s1, g1), c1 in w1.items():
             for (x2, s2, g2), c2 in w1.items():
@@ -259,16 +280,26 @@ class TestMulticurrent:
     def test_genus_zero_slice_of_f1(self):
         # connected genus-0 slice at N=2: the x^2 gamma^2 s_1^2 term is built
         # from the connected count 1/2 at d = n + l(nu) + 2g - 2 = 1
-        f01 = build_F_n(exponential(), 1, 2, 2, 2, connected=True, genus=0)
+        f01 = _genus_slice(build_F_n(exponential(), 1, 2, 2, 2, connected=True), 1, 0, 2)
         assert f01[((2,), (2,), 2)] == BetaSeries([0, F(1, 2), 0])
 
     @pytest.mark.parametrize("fam", [exponential(), belyi()], ids=lambda f: f.label)
     @pytest.mark.parametrize("args,kw", F_N_WINDOWS, ids=F_N_WINDOW_IDS)
     def test_f_n_matches_full_table_assembly(self, fam, args, kw):
         n, x_degree, w_max, d_max = args
-        assert build_F_n(fam, n, w_max, d_max, x_degree, **kw) == reference_F_n(
-            fam, n, w_max, d_max, x_degree, **kw
-        )
+        got = build_F_n(fam, n, w_max, d_max, x_degree, kw.get("connected", False))
+        if "genus" in kw:
+            got = _genus_slice(got, n, kw["genus"], d_max)
+        assert got == reference_F_n(fam, n, w_max, d_max, x_degree, **kw)
+
+    @pytest.mark.parametrize("fam", [exponential(), belyi()], ids=lambda f: f.label)
+    @pytest.mark.parametrize("connected", [False, True], ids=["tau", "log-tau"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_w_n_matches_vector_scan(self, fam, connected, n):
+        tau = build_tau(fam, 6, 3)
+        body = log_tau(tau) if connected else tau.body
+        got = multicurrent_W(body, n, 6 - n)
+        assert got and got == reference_multicurrent_W(body, n, 6 - n)
 
     def test_connected_f_n_logs_only_up_to_its_rows(self, monkeypatch):
         from hurwitztau import hurwitz
@@ -301,11 +332,7 @@ class TestMulticurrent:
 
     def test_genus_slices_reassemble(self):
         # sum over g of the sliced connected W equals the full connected W
-        tau = build_tau(belyi(), 5, 3)
-        log_body = log_tau(tau)
-        full = multicurrent_W(tau, 2, 2, connected=True, log_body=log_body)
-        from hurwitztau.taufn import _genus_slice
-
+        full = multicurrent_W(log_tau(build_tau(belyi(), 5, 3)), 2, 2)
         zero = BetaSeries.zero(3)
         total = {}
         for g in range(0, 3):
