@@ -54,14 +54,14 @@ class BasisWindow:
         gamma^{-j} prod_{i=0}^{-j-1} G(-i beta): always finite, possibly zero
         (the allowed vanishing-rho degeneration)."""
         if j < 0:
-            out = self.ring.coerce(self.gamma ** (-j))
+            out = self.ring.one() * self.gamma ** (-j)
             for i in range(0, -j):
                 out = out * self.r_value(-i)
             return out
         value = self.rho_value(j)
-        if self.ring.is_zero(value):
+        if not value:
             raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
-        return self.ring.inv(value)
+        return 1 / value
 
     def built_sides(self) -> list:
         """(side, elements) for each side that was built: +1 is w, -1 is w*."""
@@ -117,7 +117,7 @@ def build_basis(
     for k in range(k_lo, k_hi + 1):
         for side, el in built:
             el[k] = LaurentWindow(depth, tuple(
-                ring.coerce(h_of_sigma(k - j - 1, sig, side)) * rho_factor[side](j)
+                h_of_sigma(k - j - 1, sig, side) * rho_factor[side](j)
                 for j in range(depth, k)
             ))
     return BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, w, ws)
@@ -143,7 +143,7 @@ def pairing_check(b: BasisWindow) -> dict:
     for j in range(b.k_lo, b.k_hi + 1):
         for l in range(b.k_lo, b.k_hi + 1):
             try:
-                value = b.w[j].residue_with(b.ws[l], ring)
+                value = b.w[j].residue_with(b.ws[l])
             except OutOfWindowError:
                 untestable.append((j, l))
                 continue
@@ -171,7 +171,7 @@ _PLUS_MINUS = {1: "+", -1: "-"}  # matrix-label suffix of each side
 def op_R(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
     """R = (gamma/z) G(-beta D), R* = (gamma/z) G(beta D): diagonal multiplier
     then shift down."""
-    return window.diag(lambda j: b.r_value(-side * j) * b.gamma, b.ring).shift(-1)
+    return window.diag(lambda j: b.r_value(-side * j) * b.gamma).shift(-1)
 
 
 def op_a(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
@@ -179,11 +179,11 @@ def op_a(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
 
     def factor(j):
         val = b.r_value(-side * j) * b.gamma
-        if b.ring.is_zero(val):
+        if not val:
             raise _a_undefined(side, j)
-        return b.ring.inv(val)
+        return 1 / val
 
-    return window.shift(1).diag(factor, b.ring)
+    return window.shift(1).diag(factor)
 
 
 def _a_undefined(side: int, j: int) -> SingularParameterError:
@@ -221,11 +221,11 @@ def refuse_singular_a(family: WeightFamily, beta_val, gamma_val, k_range, depth:
         raise _a_undefined(1, depth)
 
 
-def _lincomb(terms, ring, out: LaurentWindow | None = None) -> LaurentWindow | None:
+def _lincomb(terms, out: LaurentWindow | None = None) -> LaurentWindow | None:
     """out + sum of coefficient * window over the (coefficient, window) pairs."""
     for coeff, window in terms:
-        term = window.scale(coeff, ring)
-        out = term if out is None else out.add(term, ring)
+        term = window.scale(coeff)
+        out = term if out is None else out.add(term)
     return out
 
 
@@ -242,7 +242,7 @@ def op_b(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
         power = op_R(b, power, side)
         if sig != 0:
             terms.append((side * k * sig, power))
-    return _lincomb(terms, b.ring, window.euler(b.ring))
+    return _lincomb(terms, window.euler())
 
 
 def op_c(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
@@ -251,15 +251,14 @@ def op_c(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
 
 def op_c_N(b: BasisWindow, N: int, window: LaurentWindow) -> LaurentWindow:
     base = op_c(b, window)
-    shiftdown = op_R(b, window).scale(N, b.ring)
-    return base.sub(shiftdown, b.ring)
+    shiftdown = op_R(b, window).scale(N)
+    return base.sub(shiftdown)
 
 
 class _Checks:
     """Counts the checks of one report and keeps its failures in order."""
 
-    def __init__(self, ring):
-        self.ring = ring
+    def __init__(self):
         self.checks = 0
         self.failures = []
 
@@ -271,7 +270,7 @@ class _Checks:
     def equal(self, op: str, got: LaurentWindow, want: LaurentWindow, **where) -> None:
         """got == want on the window from the higher bottom to the higher top."""
         lo, hi = max(got.lo, want.lo), max(got.hi, want.hi)
-        self.expect(got.eq_on(want, lo, hi, self.ring), op=op, **where, window=(lo, hi))
+        self.expect(got.eq_on(want, lo, hi), op=op, **where, window=(lo, hi))
 
     def report(self, **extra) -> dict:
         return {"ok": not self.failures, "checks": self.checks, "failures": self.failures,
@@ -280,7 +279,7 @@ class _Checks:
 
 def ladder_R(b: BasisWindow) -> dict:
     """R w_k = w_{k-1}, R* w*_k = w*_{k-1}, and the two-step iterate."""
-    c = _Checks(b.ring)
+    c = _Checks()
     for k in range(b.k_lo + 1, b.k_hi + 1):
         for side, el in b.built_sides():
             c.equal("R" + _STAR[side], op_R(b, el[k], side), el[k - 1], k=k)
@@ -294,23 +293,22 @@ def kac_schwarz_check(b: BasisWindow) -> dict:
     """a w_k = w_{k+1}; b w_k = (k-1) w_k; c w_k = (k-1) w_{k-1};
     c_N w_k = (k-1-N) w_{k-1}; [c, a] w_k = w_k.  Dual statements likewise,
     except c_N and [c, a]."""
-    ring = b.ring
-    c = _Checks(ring)
+    c = _Checks()
     for k in range(b.k_lo, b.k_hi):
         for side, el in b.built_sides():
             c.equal("a" + _STAR[side], op_a(b, el[k], side), el[k + 1], k=k)
     for k in range(b.k_lo, b.k_hi + 1):
         for side, el in b.built_sides():
-            c.equal("b" + _STAR[side], op_b(b, el[k], side), el[k].scale(k - 1, ring), k=k)
+            c.equal("b" + _STAR[side], op_b(b, el[k], side), el[k].scale(k - 1), k=k)
     for k in range(b.k_lo + 1, b.k_hi + 1):
         for side, el in b.built_sides():
-            c.equal("c" + _STAR[side], op_c(b, el[k], side), el[k - 1].scale(k - 1, ring), k=k)
+            c.equal("c" + _STAR[side], op_c(b, el[k], side), el[k - 1].scale(k - 1), k=k)
             if side == 1:
                 for N in (-2, 1, 3):
-                    c.equal(f"c_{N}", op_c_N(b, N, el[k]), el[k - 1].scale(k - 1 - N, ring), k=k)
+                    c.equal(f"c_{N}", op_c_N(b, N, el[k]), el[k - 1].scale(k - 1 - N), k=k)
     if b.w:
         for k in range(b.k_lo, b.k_hi):
-            commutator = op_c(b, op_a(b, b.w[k])).sub(op_a(b, op_c(b, b.w[k])), ring)
+            commutator = op_c(b, op_a(b, b.w[k])).sub(op_a(b, op_c(b, b.w[k])))
             c.equal("[c,a]", commutator, b.w[k], k=k)
     return c.report()
 
@@ -323,12 +321,11 @@ def quantum_curve_residual(b: BasisWindow) -> dict:
     The k = 1 dual case is the quantum spectral curve annihilating the Baker
     function at t = 0 (Psi^-_0(x) = w*_1).
     """
-    ring = b.ring
-    c = _Checks(ring)
+    c = _Checks()
     for k in range(b.k_lo, b.k_hi + 1):
         for side, el in b.built_sides():
-            lhs = op_b(b, el[k], side).sub(el[k].scale(k - 1, ring), ring)
-            c.expect(lhs.is_zero_on_valid(ring), op="spectral" + _STAR[side], k=k)
+            lhs = op_b(b, el[k], side).sub(el[k].scale(k - 1))
+            c.expect(lhs.is_zero_on_valid(), op="spectral" + _STAR[side], k=k)
     return c.report()
 
 
@@ -368,24 +365,21 @@ def recursion_Q(b: BasisWindow) -> dict:
     and the band statement Q±_{ij} = 0 for j > i-1 + band, band = q_band(b)
     (Q_BAND_MARGIN extra columns are checked).
     """
-    ring = b.ring
     band = q_band(b)
-    q = partial(recursion_entry, b.family, ring, b.sigma)
-    c = _Checks(ring)
+    q = partial(recursion_entry, b.family, b.ring, b.sigma)
+    c = _Checks()
     # recursion: i such that w_{1-i} (i <= i_hi) and all needed w_{1-j}
     # (i-1 <= j <= i-1+band) are in range; band 0 needs only the first bound
     i_lo, i_hi = 1 - b.k_hi, 1 - b.k_lo
     for i in range(i_lo + 1, i_hi - max(band, 1) + 2):
         for side, el in b.built_sides():
-            rhs = _lincomb(
-                ((q(i, j, side) * b.gamma, el[1 - j]) for j in range(i - 1, i + band)), ring
-            )
+            rhs = _lincomb((q(i, j, side) * b.gamma, el[1 - j]) for j in range(i - 1, i + band))
             c.equal("Q" + _PLUS_MINUS[side], el[1 - i].shift(1), rhs, i=i)
     # band vanishing with margin
     for i in range(i_lo, i_hi + 1):
         for j in range(i + band, i + band + Q_BAND_MARGIN):
             for side in (1, -1):
-                c.expect(ring.is_zero(q(i, j, side)), op=f"Q{_PLUS_MINUS[side]} band", i=i, j=j)
+                c.expect(not q(i, j, side), op=f"Q{_PLUS_MINUS[side]} band", i=i, j=j)
     matrices = {
         "Q" + _PLUS_MINUS[side]: {
             (i, j): q(i, j, side) for i in range(i_lo, i_hi + 1) for j in range(i - 1, i + band)
@@ -426,7 +420,7 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
         return acc
 
     gamma_inv = Fraction(1) / b.gamma
-    c = _Checks(ring)
+    c = _Checks()
     lo = -(size // 2)
     for k in range(lo, lo + size):
         for j in range(lo, lo + size):
@@ -445,7 +439,6 @@ def euler_P(b: BasisWindow) -> dict:
     rescaled relation is (x d/dx) Psi^±_k = sum_j M±_{kj} Psi^±_j, i.e.
     P^± = beta M± after restoring the overall beta.
     """
-    ring = b.ring
     L = b.sigma_support
 
     def pt(i, j, side):
@@ -456,19 +449,19 @@ def euler_P(b: BasisWindow) -> dict:
             return -side * Fraction(n) * b.sigma[n - 1]
         return Fraction(0)
 
-    c = _Checks(ring)
+    c = _Checks()
     for k in range(b.k_lo + L, b.k_hi + 1):
         for side, el in b.built_sides():
-            rhs = _lincomb(((pt(k, j, side), el[j]) for j in range(k - L, k + 1)), ring)
-            c.equal("Pt" + _PLUS_MINUS[side], el[k].euler(ring), rhs, k=k)
+            rhs = _lincomb((pt(k, j, side), el[j]) for j in range(k - L, k + 1))
+            c.equal("Pt" + _PLUS_MINUS[side], el[k].euler(), rhs, k=k)
     # x-form: D_x Psi+_k = -D_z (gamma w_{1-k}); M+_{kj} = k delta + (j-k) sigma_{j-k}
     if b.w:
         for k in range(1 - b.k_hi, 1 - b.k_lo - L + 1):
-            rhs = _lincomb((
+            rhs = _lincomb(
                 (Fraction(k) if j == k else Fraction(j - k) * b.sigma[j - k - 1], b.w[1 - j])
                 for j in range(k, k + L + 1)
-            ), ring)
-            c.equal("P+ (x-form)", b.w[1 - k].euler(ring).scale(-1, ring), rhs, k=k)
+            )
+            c.equal("P+ (x-form)", b.w[1 - k].euler().scale(-1), rhs, k=k)
     matrices = {
         "Pt" + _PLUS_MINUS[side]: {
             (i, j): pt(i, j, side)

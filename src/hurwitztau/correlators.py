@@ -75,7 +75,7 @@ def K2_via_tau(
             # the hook (a|b) with a = -ew - 1, b = -ez - 1, and its sign (-1)^b
             hook = Partition([-ew] + [1] * (-ez - 1))
             value = schur_weight(family, hook, gamma_val, sigma, ring) * (-1) ** (-ez - 1)
-            if not ring.is_zero(value):
+            if value:
                 cells[(ez, ew)] = cells.get((ez, ew), ring.zero()) + value
     return KernelWindow(zlo, zhi, wlo, whi, cells)
 
@@ -101,9 +101,9 @@ def K2_via_basis(b: BasisWindow, window: tuple) -> tuple[KernelWindow, dict]:
         for ew in range(wlo, whi + 1):
             total = ring.zero()
             for j in range(max(1, ew + 1), -ez + 1):
-                total = total + b.w[j].get(ew, ring) * b.ws[1 - j].get(ez, ring)
+                total = total + b.w[j].get(ew) * b.ws[1 - j].get(ez)
                 j_used = max(j_used, j)
-            if not ring.is_zero(total):
+            if total:
                 cells[(ez, ew)] = total
     return KernelWindow(zlo, zhi, wlo, whi, cells), {"j_cutoff": j_used}
 
@@ -118,7 +118,7 @@ def pair_T(k2: KernelWindow, ring) -> dict:
     for ez in range(k2.zlo + 1, k2.zhi + 1):
         for ew in range(k2.wlo + 1, k2.whi + 1):
             value = k2.cell(ez - 1, ew, ring) - k2.cell(ez, ew - 1, ring)
-            if not ring.is_zero(value):
+            if value:
                 cells[(ez, ew)] = value
     return cells
 
@@ -181,7 +181,7 @@ def cd_kernel(b: BasisWindow, window: tuple) -> dict:
     finiteness_failures = [
         (i, j)
         for (i, j), v in A.items()
-        if i + j > rank and not ring.is_zero(v)
+        if i + j > rank and v
     ]
     zlo, zhi, wlo, whi = window
     if b.k_lo > 1 - rank or b.k_hi < 1:
@@ -193,9 +193,9 @@ def cd_kernel(b: BasisWindow, window: tuple) -> dict:
             for i in range(rank + 1):
                 for j in range(rank + 1):
                     a = A[(i, j)]
-                    if ring.is_zero(a):
+                    if not a:
                         continue
-                    total = total + a * b.w[1 - i].get(ew, ring) * b.ws[1 - j].get(ez, ring)
+                    total = total + a * b.w[1 - i].get(ew) * b.ws[1 - j].get(ez)
             numer[(ez, ew)] = total * b.gamma
     T = pair_T(K2_via_tau(
         b.family, ring.beta, b.gamma, b.sigma, (zlo - 1, zhi, wlo - 1, whi), d_max=ring.d_max
@@ -251,7 +251,7 @@ def gen_A(
         # Laurent coefficients starting at x^lo
         out = [ring.zero()] * (len(poly) + L)
         for idx, c in enumerate(poly):
-            if ring.is_zero(c):
+            if not c:
                 continue
             for k, s in enumerate(sigma, start=1):
                 if s != 0:
@@ -265,7 +265,7 @@ def gen_A(
         for q, gq in enumerate(ghat):
             if q > 0:
                 power = apply_x(power, lo, sign)
-            if not ring.is_zero(gq):
+            if gq:
                 for idx, c in enumerate(power):
                     acc[idx] = acc[idx] + gq * c
         return acc
@@ -273,7 +273,7 @@ def gen_A(
     cells: dict = {}
 
     def add_cell(i, j, v):
-        if ring.is_zero(v):
+        if not v:
             return
         cells[(i, j)] = cells.get((i, j), ring.zero()) + v
 
@@ -288,7 +288,7 @@ def gen_A(
     # negative r-powers must cancel wherever all contributions are inside m_max
     for (i, j), v in cells.items():
         if i < 0 and j <= jmax and -i <= m_max - big_m * L - 1:
-            if not ring.is_zero(v):
+            if v:
                 raise AssertionError(f"gen_A: uncancelled negative cell ({i},{j})")
     return {
         (i, j): cells.get((i, j), ring.zero())

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm, prod
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .exactalg import (
     BetaSeries,
     GradedPoly,
@@ -70,9 +70,12 @@ def build_Qk(k: int, w_max: int) -> DiffOp:
     k!/(|Aut nu| |Aut mu|) [z^{k+2-l(nu)-l(mu)}] prod_{n in nu} vs(nz)/z
     prod_{m in mu} vs(mz)/(m z) (z/vs(z))^2, where every factor is even in z.
     """
-    # vs(nz)/z = sum_j n^{2j+1} z^{2j} / (4^j (2j+1)!), as a z-series through z^k
+    if w_max < 0:
+        raise DomainError("cannot partition a negative integer")
+    # vs(nz)/z = sum_j n^{2j+1} z^{2j} / (4^j (2j+1)!), as a z-series through
+    # z^k, for n = 0..w_max and n = 1 at least: (z/vs(z))^2 reads it
     vs = [BetaSeries([Fraction(n ** (d + 1) * (1 - d % 2), 2**d * factorial(d + 1))
-                      for d in range(k + 1)]) for n in range(w_max + 1)]
+                      for d in range(k + 1)]) for n in range(max(w_max, 1) + 1)]
     z_over_vs_sq = series_inv(vs[1] * vs[1])
     terms = []
     for w in range(1, w_max + 1):

@@ -44,10 +44,6 @@ def _ratio(x) -> tuple:
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
-
-
 class BetaSeries:
     """Truncated formal power series in beta with exact rational coefficients.
 
@@ -181,6 +177,11 @@ class BetaSeries:
             return self * series_inv(other)
         return NotImplemented
 
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return series_inv(self) * other
+        return NotImplemented
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = BetaSeries.constant(other, self.d_max)
@@ -280,17 +281,17 @@ def series_exp(a: BetaSeries) -> BetaSeries:
 
 
 # ---------------------------------------------------------------------------
-# Scalar rings.  LaurentWindow and the basis/kernel modules are generic over
-# the coefficient ring, and the ring carries beta: exact rationals at a
-# rational beta, or BetaSeries with beta kept as a formal series.  Each ring
-# exposes ``beta`` and ``d_max``; exactly one of the two is None.
+# Scalar rings.  The basis/kernel modules are generic over the coefficient
+# ring, and the ring carries beta: exact rationals at a rational beta, or
+# BetaSeries with beta kept as a formal series.  A ring only makes values
+# (zero, one, beta^m); the values combine themselves.  Each ring exposes
+# ``beta`` and ``d_max``; exactly one of the two is None.
 # ---------------------------------------------------------------------------
 
 
 class QRing:
     """Coefficients are plain Fractions; beta, if given, is a rational value."""
 
-    name = "Q"
     d_max = None
 
     def __init__(self, beta=None):
@@ -302,17 +303,6 @@ class QRing:
     def one(self):
         return _ONE
 
-    def coerce(self, x):
-        return _as_fraction(x)
-
-    def is_zero(self, v) -> bool:
-        return v == 0
-
-    def inv(self, v):
-        if v == 0:
-            raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / v
-
     def beta_power(self, m: int):
         return self.beta**m
 
@@ -320,7 +310,6 @@ class QRing:
 class BRing:
     """Coefficients are BetaSeries truncated at a shared d_max; beta is formal."""
 
-    name = "Q[[beta]]"
     beta = None
 
     def __init__(self, d_max: int):
@@ -331,19 +320,6 @@ class BRing:
 
     def one(self):
         return BetaSeries.one(self.d_max)
-
-    def coerce(self, x):
-        if isinstance(x, BetaSeries):
-            if x.d_max != self.d_max:
-                raise ConfigurationError("BetaSeries with foreign d_max")
-            return x
-        return BetaSeries.constant(x, self.d_max)
-
-    def is_zero(self, v) -> bool:
-        return not self.coerce(v)
-
-    def inv(self, v):
-        return series_inv(self.coerce(v))
 
     def beta_power(self, m: int):
         """beta^m, zero above the truncation order."""
@@ -554,6 +530,7 @@ class LaurentWindow:
     Coefficients above the top of the window are known to be zero (all series
     in this package have a finite top); coefficients below ``lo`` are unknown.
     Binary operations return the guaranteed-valid sub-window of the result.
+    A window is never empty, so its zero is ``coeffs[0] * 0``, in its own ring.
     """
 
     lo: int
@@ -563,81 +540,72 @@ class LaurentWindow:
     def hi(self) -> int:
         return self.lo + len(self.coeffs) - 1
 
-    def get(self, j: int, ring):
+    def get(self, j: int):
         """Coefficient of z^j; above the window it is known-zero, below it is unknown."""
         if j > self.hi:
-            return ring.zero()
+            return self.coeffs[0] * 0
         if j < self.lo:
             raise OutOfWindowError(f"coefficient of z^{j} below valid window lo={self.lo}")
         return self.coeffs[j - self.lo]
 
-    def add(self, other: "LaurentWindow", ring) -> "LaurentWindow":
+    def add(self, other: "LaurentWindow") -> "LaurentWindow":
         lo = max(self.lo, other.lo)
         hi = max(self.hi, other.hi)
         if lo > hi:
             raise OutOfWindowError("empty window in LaurentWindow.add")
-        return LaurentWindow(
-            lo, tuple(self.get(j, ring) + other.get(j, ring) for j in range(lo, hi + 1))
-        )
+        return LaurentWindow(lo, tuple(self.get(j) + other.get(j) for j in range(lo, hi + 1)))
 
-    def sub(self, other: "LaurentWindow", ring) -> "LaurentWindow":
-        return self.add(other.scale(-1, ring), ring)
+    def sub(self, other: "LaurentWindow") -> "LaurentWindow":
+        return self.add(other.scale(-1))
 
-    def scale(self, factor, ring) -> "LaurentWindow":
-        factor = ring.coerce(factor)
+    def scale(self, factor) -> "LaurentWindow":
         return LaurentWindow(self.lo, tuple(c * factor for c in self.coeffs))
 
     def shift(self, k: int) -> "LaurentWindow":
         """Multiply by z^k."""
         return LaurentWindow(self.lo + k, self.coeffs)
 
-    def diag(self, factor_of_exponent: Callable[[int], object], ring) -> "LaurentWindow":
+    def diag(self, factor_of_exponent: Callable[[int], object]) -> "LaurentWindow":
         """Apply a diagonal operator z^j -> f(j) z^j (e.g. G(-beta*D))."""
         return LaurentWindow(
             self.lo,
-            tuple(
-                ring.coerce(factor_of_exponent(self.lo + i)) * c
-                for i, c in enumerate(self.coeffs)
-            ),
+            tuple(factor_of_exponent(self.lo + i) * c for i, c in enumerate(self.coeffs)),
         )
 
-    def euler(self, ring) -> "LaurentWindow":
+    def euler(self) -> "LaurentWindow":
         """z d/dz."""
-        return self.diag(lambda j: Fraction(j), ring)
+        return self.diag(Fraction)
 
-    def mul(self, other: "LaurentWindow", ring) -> "LaurentWindow":
+    def mul(self, other: "LaurentWindow") -> "LaurentWindow":
         # Unknown tails contaminate every product coefficient that an unknown
         # index could reach through the other factor's possibly-nonzero range.
         lo = max(self.lo + other.hi, other.lo + self.hi)
         hi = self.hi + other.hi
         if lo > hi:
             raise OutOfWindowError("window too shallow for LaurentWindow.mul")
-        out = [ring.zero()] * (hi - lo + 1)
+        out = [self.coeffs[0] * 0] * (hi - lo + 1)
         for i, a in enumerate(self.coeffs):
-            if ring.is_zero(a):
+            if not a:
                 continue
             p = self.lo + i
             for k, b in enumerate(other.coeffs):
                 q = other.lo + k
                 e = p + q
-                if lo <= e <= hi and not ring.is_zero(b):
+                if lo <= e <= hi and b:
                     out[e - lo] = out[e - lo] + a * b
         return LaurentWindow(lo, tuple(out))
 
-    def residue_with(self, other: "LaurentWindow", ring):
+    def residue_with(self, other: "LaurentWindow"):
         """Coefficient of z^{-1} in the product (the Hirota bilinear pairing)."""
-        prod = self.mul(other, ring)
+        prod = self.mul(other)
         if prod.lo > -1:
             raise OutOfWindowError(
                 f"residue undetermined: product valid only from z^{prod.lo}"
             )
-        return prod.get(-1, ring)
+        return prod.get(-1)
 
-    def is_zero_on_valid(self, ring) -> bool:
-        return all(ring.is_zero(c) for c in self.coeffs)
+    def is_zero_on_valid(self) -> bool:
+        return not any(self.coeffs)
 
-    def eq_on(self, other: "LaurentWindow", lo: int, hi: int, ring) -> bool:
-        for j in range(lo, hi + 1):
-            if self.get(j, ring) != other.get(j, ring):
-                return False
-        return True
+    def eq_on(self, other: "LaurentWindow", lo: int, hi: int) -> bool:
+        return all(self.get(j) == other.get(j) for j in range(lo, hi + 1))

@@ -248,7 +248,7 @@ def build_F_n(
     return out
 
 
-def differentiate_F(f_terms: dict, n: int, d_max: int) -> dict:
+def differentiate_F(f_terms: dict) -> dict:
     """d^n / dx_1..dx_n applied to a build_F_n result."""
     out: dict = {}
     for (xexp, s, g), c in f_terms.items():
@@ -282,7 +282,7 @@ def check_W_equals_dF(
     """
     tau = build_tau(family, w_max, d_max)
     w_terms = multicurrent_W(log_tau(tau) if connected else tau.body, n, x_degree)
-    df = differentiate_F(build_F_n(family, n, w_max, d_max, x_degree, connected), n, d_max)
+    df = differentiate_F(build_F_n(family, n, w_max, d_max, x_degree, connected))
     if genus is not None:
         w_terms = _genus_slice(w_terms, n, genus, d_max)
         df = _genus_slice(df, n, genus, d_max)

@@ -163,16 +163,16 @@ def rho(family: WeightFamily, j: int, gamma_val: Fraction, ring):
     gamma_val = Fraction(gamma_val)
     if gamma_val == 0:
         raise SingularParameterError("gamma must be nonzero")
-    out = ring.coerce(gamma_val**j)
+    out = ring.one() * gamma_val**j
     for i in range(1, j + 1):
         out = out * g_at(family, i, ring)
     for i in range(0, -j):
         factor = g_at(family, -i, ring)
-        if ring.is_zero(factor):
+        if not factor:
             raise SingularParameterError(
                 f"rho_{j} undefined: G({-i}*beta) = 0 at i={i} (beta={ring.beta})"
             )
-        out = out * ring.inv(factor)
+        out = out / factor
     return out
 
 

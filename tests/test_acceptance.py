@@ -140,7 +140,6 @@ def test_criterion_5_adapted_basis_suite():
     nonsingular beta for the same families.
     """
     t0 = time.time()
-    ring = QRing()
 
     # (a) the stated parameters hit the documented singular contract
     with pytest.raises(SingularParameterError):
@@ -157,9 +156,9 @@ def test_criterion_5_adapted_basis_suite():
     assert recursion_Q(b_dual)["ok"]
     for k in range(-2, 6):
         got = op_c(b_dual, b_dual.ws[k], -1)
-        want = b_dual.ws[k - 1].scale(k - 1, ring)
+        want = b_dual.ws[k - 1].scale(k - 1)
         lo = max(got.lo, want.lo)
-        assert got.eq_on(want, lo, max(got.hi, want.hi), ring)
+        assert got.eq_on(want, lo, max(got.hi, want.hi))
     b_part = build_basis(belyi(), 1, 1, s=(1,), k_range=(-3, 1), depth=-10)
     assert pairing_check(b_part)["ok"]
     assert ladder_R(b_part)["ok"]
@@ -175,11 +174,11 @@ def test_criterion_5_adapted_basis_suite():
     # Kac-Schwarz actions b, b*, c, c* are defined at the stated parameters
     for k in range(-2, 4):
         got = op_c(b2_part, b2_part.w[k])
-        want = b2_part.w[k - 1].scale(k - 1, ring)
-        assert got.eq_on(want, max(got.lo, want.lo), max(got.hi, want.hi), ring)
+        want = b2_part.w[k - 1].scale(k - 1)
+        assert got.eq_on(want, max(got.lo, want.lo), max(got.hi, want.hi))
         got = op_c(b2_part, b2_part.ws[k], -1)
-        want = b2_part.ws[k - 1].scale(k - 1, ring)
-        assert got.eq_on(want, max(got.lo, want.lo), max(got.hi, want.hi), ring)
+        want = b2_part.ws[k - 1].scale(k - 1)
+        assert got.eq_on(want, max(got.lo, want.lo), max(got.hi, want.hi))
 
     # (c) complete suite, full declared window, nonsingular beta
     b1 = build_basis(belyi(), F(1, 21), 1, s=(F(1, 21),), k_range=(-3, 5), depth=-10)

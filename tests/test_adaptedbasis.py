@@ -68,11 +68,11 @@ def naive_basis(family, beta, gamma, sigma, k_range, depth, d_max=None, sides=("
     for k in range(k_range[0], k_range[1] + 1):
         if "w" in sides:
             w[k] = LaurentWindow(depth, tuple(
-                ring.coerce(h_of_sigma(k - j - 1, sigma, 1)) * rho_j(-j - 1)
+                ring.one() * h_of_sigma(k - j - 1, sigma, 1) * rho_j(-j - 1)
                 for j in range(depth, k)))
         if "ws" in sides:
             ws[k] = LaurentWindow(depth, tuple(
-                ring.coerce(h_of_sigma(k - j - 1, sigma, -1)) * rho_inv(j)
+                ring.one() * h_of_sigma(k - j - 1, sigma, -1) * rho_inv(j)
                 for j in range(depth, k)))
     return w, ws
 
@@ -111,45 +111,40 @@ class TestBuild:
 
     def test_s_zero_monomials(self):
         b = build_basis(belyi(), F(1, 21), F(2), s=(), k_range=(-2, 3), depth=-6)
-        ring = QRing()
         for k in range(-2, 4):
             # single term rho_{-k} z^{k-1}
-            assert b.w[k].get(k - 1, ring) == rho(belyi(), -k, F(2), QRing(F(1, 21)))
-            assert all(b.w[k].get(j, ring) == 0 for j in range(-6, k - 1))
+            assert b.w[k].get(k - 1) == rho(belyi(), -k, F(2), QRing(F(1, 21)))
+            assert all(b.w[k].get(j) == 0 for j in range(-6, k - 1))
 
     def test_trivial_family_monomials(self):
         triv = WeightFamily("finite_c", c=())
         b = build_basis(triv, F(1), F(1), s=(), k_range=(-2, 3), depth=-6)
-        ring = QRing()
         for k in range(-2, 4):
-            assert b.w[k].get(k - 1, ring) == 1
-            assert b.ws[k].get(k - 1, ring) == 1
+            assert b.w[k].get(k - 1) == 1
+            assert b.ws[k].get(k - 1) == 1
 
     def test_leading_coefficients(self):
         b = belyi_basis()
-        ring = QRing()
         for k in range(b.k_lo, b.k_hi + 1):
-            assert b.w[k].get(k - 1, ring) == rho(belyi(), -k, BELYI_CFG["gamma_val"], BELYI_RING)
-            assert b.ws[k].get(k - 1, ring) == 1 / rho(belyi(), k - 1, BELYI_CFG["gamma_val"], BELYI_RING)
+            assert b.w[k].get(k - 1) == rho(belyi(), -k, BELYI_CFG["gamma_val"], BELYI_RING)
+            assert b.ws[k].get(k - 1) == 1 / rho(belyi(), k - 1, BELYI_CFG["gamma_val"], BELYI_RING)
 
     def test_triangularity(self):
         # everything above z^{k-1} is known zero, and the top is nonzero
         b = belyi_basis()
-        ring = QRing()
         for k in range(b.k_lo, b.k_hi + 1):
             assert b.w[k].hi == k - 1 and b.ws[k].hi == k - 1
-            assert b.w[k].get(k + 3, ring) == 0
-            assert b.w[k].get(k - 1, ring) != 0
-            assert b.ws[k].get(k - 1, ring) != 0
+            assert b.w[k].get(k + 3) == 0
+            assert b.w[k].get(k - 1) != 0
+            assert b.ws[k].get(k - 1) != 0
 
     def test_subleading_coefficient(self):
         # coefficient of z^{k-2} in w_k is h_1(sigma) rho_{1-k} = sigma_1 rho_{1-k}
         b = belyi_basis()
-        ring = QRing()
         sigma1 = b.sigma[0]
         for k in range(b.k_lo + 1, b.k_hi + 1):
             want = sigma1 * rho(belyi(), 1 - k, BELYI_CFG["gamma_val"], BELYI_RING)
-            assert b.w[k].get(k - 2, ring) == want
+            assert b.w[k].get(k - 2) == want
 
     def test_singular_parameters_raise(self):
         # Belyi at beta = 1: G(-beta) = 0 makes rho_{-2} undefined
@@ -224,9 +219,8 @@ class TestRelations:
 
     def test_pairing_values(self):
         b = belyi_basis()
-        ring = QRing()
-        assert b.w[1].residue_with(b.ws[0], ring) == 1  # j + l = 1
-        assert b.w[1].residue_with(b.ws[1], ring) == 0
+        assert b.w[1].residue_with(b.ws[0]) == 1  # j + l = 1
+        assert b.w[1].residue_with(b.ws[1]) == 0
 
     def test_q_band_example(self):
         # L = M = 1: Q+_{ii} = sigma_1 (G((i)beta) - G((i-1)beta)) = sigma_1 beta
@@ -274,12 +268,11 @@ class TestRelations:
     def test_euler_example_single_s(self):
         # D w_k = (k-1) w_k - sigma_1 w_{k-1} for L = 1
         b = belyi_basis()
-        ring = QRing()
         for k in range(b.k_lo + 1, b.k_hi + 1):
-            lhs = b.w[k].euler(ring)
-            rhs = b.w[k].scale(k - 1, ring).sub(b.w[k - 1].scale(b.sigma[0], ring), ring)
+            lhs = b.w[k].euler()
+            rhs = b.w[k].scale(k - 1).sub(b.w[k - 1].scale(b.sigma[0]))
             lo = max(lhs.lo, rhs.lo)
-            assert lhs.eq_on(rhs, lo, lhs.hi, ring)
+            assert lhs.eq_on(rhs, lo, lhs.hi)
 
 
 class TestClassicalCurve:

@@ -148,6 +148,14 @@ PINNED_RESULT_DIGESTS = {
         "c63e79f3a5e931db1c6f77a362557caa896823009d203aec709385c003973440",
     "kernel --family belyi --beta series --sigma 1/2 --dmax 3 --check-finiteness":
         "dd406fab8719e77627a7b44c30d4272712bdceca184815b8fdd0df6871c75f11",
+    "kernel --family signed --beta 1/19 --s 1/19 --window=-6,-1,-5,5":
+        "b3225ab86c1f5b78d2f39cd6a6282e030ffdb558fefa9197ee3cc093e3f2db88",
+    "kernel --family quantum --q 1/3 --beta series --sigma 1/5 --gamma 2 --dmax 3":
+        "83143efbe64ff40a9762d8929d9675f296b1660b0504fad86e7d0360abc85922",
+    "kernel --family finite --c 1,1/2 --beta series --sigma 2,1/3 --dmax 2 --check-finiteness":
+        "ffae077360d19f1643cf2aa4d4969cde673766d6ea779ab30f497747b26ceea5",
+    "kernel --family exp --beta series --sigma 1/2 --dmax 3":
+        "4e5e6055ec43ce170ebddcb13933fbe12ea2abfc31198947684a2780bbd7f8b3",
     "hurwitz --family exp --N 6 --dmax 4":
         "d3edcde65ca33370d9328774dee013d2f9ff0f135f2c03bd8403ed699fc110c8",
     "hurwitz --family quantum --q 1/2 --N 5 --dmax 3 --connected":

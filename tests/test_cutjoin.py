@@ -15,6 +15,7 @@ from hurwitztau.cutjoin import (
     resolve_exponential_index,
     schur_eigen_check,
 )
+from hurwitztau.errors import DomainError
 from hurwitztau.exactalg import (
     BetaSeries,
     GradedPoly,
@@ -267,3 +268,25 @@ def test_exponential_index_resolution():
     rep = resolve_exponential_index(3, 3)
     assert rep["matching_index"] == [1]
     assert rep["results"][2] is False
+
+
+# At weight 0, Q_k and V_k have no term: each check compares 1 with itself.
+WEIGHT_ZERO_CALLS = {
+    "build_Qk": lambda: build_Qk(2, 0).terms == (),
+    "build_Vk": lambda: build_Vk(2, 0).terms == (),
+    "schur_eigen_check-weight_max": lambda: schur_eigen_check(0, 8)["ok"],
+    "schur_eigen_check-commutator_weight": lambda: schur_eigen_check(6, 0)["ok"],
+    "reconstruct_tau": lambda: reconstruct_tau(belyi(), 0, 2)["ok"],
+    "pde_check": lambda: pde_check(belyi(), 0, 2)["ok"],
+    "build_Vk_and_single_rep": lambda: build_Vk_and_single_rep(belyi(), 0)["ok"],
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_ZERO_CALLS)
+def test_weight_zero_has_no_operator_term(name):
+    assert WEIGHT_ZERO_CALLS[name]()
+
+
+def test_negative_weight_is_refused():
+    with pytest.raises(DomainError, match="cannot partition a negative integer"):
+        build_Qk(1, -1)

@@ -259,6 +259,24 @@ class TestBetaSeriesReference:
             for piece, ref in zip(got, reference_log_pieces(refs), strict=True):
                 assert_matches(piece, ref)
 
+    def test_scalar_over_series_matches_series_inv(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            d = rng.randint(0, 6)
+            ra = random_coeffs(rng, d)
+            if not ra[0]:
+                continue
+            a = BetaSeries(ra)
+            assert_matches(1 / a, reference_inv(ra))
+            assert 1 / a == series_inv(a)
+            assert F(2, 3) / a == series_inv(a) * F(2, 3)
+
+    def test_scalar_over_non_unit_raises(self):
+        with pytest.raises(NonInvertibleError):
+            1 / BetaSeries([0, 1, 2])
+        with pytest.raises(NonInvertibleError):
+            F(1, 2) / BetaSeries.zero(3)
+
     def test_division_by_zero_scalar(self):
         with pytest.raises(ZeroDivisionError):
             BetaSeries.one(2) / 0
@@ -336,31 +354,77 @@ class TestGradedPoly:
 
 class TestLaurentWindow:
     def test_known_zero_above(self):
-        ring = QRing()
         w = LaurentWindow(-2, (F(5), F(1), F(2)))  # 5 z^-2 + z^-1 + 2
-        assert w.get(3, ring) == 0
-        assert w.get(-2, ring) == 5
+        assert w.get(3) == 0
+        assert w.get(-2) == 5
         with pytest.raises(OutOfWindowError):
-            w.get(-3, ring)
+            w.get(-3)
 
     def test_mul_tracks_valid_window(self):
-        ring = QRing()
         u = LaurentWindow(-2, (F(1), F(1), F(1)))  # z^-2 + z^-1 + 1, unknown below -2
         v = LaurentWindow(-1, (F(1), F(1)))  # z^-1 + 1
-        prod = u.mul(v, ring)
+        prod = u.mul(v)
         # valid from max(-2 + 0, -1 + 0) = -1
         assert prod.lo == -1
-        assert prod.get(0, ring) == 1
-        assert prod.get(-1, ring) == 2
+        assert prod.get(0) == 1
+        assert prod.get(-1) == 2
 
     def test_residue_pairing(self):
-        ring = QRing()
         u = LaurentWindow(-3, (F(0), F(2), F(0), F(1)))  # 2 z^-2 + 1
         v = LaurentWindow(-1, (F(0), F(0), F(3)))  # 3 z, known down to z^-1
-        assert u.residue_with(v, ring) == 6
+        assert u.residue_with(v) == 6
 
     def test_euler_and_shift(self):
-        ring = QRing()
         u = LaurentWindow(-1, (F(4), F(7)))
-        assert u.euler(ring).coeffs == (F(-4), F(0))
+        assert u.euler().coeffs == (F(-4), F(0))
         assert u.shift(2).lo == 1
+
+    def test_series_window_zero_above_is_its_own_order(self):
+        w = LaurentWindow(-1, (BetaSeries.one(3), beta(3)))
+        above = w.get(5)
+        assert above == BetaSeries.zero(3) and above.d_max == 3
+
+
+def reference_window_mul(u, v, ring):
+    """LaurentWindow.mul as it was when it took the ring for its zero."""
+    lo = max(u.lo + v.hi, v.lo + u.hi)
+    hi = u.hi + v.hi
+    if lo > hi:
+        raise OutOfWindowError("window too shallow for LaurentWindow.mul")
+    out = [ring.zero()] * (hi - lo + 1)
+    for i, a in enumerate(u.coeffs):
+        if not a:
+            continue
+        for k, b in enumerate(v.coeffs):
+            e = u.lo + i + v.lo + k
+            if lo <= e <= hi and b:
+                out[e - lo] = out[e - lo] + a * b
+    return LaurentWindow(lo, tuple(out))
+
+
+def random_series_window(rng, d):
+    return LaurentWindow(rng.randint(-6, 1), tuple(
+        BetaSeries(random_coeffs(rng, d)) for _ in range(rng.randint(1, 6))))
+
+
+def test_series_window_mul_and_residue_match_ring_reference():
+    rng = random.Random(13)
+    multiplied = residues = 0
+    for _ in range(300):
+        d = rng.randint(0, 4)
+        ring = BRing(d)
+        u, v = random_series_window(rng, d), random_series_window(rng, d)
+        try:
+            want = reference_window_mul(u, v, ring)
+        except OutOfWindowError:
+            with pytest.raises(OutOfWindowError):
+                u.mul(v)
+            continue
+        assert u.mul(v) == want
+        multiplied += 1
+        if want.lo <= -1:
+            got = u.residue_with(v)
+            assert got == (want.coeffs[-1 - want.lo] if want.hi >= -1 else ring.zero())
+            assert got.d_max == d
+            residues += 1
+    assert multiplied > 50 and residues > 20

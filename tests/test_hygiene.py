@@ -1,8 +1,9 @@
 """Source hygiene, read off the syntax trees with the standard library:
 no module imports a name it never uses, no function or method exists
 that nothing calls or mentions by name, none but a listed few exists only
-for the tests, no optional parameter exists that no call passes, and no
-module-level cache is unbounded but a listed few."""
+for the tests, no optional parameter exists that no call passes, no
+parameter goes unread but a listed few, and no module-level cache is
+unbounded but a listed few."""
 
 import ast
 import math
@@ -369,4 +370,88 @@ def scoped(values):
     assert list(_unbounded_caches("synthetic.py", ast.parse(source))) == [
         "synthetic.py: table", "synthetic.py: memo", "synthetic.py: wrapped",
         "synthetic.py: lookup", "synthetic.py: size",
+    ]
+
+
+class _UnreadParameters(ast.NodeVisitor):
+    """'module: qualname(param)' for each parameter of a function, method or
+    lambda that its body never reads, ``self`` and ``cls`` aside.  A read in a
+    nested function or lambda counts: the closure reads it."""
+
+    def __init__(self, module):
+        self.module = module
+        self.scope = []
+        self.unread = []
+
+    def _visit_def(self, node, name):
+        self.scope.append(name)
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        qualname = ".".join(self.scope)
+        self.unread += [f"{self.module}: {qualname}({p})" for p in params
+                        if p not in read and p not in ("self", "cls")]
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node):
+        self._visit_def(node, node.name)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self._visit_def(node, "<lambda>")
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+
+def _unread_parameters(module, tree):
+    visitor = _UnreadParameters(module)
+    visitor.visit(tree)
+    return visitor.unread
+
+
+# miwa_expand calls every scale with the index b; the plain variable's scale
+# is 1 whatever b is.  The list is exact.
+UNREAD_PARAMETERS = {"taufn.py: _plain(b)"}
+
+
+def test_every_parameter_is_read():
+    found = {p for path in _modules() for p in _unread_parameters(path.name, _tree(path))}
+    assert found == UNREAD_PARAMETERS
+
+
+def test_parameter_never_read_is_flagged():
+    source = """
+def area(width, height, unit="m", *extra, **options):
+    return width * height
+
+
+class Box:
+    def __init__(self, size, label):
+        self.size = size
+
+    @classmethod
+    def make(cls, size):
+        return cls(size, None)
+
+    def scaled(self, factor, ring):
+        return [lambda x, y: x * factor for _ in range(self.size)]
+
+
+def outer(n, step):
+    def inner(k):
+        return n + k
+    return inner
+"""
+    assert _unread_parameters("synthetic.py", ast.parse(source)) == [
+        "synthetic.py: area(unit)", "synthetic.py: area(extra)", "synthetic.py: area(options)",
+        "synthetic.py: Box.__init__(label)", "synthetic.py: Box.scaled(ring)",
+        "synthetic.py: Box.scaled.<lambda>(y)", "synthetic.py: outer(step)",
     ]

@@ -195,16 +195,14 @@ class TestBaker:
     def test_trivial_baker_is_one(self):
         tau = build_tau(TRIVIAL, 4, 0)
         minus, plus = reference_baker(tau, -4, F(1, 3), F(1), s=())
-        ring = QRing()
-        assert minus.get(0, ring) == 1 and plus.get(0, ring) == 1
-        assert all(minus.get(j, ring) == 0 for j in range(-4, 0))
-        assert all(plus.get(j, ring) == 0 for j in range(-4, 0))
+        assert minus.get(0) == 1 and plus.get(0) == 1
+        assert all(minus.get(j) == 0 for j in range(-4, 0))
+        assert all(plus.get(j) == 0 for j in range(-4, 0))
 
     def test_leading_normalization(self):
         tau = build_tau(belyi(), 5, 3)
         minus, plus = reference_baker(tau, -5, F(1, 21), F(2, 3), s=(F(2, 21),))
-        ring = QRing()
-        assert minus.get(0, ring) == 1 and plus.get(0, ring) == 1
+        assert minus.get(0) == 1 and plus.get(0) == 1
 
     def test_matches_adapted_basis(self):
         from hurwitztau.adaptedbasis import build_basis
@@ -213,10 +211,9 @@ class TestBaker:
         tau = build_tau(fam, 6, 3)
         minus, plus = reference_baker(tau, -6, beta, gamma, s)
         b = build_basis(fam, beta, gamma, s=s, k_range=(1, 1), depth=-8)
-        ring = QRing()
         for j in range(-6, 1):
-            assert minus.get(j, ring) == b.ws[1].get(j, ring)
-            assert plus.get(j, ring) == b.w[1].get(j, ring) * gamma
+            assert minus.get(j) == b.ws[1].get(j)
+            assert plus.get(j) == b.w[1].get(j) * gamma
 
     def test_window_depth_guard(self):
         tau = build_tau(belyi(), 3, 2)
