@@ -76,16 +76,9 @@ def quantum(q) -> WeightFamily:
     return WeightFamily(QUANTUM, q=Fraction(q), label=f"quantum(q={Fraction(q)})")
 
 
-@lru_cache(maxsize=256)  # one entry per (q, i): the verify sweep holds 3, a --dmax 64 run 64
-def _quantum_g(q: Fraction, i: int) -> Fraction:
-    # e_i(q, q^2, ...) = q^{i(i+1)/2} / prod_{j=1..i} (1 - q^j)
-    num = q ** (i * (i + 1) // 2)
-    den = Fraction(1)
-    for j in range(1, i + 1):
-        den *= 1 - q**j
-    return num / den
-
-
+# One entry per (family, i): the table job holds 5, the verify sweep 30, a
+# quantum --dmax 64 run 65.
+@lru_cache(maxsize=1024)
 def g_coeff(family: WeightFamily, i: int) -> Fraction:
     """Taylor coefficient of z^i in the family's generating function."""
     if i < 0:
@@ -101,7 +94,12 @@ def g_coeff(family: WeightFamily, i: int) -> Fraction:
         for k in range(2, i + 1):
             out /= k
         return out
-    return _quantum_g(family.q, i)
+    # e_i(q, q^2, ...) = q^{i(i+1)/2} / prod_{j=1..i} (1 - q^j)
+    q = family.q
+    den = Fraction(1)
+    for j in range(1, i + 1):
+        den *= 1 - q**j
+    return q ** (i * (i + 1) // 2) / den
 
 
 def r_factor(family: WeightFamily, j: int, d_max: int) -> BetaSeries:
@@ -110,6 +108,10 @@ def r_factor(family: WeightFamily, j: int, d_max: int) -> BetaSeries:
     return BetaSeries(coeffs)
 
 
+# One entry per (family, x); an int and an equal Fraction share one.  The verify
+# sweep holds 140, a basis run at its --k-lo/--k-hi/--depth caps 202.  A pole
+# raises on every call: lru_cache stores no exception.
+@lru_cache(maxsize=1024)
 def g_value(family: WeightFamily, x: Fraction) -> Fraction:
     """Exact value G(x) at a rational point (finite_c / dual_finite_c only)."""
     x = Fraction(x)

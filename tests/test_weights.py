@@ -6,8 +6,9 @@ import pytest
 from hurwitztau.errors import ConfigurationError, DomainError, SingularParameterError
 from hurwitztau.cutjoin import _family_signs
 from hurwitztau.exactalg import BetaSeries, BRing, QRing, log_pieces, series_exp, series_inv
+from hurwitztau.hurwitz import build_table
 from hurwitztau.partitions import Partition, partitions_up_to
-from hurwitztau.symfun import elementary_list
+from hurwitztau.symfun import complete_list, elementary_list
 from hurwitztau.weights import (
     WeightFamily,
     belyi,
@@ -99,6 +100,90 @@ class TestGCoeff:
     def test_dual(self):
         fam = signed()
         assert g_coeff(fam, 3) == 1  # h_3(1) = 1
+
+
+def reference_g_coeff(family: WeightFamily, i: int) -> Fraction:
+    """The Taylor coefficient g_i computed from scratch, one index at a time."""
+    if i == 0:
+        return F(1)
+    if family.kind == "finite_c":
+        return elementary_list(family.c, i)[i] if i <= len(family.c) else F(0)
+    if family.kind == "dual_finite_c":
+        return complete_list(family.c, i)[i]
+    if family.kind == "exponential":
+        out = F(1)
+        for k in range(2, i + 1):
+            out /= k
+        return out
+    q = family.q
+    num = q ** (i * (i + 1) // 2)
+    den = F(1)
+    for j in range(1, i + 1):
+        den *= 1 - q**j
+    return num / den
+
+
+def direct_g_value(family: WeightFamily, x) -> Fraction:
+    """G(x) as the plain product over the family's c_i."""
+    out = F(1)
+    for ci in family.c:
+        out *= 1 + x * ci if family.kind == "finite_c" else 1 / (1 - x * ci)
+    return out
+
+
+CACHED_FAMILIES = (
+    exponential(), belyi(), WeightFamily("finite_c", c=(1, F(1, 2), F(-2, 3))), signed(),
+    WeightFamily("dual_finite_c", c=(1, F(1, 2))), quantum(F(1, 3)),
+)
+RATIONAL_FAMILIES = tuple(f for f in CACHED_FAMILIES if f.kind in ("finite_c", "dual_finite_c"))
+
+
+class TestCachedConstants:
+    """g_coeff and g_value are memoized per (family, index or point); a cached
+    value must equal the one computed from scratch, whatever the call order."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_g_coeff_matches_reference(self, order):
+        g_coeff.cache_clear()
+        indices = range(13) if order == "ascending" else range(12, -1, -1)
+        for fam in CACHED_FAMILIES:  # one cache for all six: no entry may leak
+            for i in indices:
+                assert g_coeff(fam, i) == reference_g_coeff(fam, i)
+
+    def test_g_coeff_still_refuses_negative_index(self):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                g_coeff(belyi(), -1)
+
+    def test_g_value_matches_direct_product(self):
+        g_value.cache_clear()
+        beta = F(2, 61)  # j beta stays below every pole 1/c_i for |j| <= 30
+        for fam in RATIONAL_FAMILIES:
+            for j in range(-30, 31):
+                x = j * beta
+                assert g_value(fam, x) == direct_g_value(fam, x)
+            poles = {1 / ci for ci in fam.c} if fam.kind == "dual_finite_c" else set()
+            for j in sorted(set(range(-30, 31)) - poles):
+                by_int, by_fraction = g_value(fam, j), g_value(fam, F(j))
+                assert by_int == by_fraction == direct_g_value(fam, F(j))
+                assert type(by_int) is type(by_fraction) is Fraction
+
+    def test_pole_raises_on_every_call(self):
+        for x in (1, 1, F(1), F(1)):
+            with pytest.raises(SingularParameterError):
+                g_value(signed(), x)
+
+    @pytest.mark.parametrize("fam", CACHED_FAMILIES, ids=lambda f: f.label)
+    def test_r_factor_matches_reference(self, fam):
+        for d_max in range(7):
+            for j in range(-6, 7):
+                want = [reference_g_coeff(fam, i) * F(j) ** i for i in range(d_max + 1)]
+                assert r_factor(fam, j, d_max) == BetaSeries(want)
+
+    def test_table_holds_one_coefficient_per_index(self):
+        g_coeff.cache_clear()
+        build_table(exponential(), 8, 4)
+        assert g_coeff.cache_info().currsize == 5
 
 
 # Cross-mode checks: for polynomial G of degree M, G(j beta) has beta-degree M,
