@@ -18,7 +18,8 @@ from functools import cache, partial
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
 from .exactalg import LaurentWindow, scalar_ring
 from .symfun import h_of_sigma
-from .weights import EXPONENTIAL, FINITE_C, QUANTUM, WeightFamily, g_at, g_coeff, g_value, rho
+from .weights import EXPONENTIAL, FINITE_C, QUANTUM, WeightFamily, g_at, g_coeff, g_value
+from .weights import rho, rho_inv
 
 
 @dataclass(frozen=True)
@@ -41,27 +42,6 @@ class BasisWindow:
             if s != 0:
                 L = i
         return L
-
-    def r_value(self, j: int):
-        """G(j beta) as a ring element."""
-        return g_at(self.family, j, self.ring)
-
-    def rho_value(self, j: int):
-        return rho(self.family, j, self.gamma, self.ring)
-
-    def rho_inv(self, j: int):
-        """rho_j^{-1}.  For j < 0 this is the direct product
-        gamma^{-j} prod_{i=0}^{-j-1} G(-i beta): always finite, possibly zero
-        (the allowed vanishing-rho degeneration)."""
-        if j < 0:
-            out = self.ring.one() * self.gamma ** (-j)
-            for i in range(0, -j):
-                out = out * self.r_value(-i)
-            return out
-        value = self.rho_value(j)
-        if not value:
-            raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
-        return 1 / value
 
     def built_sides(self) -> list:
         """(side, elements) for each side that was built: +1 is w, -1 is w*."""
@@ -107,11 +87,11 @@ def build_basis(
     k_lo, k_hi = k_range
     if k_lo > k_hi or depth > k_lo - 1:
         raise ConfigurationError("empty basis window")
-    scratch = BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, {}, {})
     # every k reads the same rho_j and rho_j^{-1}: compute each once per window
-    rho_value, rho_inv = cache(scratch.rho_value), cache(scratch.rho_inv)
+    rho_j = cache(lambda j: rho(family, j, gamma_val, ring))
+    rho_j_inv = cache(lambda j: rho_inv(family, j, gamma_val, ring))
     # the rho factor of the z^j coefficient: rho_{-j-1} in w_k, rho_j^{-1} in w*_k
-    rho_factor = {1: lambda j: rho_value(-j - 1), -1: rho_inv}
+    rho_factor = {1: lambda j: rho_j(-j - 1), -1: rho_j_inv}
     w, ws = {}, {}
     built = [(side, el) for side, name, el in ((1, "w", w), (-1, "ws", ws)) if name in sides]
     for k in range(k_lo, k_hi + 1):
@@ -171,14 +151,14 @@ _PLUS_MINUS = {1: "+", -1: "-"}  # matrix-label suffix of each side
 def op_R(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
     """R = (gamma/z) G(-beta D), R* = (gamma/z) G(beta D): diagonal multiplier
     then shift down."""
-    return window.diag(lambda j: b.r_value(-side * j) * b.gamma).shift(-1)
+    return window.diag(lambda j: g_at(b.family, -side * j, b.ring) * b.gamma).shift(-1)
 
 
 def op_a(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
     """a = R^{-1}: shift up, divide by gamma G(-side beta j) at the new exponent."""
 
     def factor(j):
-        val = b.r_value(-side * j) * b.gamma
+        val = g_at(b.family, -side * j, b.ring) * b.gamma
         if not val:
             raise _a_undefined(side, j)
         return 1 / val
@@ -402,10 +382,14 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
     q = partial(recursion_entry, b.family, ring, b.sigma)
 
     def g_el(i, j):
-        return b.rho_value(i) * h_of_sigma(i - j, b.sigma, 1) if i >= j else ring.zero()
+        if i < j:
+            return ring.zero()
+        return rho(b.family, i, b.gamma, ring) * h_of_sigma(i - j, b.sigma, 1)
 
     def g_inv_el(i, j):
-        return b.rho_inv(j) * h_of_sigma(i - j, b.sigma, -1) if i >= j else ring.zero()
+        if i < j:
+            return ring.zero()
+        return rho_inv(b.family, j, b.gamma, ring) * h_of_sigma(i - j, b.sigma, -1)
 
     def qt_plus(k, j):
         acc = ring.zero()

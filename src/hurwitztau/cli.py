@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__, adaptedbasis, correlators, cutjoin, hurwitz, taufn
 from .errors import ConfigurationError, HurwitzTauError, ResourceError
-from .exactalg import BetaSeries
+from .exactalg import BetaSeries, exp_weight
 from .weights import WeightFamily, belyi, exponential, quantum, signed
 
 EXIT_OK = 0
@@ -259,11 +259,7 @@ def cmd_tau(args) -> int:
         )
     family = make_family(args)
     tau = taufn.build_tau(family, args.wmax, args.dmax)
-    from .exactalg import exp_weight
-
-    grades_ok = all(
-        exp_weight(t) == exp_weight(s) == g for (t, s, g) in tau.body.terms
-    )
+    grades_ok = all(exp_weight(t) == exp_weight(s) == g for (t, s, g) in tau.body.terms)
     result = {
         "constant_term_is_one": tau.body.constant_term() == BetaSeries.one(args.dmax),
         "grade_consistency": {"ok": grades_ok},

@@ -60,6 +60,11 @@ def K2_via_tau(
     evaluation: the hook (a|b) contributes on the single cell
     (z^{-b-1}, w^{-a-1}), and the empty partition gives the geometric
     expansion of 1/(z-w).
+
+    The hook values come from Jacobi-Trudi (schur_weight) on purpose: the
+    hook formula rho_a rho_{-b-1}^{-1} sum_k h_{a+1+k}(sigma) h_{b-k}(-sigma)
+    is the sum K2_via_basis forms from w_j and w*_{1-j}, so it would check
+    that route against itself.
     """
     ring = scalar_ring(beta_val, d_max)
     gamma_val = Fraction(gamma_val)

@@ -124,7 +124,7 @@ def schur_eigen_check(weight_max: int = 6, commutator_weight: int = 8) -> dict:
     lams = partitions_up_to(weight_max)  # refuses a negative weight before any Q_k
     ops = {k: build_Qk(k, weight_max) for k in (0, 1, 2)}
     for lam in lams:
-        s_lam = schur_to_power(lam, 0, weight_max)
+        s_lam = schur_to_power(lam, weight_max)
         for k, op in ops.items():
             got = op.apply(s_lam)
             want = s_lam.scale(diagonal_Qk(k, lam))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
+from math import factorial
 
 from .errors import ResourceError
 from .exactalg import BetaSeries, BRing
@@ -22,6 +24,7 @@ from .grouporacle import (
 )
 from .partitions import Partition, enumerate_partitions, genus_of
 from .symfun import character
+from .taufn import build_tau, log_tau, pair_series
 from .weights import WeightFamily, content_product, path_weight, profile_weight
 
 CHAR_TABLE_N_CAP = 10
@@ -105,16 +108,13 @@ def H_via_paths(family: WeightFamily, mu: Partition, nu: Partition, d: int) -> F
     if N > PATH_N_CAP or d > PATH_D_CAP:
         raise ResourceError(f"path oracle budget: need N <= {PATH_N_CAP}, d <= {PATH_D_CAP}")
     total = Fraction(0)
-    nfact = 1
-    for i in range(2, N + 1):
-        nfact *= i
     for lam in enumerate_partitions(d):
         w = path_weight(family, lam)
         if w == 0:
             continue
         count = monotone_path_count(N, lam, mu, nu)
         if count:
-            total += w * Fraction(count, nfact)
+            total += w * Fraction(count, factorial(N))
     return total
 
 
@@ -126,35 +126,30 @@ def H_connected_via_oracle(
     return _profile_sum(family, mu, nu, d, transitive_factorization_count)
 
 
+def _table(row, weights, d_max: int) -> dict:
+    """(mu, nu, d) -> nonzero [beta^d] row(mu, nu) for |mu| = |nu| in weights."""
+    table = {}
+    for N in weights:
+        pairs = enumerate_partitions(N)
+        for mu in pairs:
+            for nu in pairs:
+                series = row(mu, nu)
+                for d in range(d_max + 1):
+                    if series[d] != 0:
+                        table[(mu, nu, d)] = series[d]
+    return table
+
+
 def build_table(family: WeightFamily, N: int, d_max: int) -> dict:
     """(mu, nu, d) -> nonzero H^d(mu, nu) for |mu| = |nu| = N, via characters."""
     _check_char_table_cap(N)  # before the p(N) partitions are enumerated
-    table = {}
-    pairs = enumerate_partitions(N)
-    for mu in pairs:
-        for nu in pairs:
-            series = H_via_characters(family, mu, nu, d_max)
-            for d in range(d_max + 1):
-                if series[d] != 0:
-                    table[(mu, nu, d)] = series[d]
-    return table
+    return _table(partial(H_via_characters, family, d_max=d_max), [N], d_max)
 
 
 def connected_table_entries(family: WeightFamily, N: int, d_max: int) -> dict:
     """(mu, nu, d) -> connected number, extracted from log tau at w_max = N."""
-    from .taufn import build_tau, log_tau, pair_series
-
-    tau = build_tau(family, N, d_max)
-    log_body = log_tau(tau)
-    out = {}
-    for M in range(1, N + 1):
-        for mu in enumerate_partitions(M):
-            for nu in enumerate_partitions(M):
-                series = pair_series(log_body, mu, nu)
-                for d in range(d_max + 1):
-                    if series[d] != 0:
-                        out[(mu, nu, d)] = series[d]
-    return out
+    log_body = log_tau(build_tau(family, N, d_max))
+    return _table(partial(pair_series, log_body), range(1, N + 1), d_max)
 
 
 def verify_routes(family: WeightFamily, n_max: int = 4, d_max: int = 3) -> dict:

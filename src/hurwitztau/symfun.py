@@ -75,15 +75,15 @@ def schur_monomial_map(lam: Partition) -> dict:
     return out
 
 
-def schur_to_power(lam: Partition, d_max: int = 0, w_max: int | None = None) -> GradedPoly:
+def schur_to_power(lam: Partition, w_max: int | None = None) -> GradedPoly:
     """s_lambda as a GradedPoly in the t-variables, every term of grade 0."""
     if w_max is None:
         w_max = max(lam.weight, 1)
     terms = {
-        (t_exp, (), 0): BetaSeries.constant(coeff, d_max)
+        (t_exp, (), 0): BetaSeries.constant(coeff, 0)
         for t_exp, coeff in schur_monomial_map(lam).items()
     }
-    return GradedPoly(terms, w_max, d_max)
+    return GradedPoly(terms, w_max, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, prod
 
 from .errors import ConfigurationError, OutOfWindowError
@@ -67,12 +68,7 @@ def pair_series(body: GradedPoly, mu: Partition, nu: Partition) -> BetaSeries:
     coeff = body.coeff(
         monomial_from_partition(mu.parts), monomial_from_partition(nu.parts), mu.weight
     )
-    norm = Fraction(1)
-    for p in mu.parts:
-        norm *= p
-    for p in nu.parts:
-        norm *= p
-    return coeff / norm
+    return coeff / (prod(mu.parts) * prod(nu.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -197,73 +193,37 @@ def multicurrent_W(body: GradedPoly, n: int, x_degree: int) -> dict:
     return out
 
 
-def build_F_n(
-    family: WeightFamily,
-    n: int,
-    w_max: int,
-    d_max: int,
-    x_degree: int,
-    connected: bool = False,
-) -> dict:
-    """F_n (or its connected part) keyed like multicurrent_W's x-keys but
-    with the undifferentiated x-exponents: (x-exponents, s_exps, grade).
+def build_F_n(row, n: int, w_max: int, x_degree: int) -> dict:
+    """F_n keyed like multicurrent_W's x-keys but with the undifferentiated
+    x-exponents: (x-exponents, s_exps, grade).
 
-    Only the rows mu with n parts, none above x_degree + 1, are computed; they
-    exist for N <= w_top = min(w_max, n (x_degree + 1)).  Disconnected entries
-    come from H_via_characters on those (mu, nu) pairs.  Connected entries
-    come from a single log tau truncated at w_top: the weight-N coefficients
-    of log tau involve only terms of tau of weight <= N, so that truncation
-    gives every connected number with N <= w_top exactly as a log tau
-    truncated at N would.
+    ``row(mu, nu)`` gives the beta-series of the Hurwitz numbers F_n is built
+    from: partial(H_via_characters, family, d_max=d) for F_n, or
+    partial(pair_series, log_tau(tau)) for its connected part.  Only the rows
+    mu with n parts, none above x_degree + 1, are read; they exist for
+    N <= min(w_max, n (x_degree + 1)).
     """
-    from .hurwitz import H_via_characters, connected_table_entries  # deferred: cycle
-
-    w_top = min(w_max, n * (x_degree + 1))
-    if connected and w_top >= n:
-        connected_entries = connected_table_entries(family, w_top, d_max)
     out: dict = {}
-    for N in range(n, w_top + 1):
+    for N in range(n, min(w_max, n * (x_degree + 1)) + 1):
         mus = [m for m in enumerate_partitions(N) if m.length == n and m.parts[0] <= x_degree + 1]
         for mu in mus:
-            aut = mu.aut_order()
             for nu in enumerate_partitions(N):
-                norm = Fraction(aut)
-                for p in nu.parts:
-                    norm *= p
-                if connected:
-                    row = [connected_entries.get((mu, nu, d), Fraction(0))
-                           for d in range(d_max + 1)]
-                else:
-                    row = H_via_characters(family, mu, nu, d_max)
-                coeff = BetaSeries([row[d] * norm for d in range(d_max + 1)])
+                coeff = row(mu, nu) * (mu.aut_order() * prod(nu.parts))
                 if not coeff:
                     continue
                 s_exp = monomial_from_partition(nu.parts)
                 for arrangement in sorted(set(itertools.permutations(mu.parts))):
-                    key = (arrangement, s_exp, N)
-                    if key in out:
-                        out[key] = out[key] + coeff
-                    else:
-                        out[key] = coeff
+                    out[(arrangement, s_exp, N)] = coeff
     return out
 
 
 def differentiate_F(f_terms: dict) -> dict:
     """d^n / dx_1..dx_n applied to a build_F_n result."""
-    out: dict = {}
-    for (xexp, s, g), c in f_terms.items():
-        if any(e == 0 for e in xexp):
-            continue
-        factor = 1
-        for e in xexp:
-            factor *= e
-        key = (tuple(e - 1 for e in xexp), s, g)
-        contrib = c * factor
-        if key in out:
-            out[key] = out[key] + contrib
-        else:
-            out[key] = contrib
-    return out
+    return {
+        (tuple(e - 1 for e in xexp), s, g): c * prod(xexp)
+        for (xexp, s, g), c in f_terms.items()
+        if all(xexp)
+    }
 
 
 def check_W_equals_dF(
@@ -278,11 +238,23 @@ def check_W_equals_dF(
     """Verify W_n == d^n F_n / dx_1..dx_n on the shared window, both sides
     read off log tau if connected and cut to one genus if genus is given.
 
+    Connected, W_n and the rows of F_n are read off one log tau; otherwise
+    W_n is read off tau and F_n's rows come from the character route, so the
+    check compares two routes.
+
     Returns {"equal": bool, "mismatches": [...]} listing offending monomials.
     """
+    from .hurwitz import H_via_characters  # hurwitz imports this module
+
     tau = build_tau(family, w_max, d_max)
-    w_terms = multicurrent_W(log_tau(tau) if connected else tau.body, n, x_degree)
-    df = differentiate_F(build_F_n(family, n, w_max, d_max, x_degree, connected))
+    if connected:
+        body = log_tau(tau)
+        row = partial(pair_series, body)
+    else:
+        body = tau.body
+        row = partial(H_via_characters, family, d_max=d_max)
+    w_terms = multicurrent_W(body, n, x_degree)
+    df = differentiate_F(build_F_n(row, n, w_max, x_degree))
     if genus is not None:
         w_terms = _genus_slice(w_terms, n, genus, d_max)
         df = _genus_slice(df, n, genus, d_max)

@@ -178,6 +178,21 @@ def rho(family: WeightFamily, j: int, gamma_val: Fraction, ring):
     return out
 
 
+def rho_inv(family: WeightFamily, j: int, gamma_val: Fraction, ring):
+    """rho_j^{-1}.  For j < 0 this is the direct product
+    gamma^{-j} prod_{i=0}^{-j-1} G(-i beta): always finite, possibly zero
+    (the allowed vanishing-rho degeneration)."""
+    if j < 0:
+        out = ring.one() * Fraction(gamma_val) ** (-j)
+        for i in range(0, -j):
+            out = out * g_at(family, -i, ring)
+        return out
+    value = rho(family, j, gamma_val, ring)
+    if not value:
+        raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
+    return 1 / value
+
+
 def log_A_coeffs(family: WeightFamily, k_max: int) -> list[Fraction]:
     """A_k = p_k(c)/k for k = 1..k_max (power sums of the weight alphabet)."""
     out = []

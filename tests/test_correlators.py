@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitztau import correlators
+from hurwitztau import correlators, taufn
 from hurwitztau.adaptedbasis import build_basis
 from hurwitztau.correlators import (
     K2_via_basis,
@@ -19,7 +19,7 @@ from hurwitztau.exactalg import BRing, QRing, exp_weight, scalar_ring
 from hurwitztau.partitions import Partition, partitions_up_to
 from hurwitztau.symfun import h_of_sigma, schur_monomial_map
 from hurwitztau.taufn import miwa_expand, miwa_scale
-from hurwitztau.weights import WeightFamily, belyi, exponential, g_at, quantum, signed
+from hurwitztau.weights import WeightFamily, belyi, exponential, g_at, quantum, rho, rho_inv, signed
 
 F = Fraction
 
@@ -66,6 +66,20 @@ class TestPairKernel:
         k_tau = K2_via_tau(exponential(), None, F(1), (F(1, 2),), win, d_max=d_max)
         k_bas, _ = K2_via_basis(b, win)
         assert kernels_equal(k_tau, k_bas, ring)
+
+    def test_hooks_come_from_jacobi_trudi(self, monkeypatch):
+        # the hook formula is the sum K2_via_basis forms, so K2_via_tau keeps
+        # its own route: one schur_at_sigma per hook cell of the 6 x 6 block
+        hooks = []
+        real = taufn.schur_at_sigma
+
+        def spy(lam, sigma):
+            hooks.append(lam)
+            return real(lam, sigma)
+
+        monkeypatch.setattr(taufn, "schur_at_sigma", spy)
+        K2_via_tau(belyi(), BETA, GAMMA, SIGMA1, (-6, -1, -6, 5))
+        assert len(hooks) == len(set(hooks)) == 36
 
 
 def reference_cd_matrix(family, beta_val, sigma, bounds, d_max=None):
@@ -159,8 +173,8 @@ class TestCDMatrix:
 def test_cd_prefactor_claim():
     # the specialization uses g_{00} g^{-1}_{-1,-1} = gamma
     b = rational_basis(belyi(), SIGMA1)
-    g00 = b.rho_value(0)  # h_0 = 1
-    g_inv_m1 = b.rho_inv(-1)
+    g00 = rho(b.family, 0, b.gamma, b.ring)  # h_0 = 1
+    g_inv_m1 = rho_inv(b.family, -1, b.gamma, b.ring)
     assert g00 * g_inv_m1 == GAMMA
 
 

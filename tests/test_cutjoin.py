@@ -97,8 +97,8 @@ class TestExplicitOperators:
 
     def test_q1_on_weight_two(self):
         q1 = build_Qk(1, 4)
-        s2 = schur_to_power(Partition((2,)), 0, 4)
-        s11 = schur_to_power(Partition((1, 1)), 0, 4)
+        s2 = schur_to_power(Partition((2,)), 4)
+        s11 = schur_to_power(Partition((1, 1)), 4)
         assert q1.apply(s2) == s2
         assert q1.apply(s11) == s11.scale(-1)
         # raw monomial actions: Q_1(t_1^2) = 2 t_2 + ..., Q_1(t_2) = t_1^2/2... wait
@@ -107,7 +107,7 @@ class TestExplicitOperators:
 
     def test_q2_on_single_box(self):
         q2 = build_Qk(2, 3)
-        s1 = schur_to_power(Partition((1,)), 0, 3)
+        s1 = schur_to_power(Partition((1,)), 3)
         assert not q2.apply(s1).terms  # content 0
 
 
@@ -134,7 +134,7 @@ class TestGenerator:
     def test_schur_eigenvalues_beyond_q2(self, k):
         op = build_Qk(k, 6)
         for lam in partitions_up_to(6):
-            s_lam = schur_to_power(lam, 0, 6)
+            s_lam = schur_to_power(lam, 6)
             assert op.apply(s_lam) == s_lam.scale(diagonal_Qk(k, lam)), lam.parts
 
     def test_operators_commute(self):

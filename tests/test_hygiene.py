@@ -2,8 +2,9 @@
 no module imports a name it never uses, no function or method exists
 that nothing calls or mentions by name, none but a listed few exists only
 for the tests, no optional parameter exists that no call passes, no
-parameter goes unread but a listed few, and every module-level cache,
-bounded or not, is one of a listed few."""
+parameter goes unread but a listed few, every module-level cache,
+bounded or not, is one of a listed few, and so is every import made inside
+a function."""
 
 import ast
 import math
@@ -497,4 +498,88 @@ def outer(n, step):
         "synthetic.py: area(unit)", "synthetic.py: area(extra)", "synthetic.py: area(options)",
         "synthetic.py: Box.__init__(label)", "synthetic.py: Box.scaled(ring)",
         "synthetic.py: Box.scaled.<lambda>(y)", "synthetic.py: outer(step)",
+    ]
+
+
+class _DeferredImports(ast.NodeVisitor):
+    """'module: qualname -> imported module' for each import made inside a
+    function or method body instead of at module level."""
+
+    def __init__(self, module):
+        self.module = module
+        self.scope = []
+        self.functions = 0
+        self.found = []
+
+    def _visit_scope(self, node, is_function):
+        self.scope.append(node.name)
+        self.functions += is_function
+        self.generic_visit(node)
+        self.functions -= is_function
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node):
+        self._visit_scope(node, True)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node):
+        self._visit_scope(node, False)
+
+    def _record(self, targets):
+        if self.functions:
+            qualname = ".".join(self.scope)
+            self.found += [f"{self.module}: {qualname} -> {t}" for t in targets]
+
+    def visit_Import(self, node):
+        self._record(alias.name for alias in node.names)
+
+    def visit_ImportFrom(self, node):
+        self._record(["." * node.level + (node.module or "")])
+
+
+def _deferred_imports(module, tree):
+    visitor = _DeferredImports(module)
+    visitor.visit(tree)
+    return visitor.found
+
+
+# hurwitz imports taufn at module level, so taufn imports hurwitz where it is
+# used.  The list is exact: a new import inside a function fails.
+DEFERRED_IMPORTS = {"taufn.py: check_W_equals_dF -> .hurwitz"}
+
+
+def test_no_new_deferred_import():
+    found = {i for path in _modules() for i in _deferred_imports(path.name, _tree(path))}
+    assert found == DEFERRED_IMPORTS
+
+
+def test_deferred_import_is_flagged():
+    source = """
+import os
+from . import sibling
+
+
+def top():
+    from .other import thing
+    import json, math as m
+    return thing, json, m
+
+
+class Box:
+    from .. import parent
+
+    def method(self):
+        def inner():
+            from .deep.er import name
+            return name
+        return inner
+
+
+def plain():
+    return os, sibling
+"""
+    assert _deferred_imports("synthetic.py", ast.parse(source)) == [
+        "synthetic.py: top -> .other", "synthetic.py: top -> json", "synthetic.py: top -> math",
+        "synthetic.py: Box.method.inner -> .deep.er",
     ]

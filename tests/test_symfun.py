@@ -19,7 +19,7 @@ from hurwitztau.symfun import (
 F = Fraction
 
 
-def reference_schur_to_power(lam, d_max=0, w_max=None):
+def reference_schur_to_power(lam, w_max=None):
     """s_lambda in the t-variables by its own character loop over classes mu."""
     if w_max is None:
         w_max = max(lam.weight, 1)
@@ -31,8 +31,8 @@ def reference_schur_to_power(lam, d_max=0, w_max=None):
         coeff = F(chi, mu.z_order())
         for p in mu.parts:
             coeff *= p
-        terms[(monomial_from_partition(mu.parts), (), 0)] = BetaSeries.constant(coeff, d_max)
-    return GradedPoly(terms, w_max, d_max)
+        terms[(monomial_from_partition(mu.parts), (), 0)] = BetaSeries.constant(coeff, 0)
+    return GradedPoly(terms, w_max, 0)
 
 
 class TestCharacters:
@@ -90,7 +90,7 @@ class TestSchurToPower:
     def test_matches_character_loop_reference(self):
         for lam in partitions_up_to(6):
             assert schur_to_power(lam) == reference_schur_to_power(lam)
-            assert schur_to_power(lam, 2, 7) == reference_schur_to_power(lam, 2, 7)
+            assert schur_to_power(lam, 7) == reference_schur_to_power(lam, 7)
 
 
 class TestEvalBasis:

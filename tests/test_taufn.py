@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -83,6 +84,14 @@ F_N_WINDOWS = [
     ((2, 2, 5, 3), {"connected": True, "genus": 0}),
 ]
 F_N_WINDOW_IDS = ["n1", "n2", "n2-connected", "n2-genus0"]
+
+
+def _rows(family, w_max, d_max, connected=False):
+    """The Hurwitz rows build_F_n reads: log tau's connected numbers, or the
+    character route."""
+    if connected:
+        return partial(pair_series, log_tau(build_tau(family, w_max, d_max)))
+    return partial(H_via_characters, family, d_max=d_max)
 
 
 def reference_F_n(family, n, w_max, d_max, x_degree, connected=False, genus=None):
@@ -271,20 +280,20 @@ class TestMulticurrent:
             assert w2_conn.get(key, zero) == w2.get(key, zero) - prod.get(key, zero)
 
     def test_f1_leading_term(self):
-        f1 = build_F_n(exponential(), 1, 3, 2, 2)
+        f1 = build_F_n(_rows(exponential(), 3, 2), 1, 3, 2)
         assert f1[((1,), (1,), 1)][0] == 1  # gamma beta^{-1} x s_1
 
     def test_genus_zero_slice_of_f1(self):
         # connected genus-0 slice at N=2: the x^2 gamma^2 s_1^2 term is built
         # from the connected count 1/2 at d = n + l(nu) + 2g - 2 = 1
-        f01 = _genus_slice(build_F_n(exponential(), 1, 2, 2, 2, connected=True), 1, 0, 2)
+        f01 = _genus_slice(build_F_n(_rows(exponential(), 2, 2, True), 1, 2, 2), 1, 0, 2)
         assert f01[((2,), (2,), 2)] == BetaSeries([0, F(1, 2), 0])
 
     @pytest.mark.parametrize("fam", [exponential(), belyi()], ids=lambda f: f.label)
     @pytest.mark.parametrize("args,kw", F_N_WINDOWS, ids=F_N_WINDOW_IDS)
     def test_f_n_matches_full_table_assembly(self, fam, args, kw):
         n, x_degree, w_max, d_max = args
-        got = build_F_n(fam, n, w_max, d_max, x_degree, kw.get("connected", False))
+        got = build_F_n(_rows(fam, w_max, d_max, kw.get("connected", False)), n, w_max, x_degree)
         if "genus" in kw:
             got = _genus_slice(got, n, kw["genus"], d_max)
         assert got == reference_F_n(fam, n, w_max, d_max, x_degree, **kw)
@@ -298,23 +307,25 @@ class TestMulticurrent:
         got = multicurrent_W(body, n, 6 - n)
         assert got and got == reference_multicurrent_W(body, n, 6 - n)
 
-    def test_connected_f_n_logs_only_up_to_its_rows(self, monkeypatch):
-        from hurwitztau import hurwitz
+    def test_connected_check_builds_and_logs_tau_once(self, monkeypatch):
+        # W_n and the rows of F_n are read off one log tau
+        from hurwitztau import taufn
 
-        weights = []
+        calls = []
+        real_build, real_log = taufn.build_tau, GradedPoly.log
 
-        def spy(family, w_max, d_max):
-            weights.append(w_max)
-            return connected_table_entries(family, w_max, d_max)
+        def build_spy(*args):
+            calls.append("build_tau")
+            return real_build(*args)
 
-        monkeypatch.setattr(hurwitz, "connected_table_entries", spy)
-        fam = exponential()
-        # one part of size <= 2: rows exist only for N <= 2, although w_max is 8
-        got = build_F_n(fam, 1, 8, 3, 1, connected=True)
-        assert weights == [2]
-        assert build_F_n(fam, 3, 2, 2, 1, connected=True) == {}
-        assert weights == [2]
-        assert got == reference_F_n(fam, 1, 8, 3, 1, connected=True)
+        def log_spy(self):
+            calls.append("log")
+            return real_log(self)
+
+        monkeypatch.setattr(taufn, "build_tau", build_spy)
+        monkeypatch.setattr(GradedPoly, "log", log_spy)
+        assert check_W_equals_dF(exponential(), 2, 2, 5, 3, connected=True)["equal"]
+        assert calls == ["build_tau", "log"]
 
     @pytest.mark.parametrize("fam", [exponential(), belyi()], ids=lambda f: f.label)
     def test_w_equals_df(self, fam):

@@ -22,6 +22,7 @@ from hurwitztau.weights import (
     quantum,
     r_factor,
     rho,
+    rho_inv,
     signed,
 )
 
@@ -276,6 +277,20 @@ class TestRho:
             for j in range(-5, 6):
                 lhs = rho(fam, j, gamma, ring) / (gamma * rho(fam, j - 1, gamma, ring))
                 assert lhs == g_value(fam, j * beta)
+
+    def test_inverse(self):
+        ring = QRing(F(1, 11))
+        for fam in (belyi(), WeightFamily("finite_c", c=(1, F(1, 2))), signed()):
+            for j in range(-6, 7):
+                assert rho(fam, j, F(2, 3), ring) * rho_inv(fam, j, F(2, 3), ring) == 1
+
+    def test_inverse_of_vanishing_rho_named(self):
+        # rho_2 = gamma^2 G(beta) G(2 beta) and G(2 beta) = 0 at beta = -1/2
+        message = "^rho_2 = 0: dual basis element undefined$"
+        with pytest.raises(SingularParameterError, match=message):
+            rho_inv(belyi(), 2, 1, QRing(F(-1, 2)))
+        # j < 0 is a product: G(-2 beta) = 0 at beta = 1/2 gives zero, not an error
+        assert rho_inv(belyi(), -3, 1, QRing(F(1, 2))) == 0
 
     def test_series_matches_rational(self):
         for fam in POLY_FAMILIES:
