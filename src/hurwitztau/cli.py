@@ -340,14 +340,20 @@ def cmd_kernel(args) -> int:
     window = _kernel_window(args.window)
     if args.check_finiteness and family.kind != "finite_c":
         raise ConfigurationError("--check-finiteness needs a polynomial family")
-    depth = min(window[0], window[2]) - 2
     k_hi = max(1, -window[0]) + 1
-    k_lo = min(0, 1 + window[0]) - 1
-    b = adaptedbasis.build_basis(
-        family, beta, gamma, s=_fraction_list(args.s),
-        sigma=_fraction_list(args.sigma) if args.sigma else None,
-        k_range=(k_lo, k_hi), depth=depth, d_max=args.dmax,
-    )
+
+    def basis(k_lo):
+        return adaptedbasis.build_basis(
+            family, beta, gamma, s=_fraction_list(args.s),
+            sigma=_fraction_list(args.sigma) if args.sigma else None,
+            k_range=(k_lo, k_hi), depth=min(window[0], window[2], 0, k_lo + 1) - 2,
+            d_max=args.dmax,
+        )
+
+    b = basis(min(0, 1 + window[0]) - 1)
+    # the CD check reads w*_k down to k = 1 - LM, which the window alone may not reach
+    if args.check_finiteness and b.k_lo > 1 - adaptedbasis.q_band(b):
+        b = basis(1 - adaptedbasis.q_band(b))
     k_tau = correlators.K2_via_tau(family, beta, gamma, b.sigma, window, d_max=args.dmax)
     k_bas, info = correlators.K2_via_basis(b, window)
     result = {
@@ -358,7 +364,9 @@ def cmd_kernel(args) -> int:
         "kernel": k_tau,
     }
     if args.check_finiteness:
-        rank_window = (max(window[0], -4), -1, max(window[2], -3), min(window[3], 3))
+        # the window clamped into z in [-4, -1], w in [-3, 3], so never empty
+        wlo, whi = (min(max(x, -3), 3) for x in window[2:])
+        rank_window = (min(max(window[0], -4), -1), -1, wlo, whi)
         cd = correlators.cd_kernel(b, rank_window)
         result["cd"] = {
             "ok": cd["ok"],

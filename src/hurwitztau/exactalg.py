@@ -207,6 +207,14 @@ class BetaSeries:
         n = len(self.nums)
         return BetaSeries._reduced(((0,) * min(k, n) + self.nums)[:n], self.den)
 
+    def dilate(self, x: int) -> "BetaSeries":
+        """f(x beta) for an integer x: coefficient d times x^d, over the same den."""
+        out, power = [], 1
+        for n in self.nums:
+            out.append(n * power)
+            power *= x
+        return BetaSeries._reduced(out, self.den)
+
     def __repr__(self):
         return f"BetaSeries({list(self.coeffs)})"
 

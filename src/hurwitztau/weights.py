@@ -103,9 +103,8 @@ def g_coeff(family: WeightFamily, i: int) -> Fraction:
 
 
 def r_factor(family: WeightFamily, j: int, d_max: int) -> BetaSeries:
-    """G(j beta) as a truncated beta-series; r_0 = 1."""
-    coeffs = [g_coeff(family, i) * Fraction(j) ** i for i in range(d_max + 1)]
-    return BetaSeries(coeffs)
+    """G(j beta) as a truncated beta-series, G(beta) dilated by j; r_0 = 1."""
+    return BetaSeries([g_coeff(family, i) for i in range(d_max + 1)]).dilate(j)
 
 
 # One entry per (family, x); an int and an equal Fraction share one.  The verify

@@ -227,6 +227,36 @@ def test_kernel_bad_window_is_config_error():
         assert_config_error(run_cli("kernel", f"--window={window}"))
 
 
+@pytest.mark.parametrize("argv", [
+    ("--window=1,1,1,1",),
+    ("--window=1,1,1,1", "--check-finiteness"),
+    ("--family", "finite", "--c", "1,1/2", "--s", "1/21,1/50", "--window=-1,-1,-1,-1"),
+    ("--family", "finite", "--c", "1,1/2", "--s", "1/21,1/50", "--window=-1,-1,-1,-1",
+     "--check-finiteness"),
+    ("--window=0,2,0,2", "--check-finiteness"),
+    ("--window=-5,-1,5,6", "--check-finiteness"),
+], ids=["above-zero", "above-zero-cd", "finite-pole", "finite-pole-cd", "z-positive-cd",
+        "w-high-cd"])
+def test_kernel_accepts_every_nonempty_window(argv, monkeypatch, capsys):
+    # the basis window follows the kernel window and, under --check-finiteness,
+    # the CD rank; the CD identity is checked on a nonempty window
+    cd_windows = []
+    cd_kernel = correlators.cd_kernel
+
+    def recording_cd_kernel(b, window):
+        cd_windows.append(window)
+        return cd_kernel(b, window)
+
+    monkeypatch.setattr(correlators, "cd_kernel", recording_cd_kernel)
+    assert cli.main(["kernel", *argv]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["kernel_routes_equal"]["ok"] is True
+    if "--check-finiteness" in argv:
+        assert result["cd"]["ok"] is True
+        [(zlo, zhi, wlo, whi)] = cd_windows
+        assert zlo <= zhi and wlo <= whi
+
+
 @pytest.mark.parametrize(
     "argv", [("--s", ""), ("--family", "finite", "--c", "")], ids=["no-s", "no-c"]
 )

@@ -227,6 +227,26 @@ class TestBetaSeriesReference:
             u = [F(0)] + ra[1:]
             assert_matches(series_exp(BetaSeries(u)), reference_exp(u))
 
+    def test_dilate_matches_fraction_lists(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            ra, rb = random_coeffs(rng, d), random_coeffs(rng, d)
+            a, b = BetaSeries(ra), BetaSeries(rb)
+            x, y = rng.randint(-12, 12), rng.randint(-5, 5)
+            assert_matches(a.dilate(x), [c * F(x) ** k for k, c in enumerate(ra)])
+            assert (a * b).dilate(x) == a.dilate(x) * b.dilate(x)
+            assert (a + b).dilate(x) == a.dilate(x) + b.dilate(x)
+            assert a.dilate(x).dilate(y) == a.dilate(x * y)
+            if ra[0]:
+                assert series_inv(a).dilate(x) == series_inv(a.dilate(x))
+
+    def test_dilate_by_zero_and_one(self):
+        a = BetaSeries([F(2, 3), F(-1, 6), 0, F(5, 4)])
+        assert a.dilate(1) == a
+        assert_matches(a.dilate(0), [F(2, 3), 0, 0, 0])
+        assert_matches(BetaSeries([F(1, 2), F(1, 2)]).dilate(0), [F(1, 2), 0])
+
     def test_comparison_matches_fraction_lists(self):
         rng = random.Random(99)
         for _ in range(300):
@@ -283,26 +303,17 @@ class TestBetaSeriesReference:
         with pytest.raises(OutOfWindowError):
             BetaSeries.one(2)[3]
 
-    def test_arithmetic_builds_no_fraction(self):
+    def test_arithmetic_builds_no_fraction(self, fractions_made):
         a = BetaSeries([F(1, 3), F(-2, 5), 0, F(7, 2)])
         b = BetaSeries([F(1, 2), 3, F(-1, 6), 0])
         f = F(-3, 4)
-        made = []
-        new = Fraction.__dict__["__new__"]
-
-        def counting_new(cls, *args, **kwargs):
-            made.append(args)
-            return new.__func__(cls, *args, **kwargs)
-
-        Fraction.__new__ = staticmethod(counting_new)
-        try:
+        with fractions_made() as made:
             for op in (lambda: a + b, lambda: a - b, lambda: -a, lambda: a * b,
                        lambda: a * f, lambda: 2 * a, lambda: a / f, lambda: a + f,
-                       lambda: 2 - a, lambda: a.shift(2), lambda: a == b, lambda: a == f,
+                       lambda: 2 - a, lambda: a.shift(2), lambda: a.dilate(-3),
+                       lambda: a == b, lambda: a == f,
                        lambda: hash(a), lambda: bool(a), lambda: series_inv(a), lambda: b / a):
                 op()
-        finally:
-            Fraction.__new__ = new
         assert made == []
 
 

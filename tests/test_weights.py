@@ -176,10 +176,19 @@ class TestCachedConstants:
 
     @pytest.mark.parametrize("fam", CACHED_FAMILIES, ids=lambda f: f.label)
     def test_r_factor_matches_reference(self, fam):
-        for d_max in range(7):
-            for j in range(-6, 7):
-                want = [reference_g_coeff(fam, i) * F(j) ** i for i in range(d_max + 1)]
+        # j up to the basis --depth cap, d_max up to DMAX_CAP
+        for d_max in (0, 1, 4, 64):
+            g = [reference_g_coeff(fam, i) for i in range(d_max + 1)]
+            for j in (-100, -41, -1, 0, 1, 2, 41, 100):
+                want = [gi * F(j) ** i for i, gi in enumerate(g)]
                 assert r_factor(fam, j, d_max) == BetaSeries(want)
+
+    def test_r_factor_builds_no_fraction_once_g_is_cached(self, fractions_made):
+        calls = [(fam, j, 6) for fam in (exponential(), quantum(F(1, 3))) for j in (-7, 0, 5)]
+        want = [r_factor(*call) for call in calls]
+        with fractions_made() as made:
+            got = [r_factor(*call) for call in calls]
+        assert made == [] and got == want
 
     def test_table_holds_one_coefficient_per_index(self):
         g_coeff.cache_clear()
