@@ -17,7 +17,7 @@ from functools import cache, partial
 
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
 from .exactalg import LaurentWindow, scalar_ring
-from .symfun import h_of_sigma
+from .symfun import h_of_sigma, support
 from .weights import EXPONENTIAL, FINITE_C, QUANTUM, WeightFamily, g_at, g_coeff, g_value
 from .weights import rho, rho_inv
 
@@ -33,15 +33,6 @@ class BasisWindow:
     ring: object  # QRing(beta) or BRing(d_max): carries the beta mode
     w: dict  # k -> LaurentWindow
     ws: dict  # k -> LaurentWindow
-
-    @property
-    def sigma_support(self) -> int:
-        """L: the largest index with sigma_L != 0."""
-        L = 0
-        for i, s in enumerate(self.sigma, start=1):
-            if s != 0:
-                L = i
-        return L
 
     def built_sides(self) -> list:
         """(side, elements) for each side that was built: +1 is w, -1 is w*."""
@@ -314,11 +305,11 @@ def quantum_curve_residual(b: BasisWindow) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def q_band(b: BasisWindow) -> int:
-    """Band width LM of the multiplicative recursion for polynomial G."""
-    if b.family.kind != FINITE_C:
+def q_band(family: WeightFamily, sigma) -> int:
+    """Band width LM of the multiplicative recursion: L = support(sigma), M = deg G."""
+    if family.kind != FINITE_C:
         raise ConfigurationError("finite band requires a polynomial generating function")
-    return b.sigma_support * len(b.family.c)
+    return support(sigma) * len(family.c)
 
 
 def recursion_entry(family: WeightFamily, ring, sigma: tuple, i: int, j: int, side: int):
@@ -342,10 +333,10 @@ def recursion_Q(b: BasisWindow) -> dict:
     Verified relations (in z-language, Psi^+_i(x) = gamma w_{1-i}(1/x)):
         z w_{1-i}  = gamma sum_j Q+_{ij} w_{1-j}
         z w*_{1-i} = gamma sum_j Q-_{ij} w*_{1-j}
-    and the band statement Q±_{ij} = 0 for j > i-1 + band, band = q_band(b)
+    and the band statement Q±_{ij} = 0 for j > i-1 + band, band = q_band(family, sigma)
     (Q_BAND_MARGIN extra columns are checked).
     """
-    band = q_band(b)
+    band = q_band(b.family, b.sigma)
     q = partial(recursion_entry, b.family, b.ring, b.sigma)
     c = _Checks()
     # recursion: i such that w_{1-i} (i <= i_hi) and all needed w_{1-j}
@@ -423,7 +414,7 @@ def euler_P(b: BasisWindow) -> dict:
     rescaled relation is (x d/dx) Psi^±_k = sum_j M±_{kj} Psi^±_j, i.e.
     P^± = beta M± after restoring the overall beta.
     """
-    L = b.sigma_support
+    L = support(b.sigma)
 
     def pt(i, j, side):
         if i == j:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import __version__, adaptedbasis, correlators, cutjoin, hurwitz, taufn
 from .errors import ConfigurationError, HurwitzTauError, ResourceError
 from .exactalg import BetaSeries, exp_weight
+from .symfun import support
 from .weights import WeightFamily, belyi, exponential, quantum, signed
 
 EXIT_OK = 0
@@ -28,42 +29,36 @@ EXIT_VERIFY = 3
 # the report's config and of its config_hash.
 OUTPUT_FLAGS = ("format", "out", "config")
 
-# The smallest value of each integer flag, per command.  Below it a run would
-# be empty or vacuous: Q_1 and Q_2 act only from weight 2, at weight 0 tau is
-# the constant 1, and cut-and-join needs beta, which d_max 0 cannot represent.
-FLAG_MINIMUMS = {
-    "hurwitz": {"N": 0, "dmax": 0},
-    "tau": {"wmax": 1, "dmax": 0, "probe": 0},
-    "basis": {"dmax": 0},
-    "kernel": {"dmax": 0},
-    "cutjoin": {"wmax": 2, "dmax": 1},
-}
-
 # Every beta-series holds d_max + 1 coefficients and a product of two costs
 # (d_max + 1)^2, so a huge --dmax would allocate and multiply without end:
 # at 64, ``basis --family exp --beta series --sigma 1/2`` takes about 23 s on a
 # 2-core machine.
 DMAX_CAP = 64
 
-# The largest magnitude of each integer flag, per command, checked with the
-# minimums and refused with exit 2 before any compute.  Each cost is one run
-# at the cap (or as named) with every other flag at its default, on a 2-core
-# machine; a run's cost grows without bound in each of these flags.
-FLAG_CAPS = {
+# (minimum, cap) of each integer flag, per command, checked after the config
+# file is merged and before any compute: every minimum (exit 1), then every cap
+# (exit 2).  Below its minimum a run would be empty or vacuous (None: no such
+# value): Q_1 and Q_2 act only from weight 2, at weight 0 tau is the constant 1,
+# and cut-and-join needs beta, which d_max 0 cannot represent.  The cap bounds
+# the flag's magnitude, since a run's cost grows without bound in each flag.
+# Each cost is one run at the cap (or as named) with every other flag at its
+# default, on a 2-core machine.
+FLAG_BOUNDS = {
     # N: ``hurwitz --N 10 --dmax 3`` takes 20 s; the character route sums over
     # the p(N) partitions of N for each of the p(N)^2 pairs
-    "hurwitz": {"N": hurwitz.CHAR_TABLE_N_CAP, "dmax": DMAX_CAP},
+    "hurwitz": {"N": (0, hurwitz.CHAR_TABLE_N_CAP), "dmax": (0, DMAX_CAP)},
     # wmax: ``tau --wmax 12 --dmax 3`` takes 5.9 s; probe: ``--wmax 10 --probe 5``
     # takes 14 s, while ``--wmax 12 --probe 6`` ran past 60 s
-    "tau": {"wmax": 12, "probe": 5, "dmax": DMAX_CAP},
+    "tau": {"wmax": (1, 12), "probe": (0, 5), "dmax": (0, DMAX_CAP)},
     # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 8.4 s (over 100 s at
     # 100) and at ``--depth -100`` 8.3 s (46 s at -200)
-    "basis": {"k_lo": 40, "k_hi": 40, "depth": 100, "dmax": DMAX_CAP},
+    "basis": {"k_lo": (None, 40), "k_hi": (None, 40), "depth": (None, 100),
+              "dmax": (0, DMAX_CAP)},
     # each entry of zlo,zhi,wlo,whi: ``--window=-40,-1,-40,40`` takes 7.1 s at
     # ``--beta 1/1001 --s 1/1001`` and 11.7 s with ``--family exp --beta series``
-    "kernel": {"window": 40, "dmax": DMAX_CAP},
+    "kernel": {"window": (None, 40), "dmax": (0, DMAX_CAP)},
     # ``cutjoin --wmax 10`` takes 7-9 s, and the cost doubles with each weight
-    "cutjoin": {"wmax": 10, "dmax": DMAX_CAP},
+    "cutjoin": {"wmax": (2, 10), "dmax": (1, DMAX_CAP)},
 }
 
 
@@ -106,7 +101,8 @@ def make_family(args) -> WeightFamily:
 
 
 def serialize(obj):
-    """JSON-ready form: rationals as 'p/q' strings, exponent keys as arrays."""
+    """JSON-ready form: rationals as 'p/q' strings, exponent keys as arrays.
+    A type with no form here raises TypeError rather than reach a report."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, BetaSeries):
@@ -120,18 +116,11 @@ def serialize(obj):
         ]
     if isinstance(obj, (list, tuple)):
         return [serialize(x) for x in obj]
-    if hasattr(obj, "parts"):
-        return list(obj.parts)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
         return obj
-    if hasattr(obj, "cells"):
-        return {
-            "window": [obj.zlo, obj.zhi, obj.wlo, obj.whi],
-            "cells": serialize(obj.cells),
-        }
-    if hasattr(obj, "coeffs") and hasattr(obj, "lo"):
-        return {"lo": obj.lo, "coeffs": [serialize(c) for c in obj.coeffs]}
-    return str(obj)
+    if isinstance(obj, correlators.KernelWindow):
+        return {"window": [obj.zlo, obj.zhi, obj.wlo, obj.whi], "cells": serialize(obj.cells)}
+    raise TypeError(f"cannot serialize a {type(obj).__name__}")
 
 
 def emit(args, result: dict) -> None:
@@ -202,9 +191,7 @@ def _to_csv(result: dict) -> str:
 
 def _report_ok(result) -> bool:
     if isinstance(result, dict):
-        if "ok" in result and result["ok"] is False:
-            return False
-        if "equal" in result and result["equal"] is False:
+        if result.get("ok") is False or result.get("equal") is False:
             return False
         return all(_report_ok(v) for k, v in result.items() if isinstance(v, (dict, list)))
     if isinstance(result, list):
@@ -217,7 +204,7 @@ def _report_ok(result) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cmd_hurwitz(args) -> int:
+def cmd_hurwitz(args) -> dict:
     if args.verify_routes and args.N < 1:  # at N 0 the routes share no entry to compare
         raise ConfigurationError(f"hurwitz --verify-routes needs --N >= 1, got {args.N}")
     family = make_family(args)
@@ -242,16 +229,14 @@ def cmd_hurwitz(args) -> int:
             for (mu, nu, d), value in sorted(connected.items(), key=by_key)
             if (mu, nu, d) not in table
         ]
-    ok = True
     if args.verify_routes:
-        report = hurwitz.verify_routes(family, n_max=min(args.N, 4), d_max=min(args.dmax, 3))
-        result["route_verification"] = report
-        ok = report["ok"]
-    emit(args, result)
-    return EXIT_OK if ok else EXIT_VERIFY
+        result["route_verification"] = hurwitz.verify_routes(
+            family, n_max=min(args.N, 4), d_max=min(args.dmax, 3)
+        )
+    return result
 
 
-def cmd_tau(args) -> int:
+def cmd_tau(args) -> dict:
     if args.probe and args.wmax < 2 * args.probe:
         raise ConfigurationError(
             f"tau --probe {args.probe} needs --wmax >= {2 * args.probe}, got {args.wmax}: "
@@ -263,9 +248,7 @@ def cmd_tau(args) -> int:
     result = {
         "constant_term_is_one": tau.body.constant_term() == BetaSeries.one(args.dmax),
         "grade_consistency": {"ok": grades_ok},
-        "terms": {
-            k: v for k, v in sorted(tau.body.terms.items())
-        },
+        "terms": dict(sorted(tau.body.terms.items())),
     }
     if args.probe:
         residual = taufn.hirota_residual(tau, args.probe)
@@ -276,25 +259,38 @@ def cmd_tau(args) -> int:
             "monomials_checked": len(residual),
             "first_counterexample": serialize(nonzero[0]) if nonzero else None,
         }
-    emit(args, result)
-    return EXIT_OK if _report_ok(result) else EXIT_VERIFY
+    return result
 
 
-def cmd_basis(args) -> int:
-    family = make_family(args)
+def _basis_params(args) -> tuple:
+    """(beta, gamma, s, sigma) from --beta --gamma --s --sigma: beta is None in
+    series mode, sigma None unless given."""
     beta = None if args.beta == "series" else _fraction(args.beta)
     sigma = _fraction_list(args.sigma) if args.sigma else None
-    gamma, s = _fraction(args.gamma), _fraction_list(args.s)
-    k_range = (args.k_lo, args.k_hi)
-    adaptedbasis.refuse_singular_a(family, beta, gamma, k_range, args.depth)
+    return beta, _fraction(args.gamma), _fraction_list(args.s), sigma
+
+
+def cmd_basis(args) -> dict:
+    family = make_family(args)
+    beta, gamma, s, sigma = _basis_params(args)
+    k_lo, k_hi, depth = args.k_lo, args.k_hi, args.depth
+    # refuse a window on which a check would compare nothing; build_basis
+    # refuses an empty window itself
+    L = support(sigma or s)  # sigma = s/beta has the support of s
+    if k_lo <= k_hi and depth < k_lo:
+        for empty, check, needs in (
+            (k_hi == k_lo, "ladder", "--k-hi > --k-lo"),
+            (k_hi - k_lo < L, "Euler", f"--k-hi >= --k-lo + {L}, the sigma support"),
+            (depth > -k_lo, "pairing", f"--depth <= {-k_lo}"),
+        ):
+            if empty:
+                raise ConfigurationError(
+                    f"basis window k in [{k_lo}, {k_hi}], depth {depth} has no "
+                    f"{check} check: needs {needs}"
+                )
+    adaptedbasis.refuse_singular_a(family, beta, gamma, (k_lo, k_hi), depth)
     b = adaptedbasis.build_basis(
-        family,
-        beta,
-        gamma,
-        s=s,
-        k_range=k_range,
-        depth=args.depth,
-        sigma=sigma,
+        family, beta, gamma, s=s, k_range=(k_lo, k_hi), depth=depth, sigma=sigma,
         d_max=args.dmax,
     )
     euler = adaptedbasis.euler_P(b)
@@ -314,8 +310,7 @@ def cmd_basis(args) -> int:
         }
         result["recursion_matrices"] = {"Q+": rq["Q+"], "Q-": rq["Q-"]}
         result["general_Q_cross_check"] = adaptedbasis.general_Q_cross_check(b, 6)
-    emit(args, result)
-    return EXIT_OK if _report_ok(result) else EXIT_VERIFY
+    return result
 
 
 def _kernel_window(text: str) -> tuple:
@@ -333,27 +328,20 @@ def _kernel_window(text: str) -> tuple:
     return window
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> dict:
     family = make_family(args)
-    beta = None if args.beta == "series" else _fraction(args.beta)
-    gamma = _fraction(args.gamma)
+    beta, gamma, s, sigma = _basis_params(args)
     window = _kernel_window(args.window)
     if args.check_finiteness and family.kind != "finite_c":
         raise ConfigurationError("--check-finiteness needs a polynomial family")
-    k_hi = max(1, -window[0]) + 1
-
-    def basis(k_lo):
-        return adaptedbasis.build_basis(
-            family, beta, gamma, s=_fraction_list(args.s),
-            sigma=_fraction_list(args.sigma) if args.sigma else None,
-            k_range=(k_lo, k_hi), depth=min(window[0], window[2], 0, k_lo + 1) - 2,
-            d_max=args.dmax,
-        )
-
-    b = basis(min(0, 1 + window[0]) - 1)
-    # the CD check reads w*_k down to k = 1 - LM, which the window alone may not reach
-    if args.check_finiteness and b.k_lo > 1 - adaptedbasis.q_band(b):
-        b = basis(1 - adaptedbasis.q_band(b))
+    k_lo = min(0, 1 + window[0]) - 1
+    if args.check_finiteness:
+        # the CD check reads w*_k down to k = 1 - LM, which the window alone may not reach
+        k_lo = min(k_lo, 1 - adaptedbasis.q_band(family, sigma or s))
+    b = adaptedbasis.build_basis(
+        family, beta, gamma, s=s, sigma=sigma, k_range=(k_lo, max(1, -window[0]) + 1),
+        depth=min(window[0], window[2], 0, k_lo + 1) - 2, d_max=args.dmax,
+    )
     k_tau = correlators.K2_via_tau(family, beta, gamma, b.sigma, window, d_max=args.dmax)
     k_bas, info = correlators.K2_via_basis(b, window)
     result = {
@@ -368,37 +356,24 @@ def cmd_kernel(args) -> int:
         wlo, whi = (min(max(x, -3), 3) for x in window[2:])
         rank_window = (min(max(window[0], -4), -1), -1, wlo, whi)
         cd = correlators.cd_kernel(b, rank_window)
-        result["cd"] = {
-            "ok": cd["ok"],
-            "rank": cd["rank"],
-            "finiteness_failures": cd["finiteness_failures"],
-            "identity_failures": cd["identity_failures"],
-        }
+        result["cd"] = {k: cd[k] for k in
+                        ("ok", "rank", "finiteness_failures", "identity_failures")}
         gen = correlators.gen_A(family, b.sigma, (6, 6), beta_val=beta, d_max=args.dmax)
         A = correlators.cd_matrix(family, beta, b.sigma, 6, d_max=args.dmax)
         result["gen_A_matches"] = {
             "ok": all(gen[(i, j)] == A[(i, j)] for i in range(7) for j in range(7))
         }
-        result["h_orthogonality"] = {
-            "ok": correlators.h_orthogonality(b.sigma, 3, 12)["ok"]
-        }
-    emit(args, result)
-    return EXIT_OK if _report_ok(result) else EXIT_VERIFY
+        result["h_orthogonality"] = {"ok": correlators.h_orthogonality(b.sigma, 3, 12)["ok"]}
+    return result
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> dict:
     family = make_family(args)
     curve = adaptedbasis.classical_curve(family, _fraction_list(args.s), _fraction(args.gamma))
-    result = {
-        "family": curve.family_label,
-        "polynomial": curve.poly,
-        "symbolic": curve.symbolic,
-    }
-    emit(args, result)
-    return EXIT_OK
+    return {"family": curve.family_label, "polynomial": curve.poly, "symbolic": curve.symbolic}
 
 
-def cmd_cutjoin(args) -> int:
+def cmd_cutjoin(args) -> dict:
     family = make_family(args)
     single_rep = family.kind == "finite_c"
     # the single-Hurwitz check runs at beta-order M * w, like a --dmax of that size
@@ -417,8 +392,7 @@ def cmd_cutjoin(args) -> int:
         result["single_hurwitz_rep"] = cutjoin.build_Vk_and_single_rep(family, rep_w)
     if args.resolve_index:
         result["exponential_index"] = cutjoin.resolve_exponential_index(3, 3)
-    emit(args, result)
-    return EXIT_OK if _report_ok(result) else EXIT_VERIFY
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +411,14 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
         p.add_argument("--config", help="JSON file with defaults; flags override")
 
+    def basis_params(p):  # the adapted basis of basis and kernel: one of --s, --sigma
+        p.add_argument("--beta", default="1/21")
+        p.add_argument("--gamma", default="1")
+        s_or_sigma = p.add_mutually_exclusive_group()
+        s_or_sigma.add_argument("--s", default="1/21")
+        s_or_sigma.add_argument("--sigma", default=None,
+                                help="series mode: sigma = s/beta directly")
+
     p = sub.add_parser("hurwitz", help="weighted Hurwitz number tables")
     common(p)
     p.add_argument("--N", type=int, default=3)
@@ -454,10 +436,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("basis", help="adapted-basis verification suite")
     common(p)
-    p.add_argument("--beta", default="1/21")
-    p.add_argument("--gamma", default="1")
-    p.add_argument("--s", default="1/21")
-    p.add_argument("--sigma", default=None, help="series mode: sigma = s/beta directly")
+    basis_params(p)
     p.add_argument("--k-lo", type=int, default=-3, dest="k_lo")
     p.add_argument("--k-hi", type=int, default=5, dest="k_hi")
     p.add_argument("--depth", type=int, default=-10)
@@ -466,14 +445,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("kernel", help="pair correlator and Christoffel-Darboux suite")
     common(p)
-    p.add_argument("--beta", default="1/21")
-    p.add_argument("--gamma", default="1")
-    p.add_argument("--s", default="1/21")
-    p.add_argument("--sigma", default=None)
+    basis_params(p)
     p.add_argument("--window", default="-5,-1,-4,4")
     p.add_argument("--dmax", type=int, default=4)
-    p.add_argument("--check-finiteness", action="store_true", dest="check_finiteness",
-                   default=False)
+    p.add_argument("--check-finiteness", action="store_true")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("curve", help="classical spectral curve")
@@ -509,8 +484,9 @@ def _check_config_value(key: str, value, action) -> None:
         )
 
 
-def _read_config_file(path: str, actions: dict) -> dict:
-    """The file's JSON object as flag defaults, each checked against its flag."""
+def _read_config_file(path: str, actions: dict, groups: list) -> dict:
+    """The file's JSON object as flag defaults, each checked against its flag,
+    with at most one flag of each mutually exclusive group."""
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -527,7 +503,28 @@ def _read_config_file(path: str, actions: dict) -> dict:
             raise ConfigurationError(f"unknown config key {key!r}")
         _check_config_value(key, value, actions[dest])
         defaults[dest] = value
+    for group in groups:
+        given = [a.dest for a in group._group_actions if a.dest in defaults]
+        if len(given) > 1:
+            raise ConfigurationError(
+                f"config keys {' and '.join(map(repr, given))} cannot be given together"
+            )
     return defaults
+
+
+def _check_bounds(args) -> None:
+    """Every FLAG_BOUNDS minimum of the command, then every cap."""
+    bounds = FLAG_BOUNDS.get(args.command, {})
+    for flag, (least, _) in bounds.items():
+        value = getattr(args, flag)
+        if least is not None and value < least:
+            raise ConfigurationError(f"{args.command} needs --{flag} >= {least}, got {value}")
+    for flag, (_, cap) in bounds.items():
+        values = _kernel_window(args.window) if flag == "window" else [getattr(args, flag)]
+        for value in values:
+            if abs(value) > cap:
+                shown = value if value >= 0 else f"|{value}|"
+                raise ResourceError(f"--{flag.replace('_', '-')} cap exceeded: {shown} > {cap}")
 
 
 def main(argv=None) -> int:
@@ -539,24 +536,14 @@ def main(argv=None) -> int:
         actions = {a.dest: a for a in command._actions if a.dest != "help"}
         if args.config:
             # the file's values become defaults, so flags given explicitly override them
-            command.set_defaults(**_read_config_file(args.config, actions))
+            defaults = _read_config_file(args.config, actions, command._mutually_exclusive_groups)
+            command.set_defaults(**defaults)
             args = parser.parse_args(argv)
-        for flag, least in FLAG_MINIMUMS.get(args.command, {}).items():
-            value = getattr(args, flag)
-            if value < least:
-                raise ConfigurationError(
-                    f"{args.command} needs --{flag} >= {least}, got {value}"
-                )
-        for flag, cap in FLAG_CAPS.get(args.command, {}).items():
-            values = _kernel_window(args.window) if flag == "window" else [getattr(args, flag)]
-            for value in values:
-                if abs(value) > cap:
-                    shown = value if value >= 0 else f"|{value}|"
-                    raise ResourceError(
-                        f"--{flag.replace('_', '-')} cap exceeded: {shown} > {cap}"
-                    )
+        _check_bounds(args)
         args.config_flags = [dest for dest in actions if dest not in OUTPUT_FLAGS]
-        return args.func(args)
+        result = args.func(args)
+        emit(args, result)
+        return EXIT_OK if _report_ok(result) else EXIT_VERIFY
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

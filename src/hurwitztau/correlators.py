@@ -19,7 +19,7 @@ from .adaptedbasis import BasisWindow, q_band, recursion_entry
 from .errors import ConfigurationError, OutOfWindowError
 from .exactalg import exp_weight, scalar_ring
 from .partitions import Partition, partitions_up_to
-from .symfun import h_of_sigma, schur_monomial_map
+from .symfun import h_of_sigma, schur_monomial_map, support
 from .taufn import miwa_expand, miwa_scale, schur_weight
 from .weights import FINITE_C, WeightFamily, g_coeff
 
@@ -181,7 +181,7 @@ def cd_kernel(b: BasisWindow, window: tuple) -> dict:
         on the window, against the tau-route kernel.
     """
     ring = b.ring
-    rank = q_band(b)
+    rank = q_band(b.family, b.sigma)
     A = cd_matrix(b.family, ring.beta, b.sigma, rank + CD_RANK_MARGIN, d_max=ring.d_max)
     finiteness_failures = [
         (i, j)
@@ -314,10 +314,7 @@ def h_orthogonality(s, k_max: int, n_max: int) -> dict:
     is the plain inverse-series identity; for k >= 1 it contributes nothing.
     """
     s = tuple(Fraction(x) for x in s)
-    L = 0
-    for i, v in enumerate(s, start=1):
-        if v != 0:
-            L = i
+    L = support(s)
     rows = {}
     ok = True
     for k in range(k_max + 1):

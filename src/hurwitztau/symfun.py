@@ -164,6 +164,11 @@ def _h_list_cached(sigma: tuple, sign: int, n_max: int) -> tuple:
     return tuple(exp_pieces(a, Fraction(1), Fraction(0)))
 
 
+def support(sigma) -> int:
+    """L: the largest index with sigma_L != 0 (0 for an all-zero sigma)."""
+    return max((i for i, x in enumerate(sigma, start=1) if x), default=0)
+
+
 def h_of_sigma(n: int, sigma, sign: int = 1) -> Fraction:
     """h_n at the alphabet with normalized power sums sigma (p_k = sign k sigma_k)."""
     if n < 0:

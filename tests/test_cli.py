@@ -11,6 +11,7 @@ import pytest
 import hurwitztau
 from hurwitztau import cli, correlators
 from hurwitztau.exactalg import BRing
+from hurwitztau.partitions import Partition
 
 PY = [sys.executable, "-m", "hurwitztau.cli"]
 
@@ -51,6 +52,7 @@ def test_weight_mismatch_entries_absent():
 
 def test_curve_belyi():
     proc = run_cli("curve", "--family", "belyi", "--s", "1", "--format", "json")
+    assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     entries = {tuple(e["key"]): e["value"] for e in payload["result"]["polynomial"]}
     assert entries == {(1, 1): "1", (1, 0): "-1", (2, 1): "-1"}
@@ -239,18 +241,25 @@ def test_kernel_bad_window_is_config_error():
         "w-high-cd"])
 def test_kernel_accepts_every_nonempty_window(argv, monkeypatch, capsys):
     # the basis window follows the kernel window and, under --check-finiteness,
-    # the CD rank; the CD identity is checked on a nonempty window
-    cd_windows = []
-    cd_kernel = correlators.cd_kernel
+    # the CD rank; the CD identity is checked on a nonempty window, and the
+    # basis is built once, already reaching k = 1 - LM (finite-pole-cd)
+    cd_windows, k_ranges = [], []
+    cd_kernel, build_basis = correlators.cd_kernel, cli.adaptedbasis.build_basis
 
     def recording_cd_kernel(b, window):
         cd_windows.append(window)
         return cd_kernel(b, window)
 
+    def recording_build_basis(*args, **kw):
+        k_ranges.append(kw["k_range"])
+        return build_basis(*args, **kw)
+
     monkeypatch.setattr(correlators, "cd_kernel", recording_cd_kernel)
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", recording_build_basis)
     assert cli.main(["kernel", *argv]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["kernel_routes_equal"]["ok"] is True
+    assert len(k_ranges) == 1
     if "--check-finiteness" in argv:
         assert result["cd"]["ok"] is True
         [(zlo, zhi, wlo, whi)] = cd_windows
@@ -508,8 +517,39 @@ def test_every_integer_flag_has_a_cap():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for command, p in sub.choices.items():
+        flags = {a.dest for a in p._actions}
         integers = {a.dest for a in p._actions if a.type is int}
-        assert integers <= set(cli.FLAG_CAPS.get(command, {})), command
+        bounds = cli.FLAG_BOUNDS.get(command, {})
+        assert integers <= set(bounds) <= flags, command
+        assert all(cap is not None for _, cap in bounds.values()), command
+
+
+def _bound_argv(flag, value):
+    if flag == "window":  # each entry is bounded: set whi
+        return [f"--window=-5,-1,-4,{value}"]
+    return [f"--{flag.replace('_', '-')}", str(value)]
+
+
+BOUNDED_FLAGS = [(command, flag) for command, bounds in cli.FLAG_BOUNDS.items()
+                 for flag in bounds]
+
+
+@pytest.mark.parametrize("command,flag", BOUNDED_FLAGS,
+                         ids=[f"{c}-{f}" for c, f in BOUNDED_FLAGS])
+def test_flag_outside_its_bounds_refused_before_compute(command, flag, monkeypatch, capsys):
+    least, cap = cli.FLAG_BOUNDS[command][flag]
+    for module, name in ENTRY_POINTS[command]:
+        monkeypatch.setattr(module, name, _refuse(name))
+    name = flag.replace("_", "-")
+    if least is not None:
+        assert cli.main([command, *_bound_argv(flag, least - 1)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {command} needs --{name} >= {least}, got {least - 1}\n"
+        )
+    assert cli.main([command, *_bound_argv(flag, cap + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"resource error: --{name} cap exceeded: {cap + 1} > {cap}\n"
+    )
 
 
 def test_csv_keeps_connected_only_entries(capsys):
@@ -523,3 +563,82 @@ def test_csv_keeps_connected_only_entries(capsys):
     assert rows[0] == "mu,nu,d,value,connected"
     assert rows[-1] == "1,1,0,,1"
     assert len(rows) == 6  # header, four table rows, one connected-only row
+
+
+def test_every_minimum_is_checked_before_any_cap(capsys):
+    # a config error (exit 1) outranks a resource error (exit 2)
+    assert cli.main(["tau", "--wmax", "100", "--probe", "-1"]) == 1
+    assert capsys.readouterr().err == "configuration error: tau needs --probe >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command,entry,report", [
+    (["hurwitz", "--N", "2", "--dmax", "1", "--verify-routes"], (cli.hurwitz, "verify_routes"),
+     {"ok": False, "mu": [2], "nu": [1, 1], "d": 1}),
+    (["basis", "--k-lo", "0", "--k-hi", "2", "--depth", "-3"], (cli.adaptedbasis, "ladder_R"),
+     {"ok": False, "checks": 1, "failures": [{"op": "R", "k": 1}]}),
+    (["cutjoin", "--wmax", "2", "--dmax", "1"], (cli.cutjoin, "pde_check"),
+     {"ok": False, "failures": ["beta-Euler identity"]}),
+], ids=["hurwitz", "basis", "cutjoin"])
+def test_failed_check_writes_its_report_and_exits_3(command, entry, report, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(*entry, lambda *args, **kw: report)
+    assert cli.main(command) == cli.EXIT_VERIFY
+    assert report in json.loads(capsys.readouterr().out)["result"].values()
+
+
+@pytest.mark.parametrize("command", ["basis", "kernel"])
+@pytest.mark.parametrize("order", [("--s", "7", "--sigma", "1"), ("--sigma", "1", "--s", "7")],
+                         ids=["s-first", "sigma-first"])
+def test_s_beside_sigma_refused_before_compute(command, order, monkeypatch, capsys):
+    # sigma = s/beta: given both, one of them would be silently dropped
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, *order])
+    assert exit_.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not allowed with argument" in err[0]
+
+
+@pytest.mark.parametrize("command", ["basis", "kernel"])
+def test_s_beside_sigma_in_config_file_refused_before_compute(command, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"s": "7", "sigma": "1"}))
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: config keys 's' and 'sigma' cannot be given together\n"
+    )
+
+
+# windows on which a basis check would compare nothing, each with the nearest
+# window on which it compares something; L = 2 for --s 1/21,1/50
+VACUOUS_BASIS_WINDOWS = [
+    ("ladder", ["--k-lo", "5", "--k-hi", "5", "--depth", "4"],
+     ["--k-lo", "5", "--k-hi", "6", "--depth", "-6"]),
+    ("Euler", ["--s", "1/21,1/50", "--k-lo", "0", "--k-hi", "1", "--depth", "-2"],
+     ["--s", "1/21,1/50", "--k-lo", "0", "--k-hi", "2", "--depth", "-2"]),
+    ("pairing", ["--k-lo", "3", "--k-hi", "6", "--depth", "2"],
+     ["--k-lo", "3", "--k-hi", "6", "--depth", "-3"]),
+]
+
+
+@pytest.mark.parametrize("check,vacuous,nearest", VACUOUS_BASIS_WINDOWS,
+                         ids=[w[0] for w in VACUOUS_BASIS_WINDOWS])
+def test_vacuous_basis_window_refused_before_compute(check, vacuous, nearest, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    assert cli.main(["basis", *vacuous]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: basis window ")
+    assert f"has no {check} check" in err[0]
+    monkeypatch.undo()
+    assert cli.main(["basis", *nearest]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["ladder"]["checks"] and result["euler"]["checks"]
+    assert result["pairing"]["tested"]
+
+
+def test_serialize_refuses_a_type_it_has_no_form_for():
+    with pytest.raises(TypeError, match="cannot serialize a Partition"):
+        cli.serialize({"mu": Partition([2, 1])})

@@ -14,6 +14,7 @@ from hurwitztau.symfun import (
     schur_at_sigma,
     schur_sector_sum,
     schur_to_power,
+    support,
 )
 
 F = Fraction
@@ -188,6 +189,13 @@ class TestHPoly:
                 for n in range(big_n + 1)
             )
             assert total == 0
+
+    def test_support_is_the_last_nonzero_index(self):
+        # sigma = s/beta for nonzero beta: s and sigma share the support
+        assert support((F(1, 3), F(0), F(-2), F(0))) == 3
+        assert support((F(0), F(0))) == support(()) == 0
+        s = (F(1, 21), F(0), F(1, 50))
+        assert support(s) == support(tuple(x / F(1, 21) for x in s)) == 3
 
     def test_matches_concrete_alphabet(self):
         c = [F(1), F(1, 2), F(2, 5)]
