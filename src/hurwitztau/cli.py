@@ -277,10 +277,12 @@ def cmd_basis(args) -> dict:
     # refuse a window on which a check would compare nothing; build_basis
     # refuses an empty window itself
     L = support(sigma or s)  # sigma = s/beta has the support of s
+    LM = adaptedbasis.q_band(family, sigma or s) if family.kind == "finite_c" else 0
     if k_lo <= k_hi and depth < k_lo:
         for empty, check, needs in (
             (k_hi == k_lo, "ladder", "--k-hi > --k-lo"),
             (k_hi - k_lo < L, "Euler", f"--k-hi >= --k-lo + {L}, the sigma support"),
+            (k_hi - k_lo < LM, "recursion_Q", f"--k-hi >= --k-lo + {LM}, the recursion band"),
             (depth > -k_lo, "pairing", f"--depth <= {-k_lo}"),
         ):
             if empty:
@@ -484,9 +486,10 @@ def _check_config_value(key: str, value, action) -> None:
         )
 
 
-def _read_config_file(path: str, actions: dict, groups: list) -> dict:
+def _read_config_file(path: str, actions: dict, groups: list, given: set) -> dict:
     """The file's JSON object as flag defaults, each checked against its flag,
-    with at most one flag of each mutually exclusive group."""
+    with at most one flag of each mutually exclusive group in the file and the
+    command line's flags (dests ``given``) together."""
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -504,12 +507,30 @@ def _read_config_file(path: str, actions: dict, groups: list) -> dict:
         _check_config_value(key, value, actions[dest])
         defaults[dest] = value
     for group in groups:
-        given = [a.dest for a in group._group_actions if a.dest in defaults]
-        if len(given) > 1:
+        in_file = [a.dest for a in group._group_actions if a.dest in defaults]
+        if len(in_file) > 1:
             raise ConfigurationError(
-                f"config keys {' and '.join(map(repr, given))} cannot be given together"
+                f"config keys {' and '.join(map(repr, in_file))} cannot be given together"
             )
+        for a in group._group_actions:
+            if in_file and a.dest in given and a.dest not in in_file:
+                raise ConfigurationError(
+                    f"config key {in_file[0]!r} cannot be given with {a.option_strings[0]}"
+                )
     return defaults
+
+
+def _given_on_command_line(parser, argv, command) -> set:
+    """The dests argv gives: argv parsed again with the command's defaults
+    suppressed, so that only the flags it gives are set."""
+    defaults = {a: a.default for a in command._actions}
+    for a in defaults:
+        a.default = argparse.SUPPRESS
+    try:
+        return set(vars(parser.parse_args(argv)))
+    finally:
+        for a, default in defaults.items():
+            a.default = default
 
 
 def _check_bounds(args) -> None:
@@ -536,7 +557,8 @@ def main(argv=None) -> int:
         actions = {a.dest: a for a in command._actions if a.dest != "help"}
         if args.config:
             # the file's values become defaults, so flags given explicitly override them
-            defaults = _read_config_file(args.config, actions, command._mutually_exclusive_groups)
+            defaults = _read_config_file(args.config, actions, command._mutually_exclusive_groups,
+                                         _given_on_command_line(parser, argv, command))
             command.set_defaults(**defaults)
             args = parser.parse_args(argv)
         _check_bounds(args)

@@ -1,9 +1,9 @@
-"""Weighted Hurwitz numbers by three independent routes.
+"""Weighted Hurwitz numbers by independent routes, each a (mu, nu, d) table.
 
 R1 (characters) is the production route; R2 (weighted configuration sums over
-branch profiles) and R3 (monotone walks) are exponential-cost oracle routes
-used for cross-validation on small inputs, and the connected numbers come
-from log tau with a transitivity oracle as a further check.
+branch profiles) and R3 (monotone walks) are exponential-cost oracle routes,
+and tau's own coefficients a fourth, all compared on small inputs; the
+connected numbers come from log tau, checked against a transitivity oracle.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ def H_via_characters(
     return acc / Fraction(mu.z_order() * nu.z_order())
 
 
-def _profiles_with_colength(N: int, c: int):
-    return [p for p in enumerate_partitions(N) if p.colength() == c]
-
-
 def _profile_sum(family: WeightFamily, mu: Partition, nu: Partition, d: int, count) -> Fraction:
     """Weighted configuration sum over branch-profile tuples.
 
@@ -84,7 +80,8 @@ def _profile_sum(family: WeightFamily, mu: Partition, nu: Partition, d: int, cou
         weight = profile_weight(family, lam)
         if weight == 0:
             continue
-        for tup in itertools.product(*(_profiles_with_colength(N, c) for c in lam.parts)):
+        profiles = ([p for p in enumerate_partitions(N) if p.colength() == c] for c in lam.parts)
+        for tup in itertools.product(*profiles):
             h = count(N, list(tup) + [mu, nu])
             if h:
                 total += weight * h
@@ -152,72 +149,51 @@ def connected_table_entries(family: WeightFamily, N: int, d_max: int) -> dict:
     return _table(partial(pair_series, log_body), range(1, N + 1), d_max)
 
 
-def verify_routes(family: WeightFamily, n_max: int = 4, d_max: int = 3) -> dict:
-    """Cross-check R1 = R2 = R3 on every pair with N <= n_max, d <= d_max.
+def _per_d(route, family: WeightFamily, d_max: int):
+    """A per-d route as a row: (mu, nu) -> sum_d beta^d route(family, mu, nu, d)."""
+    return lambda mu, nu: BetaSeries([route(family, mu, nu, d) for d in range(d_max + 1)])
 
-    Returns a report of the window checked, with the first mismatch (if any)
-    spelled out.
-    """
+
+def _agreement(tables: dict, window: dict, n_max: int, d_max: int) -> dict:
+    """Named (mu, nu, d) -> value tables over N <= n_max, d <= d_max, compared
+    key by key (an absent key reads 0): the first key where they differ, with
+    every route's value there, or success with the number of keys compared."""
+    for key in dict.fromkeys(k for table in tables.values() for k in table):
+        values = {name: table.get(key, 0) for name, table in tables.items()}
+        if len(set(values.values())) > 1:
+            mu, nu, d = key
+            return {"ok": False, **window, "mu": mu.parts, "nu": nu.parts, "d": d,
+                    **{name: str(value) for name, value in values.items()}}
+    pairs = sum(len(enumerate_partitions(N)) ** 2 for N in range(1, n_max + 1))
+    return {"ok": True, **window, "checked": pairs * (d_max + 1)}
+
+
+def verify_routes(family: WeightFamily, n_max: int = 4, d_max: int = 3) -> dict:
+    """R2 = R3 = R1 = tau's own coefficients for N <= n_max, d <= d_max; the
+    budgeted oracles run first, so a window past their budget fails fast."""
+    weights = range(1, n_max + 1)
+    tables = {
+        "profiles": _table(_per_d(H_via_profiles, family, d_max), weights, d_max),
+        "paths": _table(_per_d(H_via_paths, family, d_max), weights, d_max),
+        "characters": _table(partial(H_via_characters, family, d_max=d_max), weights, d_max),
+        "tau": _table(
+            partial(pair_series, build_tau(family, max(n_max, 0), d_max).body), weights, d_max
+        ),
+    }
     window = {"family": family.label, "n_max": n_max, "d_max": d_max}
-    checked = 0
-    for N in range(1, n_max + 1):
-        parts = enumerate_partitions(N)
-        for mu in parts:
-            for nu in parts:
-                r1 = H_via_characters(family, mu, nu, d_max)
-                for d in range(d_max + 1):
-                    r2 = H_via_profiles(family, mu, nu, d)
-                    r3 = H_via_paths(family, mu, nu, d)
-                    checked += 1
-                    if not (r1[d] == r2 == r3):
-                        return {
-                            "ok": False,
-                            **window,
-                            "mu": mu.parts,
-                            "nu": nu.parts,
-                            "d": d,
-                            "characters": str(r1[d]),
-                            "profiles": str(r2),
-                            "paths": str(r3),
-                            "checked": checked,
-                        }
-    return {"ok": True, **window, "checked": checked}
+    return _agreement(tables, window, n_max, d_max)
 
 
 def verify_connected(family: WeightFamily, n_max: int = 3, d_max: int = 3) -> dict:
-    """log-tau connected numbers vs the transitivity oracle, plus genus parity.
-
-    One log tau at n_max serves every N: its weight-N coefficients read only
-    the terms of tau of weight <= N.
-    """
-    entries = connected_table_entries(family, max(n_max, 0), d_max)
-    checked = 0
-    for N in range(1, n_max + 1):
-        parts = enumerate_partitions(N)
-        for mu in parts:
-            for nu in parts:
-                for d in range(d_max + 1):
-                    got = entries.get((mu, nu, d), Fraction(0))
-                    want = H_connected_via_oracle(family, mu, nu, d)
-                    checked += 1
-                    if got != want:
-                        return {
-                            "ok": False,
-                            "N": N,
-                            "mu": mu.parts,
-                            "nu": nu.parts,
-                            "d": d,
-                            "log_tau": str(got),
-                            "oracle": str(want),
-                        }
-                    g, admissible = genus_of(mu, nu, d)
-                    if not admissible and got != 0:
-                        return {
-                            "ok": False,
-                            "reason": "inadmissible genus with nonzero entry",
-                            "mu": mu.parts,
-                            "nu": nu.parts,
-                            "d": d,
-                            "genus": str(g),
-                        }
-    return {"ok": True, "family": family.label, "checked": checked}
+    """Genus parity of the log-tau connected numbers, then the numbers against
+    the transitivity oracle.  One log tau at n_max serves every N: its weight-N
+    coefficients read only the terms of tau of weight <= N."""
+    log_tau_table = connected_table_entries(family, max(n_max, 0), d_max)
+    for (mu, nu, d), value in log_tau_table.items():
+        g, admissible = genus_of(mu, nu, d)
+        if not admissible:
+            return {"ok": False, "family": family.label, "mu": mu.parts, "nu": nu.parts,
+                    "d": d, "reason": "inadmissible genus with nonzero entry", "genus": str(g)}
+    oracle = _table(_per_d(H_connected_via_oracle, family, d_max), range(1, n_max + 1), d_max)
+    tables = {"log_tau": log_tau_table, "oracle": oracle}
+    return _agreement(tables, {"family": family.label}, n_max, d_max)

@@ -2,6 +2,7 @@ import argparse
 import errno
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,21 @@ def _load_bench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_traced_bench_job_runs():
+    # bench/tracing.py wraps src hooks it finds by name (symfun._character and
+    # _h_list_cached, LaurentWindow.mul, GradedPoly.log): a rename fails here
+    root = Path(__file__).resolve().parents[1]
+    job = {"kind": "cli",
+           "argv": ["hurwitz", "--family", "exp", "--N", "3", "--dmax", "2", "--verify-routes"]}
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "tracing.py"), json.dumps(job)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout)
+    assert traced["exit"] == 0 and traced["ok"] is True
 
 
 # SHA-256 of each report's canonical ``result``, as the benchmark digests it,
@@ -611,6 +627,22 @@ def test_s_beside_sigma_in_config_file_refused_before_compute(command, tmp_path,
     )
 
 
+@pytest.mark.parametrize("command", ["basis", "kernel"])
+@pytest.mark.parametrize("in_file,on_line", [("s", "--sigma"), ("sigma", "--s")])
+def test_s_or_sigma_in_config_file_beside_the_other_flag_refused_before_compute(
+        command, in_file, on_line, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({in_file: "7"}))
+    assert cli.main([command, "--config", str(cfg), on_line, "1/2"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: config key {in_file!r} cannot be given with {on_line}\n"
+    )
+    # the flag the file gives, given again on the command line, overrides it
+    with pytest.raises(AssertionError, match="build_basis ran"):
+        cli.main([command, "--config", str(cfg), f"--{in_file}", "1/2"])
+
+
 # windows on which a basis check would compare nothing, each with the nearest
 # window on which it compares something; L = 2 for --s 1/21,1/50
 VACUOUS_BASIS_WINDOWS = [
@@ -620,6 +652,11 @@ VACUOUS_BASIS_WINDOWS = [
      ["--s", "1/21,1/50", "--k-lo", "0", "--k-hi", "2", "--depth", "-2"]),
     ("pairing", ["--k-lo", "3", "--k-hi", "6", "--depth", "2"],
      ["--k-lo", "3", "--k-hi", "6", "--depth", "-3"]),
+    # the recursion band LM = L M = 4 for two sigma and two c
+    ("recursion_Q", ["--family", "finite", "--c", "1,1/2", "--s", "1/21,1/50",
+                     "--k-lo", "0", "--k-hi", "2", "--depth", "-3"],
+     ["--family", "finite", "--c", "1,1/2", "--s", "1/21,1/50",
+      "--k-lo", "0", "--k-hi", "4", "--depth", "-3"]),
 ]
 
 
@@ -637,6 +674,9 @@ def test_vacuous_basis_window_refused_before_compute(check, vacuous, nearest, mo
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["ladder"]["checks"] and result["euler"]["checks"]
     assert result["pairing"]["tested"]
+    if check == "recursion_Q":
+        # more checks than the band vanishing alone: i in [-3, 1], both sides
+        assert result["recursion_Q"]["checks"] > 5 * 2 * cli.adaptedbasis.Q_BAND_MARGIN
 
 
 def test_serialize_refuses_a_type_it_has_no_form_for():

@@ -123,6 +123,52 @@ def test_verify_connected_logs_tau_once(monkeypatch):
     assert weights == [3]
 
 
+def _off_by_one_at(route, key):
+    """route(family, mu, nu, d), plus 1 at the one key (mu, nu, d)."""
+    def perturbed(family, mu, nu, d):
+        return route(family, mu, nu, d) + ((mu, nu, d) == key)
+
+    return perturbed
+
+
+def test_verify_routes_reports_a_perturbed_route(monkeypatch):
+    # negative control: one wrong R3 value fails the check at its key, with
+    # every route's value there
+    fam, mu, nu = exponential(), Partition((2, 1)), Partition((3,))
+    monkeypatch.setattr(hurwitz, "H_via_paths", _off_by_one_at(H_via_paths, (mu, nu, 3)))
+    want = H_via_characters(fam, mu, nu, 3)[3]
+    assert verify_routes(fam, n_max=3, d_max=3) == {
+        "ok": False, "family": fam.label, "n_max": 3, "d_max": 3,
+        "mu": (2, 1), "nu": (3,), "d": 3,
+        "profiles": str(want), "paths": str(want + 1), "characters": str(want), "tau": str(want),
+    }
+
+
+def test_verify_connected_reports_a_perturbed_oracle(monkeypatch):
+    fam, mu, nu = exponential(), Partition((2, 1)), Partition((3,))
+    monkeypatch.setattr(hurwitz, "H_connected_via_oracle",
+                        _off_by_one_at(H_connected_via_oracle, (mu, nu, 1)))
+    want = connected_table_entries(fam, 3, 3)[(mu, nu, 1)]
+    assert verify_connected(fam, n_max=3, d_max=3) == {
+        "ok": False, "family": fam.label, "mu": (2, 1), "nu": (3,), "d": 1,
+        "log_tau": str(want), "oracle": str(want + 1),
+    }
+
+
+def test_verify_connected_fails_a_nonzero_inadmissible_genus(monkeypatch):
+    two = Partition((2,))
+    assert not genus_of(two, two, 1)[1]  # genus 1/2
+
+    def planted(family, N, d_max):
+        return {**connected_table_entries(family, N, d_max), (two, two, 1): F(1)}
+
+    monkeypatch.setattr(hurwitz, "connected_table_entries", planted)
+    report = verify_connected(exponential(), n_max=3, d_max=3)
+    assert report["ok"] is False
+    assert report["reason"] == "inadmissible genus with nonzero entry"
+    assert (report["mu"], report["nu"], report["d"], report["genus"]) == ((2,), (2,), 1, "1/2")
+
+
 def _negative_window_cases():
     from hurwitztau import correlators, cutjoin, partitions, taufn
 
