@@ -18,7 +18,7 @@ from functools import cache, partial
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
 from .exactalg import LaurentWindow, scalar_ring
 from .symfun import h_of_sigma, support
-from .weights import EXPONENTIAL, FINITE_C, QUANTUM, WeightFamily, g_at, g_coeff, g_value
+from .weights import EXPONENTIAL, QUANTUM, WeightFamily, g_at, g_coeff, g_value
 from .weights import rho, rho_inv
 
 
@@ -171,7 +171,7 @@ def refuse_singular_a(family: WeightFamily, beta_val, gamma_val, k_range, depth:
     with 1 <= i < k_hi, which makes a rho_j in the basis singular) is left to it.
     """
     k_lo, k_hi = k_range
-    if family.kind != FINITE_C or not beta_val or not gamma_val or depth > k_lo - 1:
+    if family.degree is None or not beta_val or not gamma_val or depth > k_lo - 1:
         return
     beta = Fraction(beta_val)
 
@@ -307,9 +307,9 @@ def quantum_curve_residual(b: BasisWindow) -> dict:
 
 def q_band(family: WeightFamily, sigma) -> int:
     """Band width LM of the multiplicative recursion: L = support(sigma), M = deg G."""
-    if family.kind != FINITE_C:
+    if family.degree is None:
         raise ConfigurationError("finite band requires a polynomial generating function")
-    return support(sigma) * len(family.c)
+    return support(sigma) * family.degree
 
 
 def recursion_entry(family: WeightFamily, ring, sigma: tuple, i: int, j: int, side: int):
@@ -480,11 +480,9 @@ def classical_curve(family: WeightFamily, s, gamma_val) -> ClassicalCurve:
             None,
             "x*y = sum_i i*s_i*gamma^i*x^i*(prod_{j>=1}(1 + q^j*x*y))^i",
         )
-    if family.kind != FINITE_C:
+    M = family.degree
+    if M is None:
         raise ConfigurationError("classical curve needs a polynomial G")
-    M = len(family.c)
-    # G(xy) as a polynomial in the single variable u = x y
-    g_of_u = [g_coeff(family, m) for m in range(M + 1)]
     poly: dict = {(1, 1): Fraction(1)}  # x y
 
     # u-powers of gamma x G(u): compute S(gamma x G(xy)) term by term
@@ -495,7 +493,8 @@ def classical_curve(family: WeightFamily, s, gamma_val) -> ClassicalCurve:
                 out[i + j] = out.get(i + j, Fraction(0)) + ai * bj
         return out
 
-    g_upoly = {m: c for m, c in enumerate(g_of_u) if c != 0}
+    # G(xy) as a polynomial in the single variable u = x y
+    g_upoly = {m: g for m in range(M + 1) if (g := g_coeff(family, m))}
     power = {0: Fraction(1)}  # (gamma x G)^0 in u with x-bookkeeping below
     for k, sk in enumerate(s, start=1):
         power = upoly_mul(power, g_upoly)

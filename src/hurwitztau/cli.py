@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import __version__, adaptedbasis, correlators, cutjoin, hurwitz, taufn
 from .errors import ConfigurationError, HurwitzTauError, ResourceError
 from .exactalg import BetaSeries, exp_weight
+from .partitions import enumerate_partitions
 from .symfun import support
 from .weights import WeightFamily, belyi, exponential, quantum, signed
 
@@ -44,21 +45,46 @@ DMAX_CAP = 64
 # Each cost is one run at the cap (or as named) with every other flag at its
 # default, on a 2-core machine.
 FLAG_BOUNDS = {
-    # N: ``hurwitz --N 10 --dmax 3`` takes 20 s; the character route sums over
+    # N: ``hurwitz --N 10 --dmax 3`` takes 4 s; the character route sums over
     # the p(N) partitions of N for each of the p(N)^2 pairs
     "hurwitz": {"N": (0, hurwitz.CHAR_TABLE_N_CAP), "dmax": (0, DMAX_CAP)},
     # wmax: ``tau --wmax 12 --dmax 3`` takes 5.9 s; probe: ``--wmax 10 --probe 5``
     # takes 14 s, while ``--wmax 12 --probe 6`` ran past 60 s
     "tau": {"wmax": (1, 12), "probe": (0, 5), "dmax": (0, DMAX_CAP)},
-    # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 8.4 s (over 100 s at
-    # 100) and at ``--depth -100`` 8.3 s (46 s at -200)
+    # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 4.8 s (over 100 s at
+    # 100) and at ``--depth -100`` 4.4 s (46 s at -200)
     "basis": {"k_lo": (None, 40), "k_hi": (None, 40), "depth": (None, 100),
               "dmax": (0, DMAX_CAP)},
     # each entry of zlo,zhi,wlo,whi: ``--window=-40,-1,-40,40`` takes 7.1 s at
     # ``--beta 1/1001 --s 1/1001`` and 11.7 s with ``--family exp --beta series``
     "kernel": {"window": (None, 40), "dmax": (0, DMAX_CAP)},
-    # ``cutjoin --wmax 10`` takes 7-9 s, and the cost doubles with each weight
+    # ``cutjoin --wmax 10`` takes 3.6 s, and the cost doubles with each weight
     "cutjoin": {"wmax": (2, 10), "dmax": (1, DMAX_CAP)},
+}
+
+
+def _partition_terms(n_max: int, power: int) -> int:
+    """sum over n <= n_max of p(n)^power."""
+    return sum(len(enumerate_partitions(n)) ** power for n in range(n_max + 1))
+
+
+# Flags within their caps still multiply, so a run is also refused by its
+# predicted work, after every cap and before any compute (exit 2): command ->
+# (predict(args), its formula, budget).  Partition terms times (dmax + 1)^2, one
+# beta-series product: the character route sums the p(n) partitions of n for
+# each of the p(n)^2 pairs, and tau holds sum p(n)^2 terms; the basis window's
+# length times its k-count.  Each budget admits every run costed above.
+WORK_BUDGETS = {
+    # exp ``--N 10 --dmax 12`` (19,764,043) takes 10 s, ``--N 10 --dmax 64`` over 150 s
+    "hurwitz": (lambda a: _partition_terms(a.N, 3) * (a.dmax + 1) ** 2,
+                "sum_{n<=N} p(n)^3 (dmax+1)^2", 20_000_000),
+    # at beta = s = 1/1001, ``--k-hi 40`` (2,200) takes 5 s and ``--depth -100
+    # --k-lo -10 --k-hi 10`` (2,310) 23 s
+    "basis": (lambda a: max(a.k_hi - a.depth, 0) * max(a.k_hi - a.k_lo + 1, 0),
+              "(k_hi - depth) (k_hi - k_lo + 1)", 2_200),
+    # ``--wmax 10 --dmax 10`` (433,543) takes 17 s, ``--wmax 10 --dmax 64`` over 90 s
+    "cutjoin": (lambda a: _partition_terms(a.wmax, 2) * (a.dmax + 1) ** 2,
+                "sum_{n<=wmax} p(n)^2 (dmax+1)^2", 500_000),
 }
 
 
@@ -277,7 +303,7 @@ def cmd_basis(args) -> dict:
     # refuse a window on which a check would compare nothing; build_basis
     # refuses an empty window itself
     L = support(sigma or s)  # sigma = s/beta has the support of s
-    LM = adaptedbasis.q_band(family, sigma or s) if family.kind == "finite_c" else 0
+    LM = adaptedbasis.q_band(family, sigma or s) if family.degree is not None else 0
     if k_lo <= k_hi and depth < k_lo:
         for empty, check, needs in (
             (k_hi == k_lo, "ladder", "--k-hi > --k-lo"),
@@ -305,7 +331,7 @@ def cmd_basis(args) -> dict:
         "euler": {k: v for k, v in euler.items() if k in ("ok", "checks", "failures")},
         "euler_matrices": {"Pt+": euler["Pt+"], "Pt-": euler["Pt-"]},
     }
-    if family.kind == "finite_c":
+    if family.degree is not None:
         rq = adaptedbasis.recursion_Q(b)
         result["recursion_Q"] = {
             k: v for k, v in rq.items() if k in ("ok", "checks", "failures", "band")
@@ -334,7 +360,7 @@ def cmd_kernel(args) -> dict:
     family = make_family(args)
     beta, gamma, s, sigma = _basis_params(args)
     window = _kernel_window(args.window)
-    if args.check_finiteness and family.kind != "finite_c":
+    if args.check_finiteness and family.degree is None:
         raise ConfigurationError("--check-finiteness needs a polynomial family")
     k_lo = min(0, 1 + window[0]) - 1
     if args.check_finiteness:
@@ -377,20 +403,20 @@ def cmd_curve(args) -> dict:
 
 def cmd_cutjoin(args) -> dict:
     family = make_family(args)
-    single_rep = family.kind == "finite_c"
+    M = family.degree
     # the single-Hurwitz check runs at beta-order M * w, like a --dmax of that size
     rep_w = min(args.wmax, 3)
-    if single_rep and len(family.c) * rep_w > DMAX_CAP:
+    if M is not None and M * rep_w > DMAX_CAP:
         raise ResourceError(
-            f"--c cap exceeded: {len(family.c)} entries need single-Hurwitz beta-order "
-            f"{len(family.c) * rep_w} > {DMAX_CAP}"
+            f"--c cap exceeded: {M} entries need single-Hurwitz beta-order "
+            f"{M * rep_w} > {DMAX_CAP}"
         )
     result = {
         "eigen": cutjoin.schur_eigen_check(min(args.wmax + 2, 6), 8),
         "reconstruction": cutjoin.reconstruct_tau(family, args.wmax, args.dmax),
         "pde": cutjoin.pde_check(family, args.wmax, args.dmax),
     }
-    if single_rep:
+    if M is not None:
         result["single_hurwitz_rep"] = cutjoin.build_Vk_and_single_rep(family, rep_w)
     if args.resolve_index:
         result["exponential_index"] = cutjoin.resolve_exponential_index(3, 3)
@@ -534,7 +560,8 @@ def _given_on_command_line(parser, argv, command) -> set:
 
 
 def _check_bounds(args) -> None:
-    """Every FLAG_BOUNDS minimum of the command, then every cap."""
+    """Every FLAG_BOUNDS minimum of the command, then every cap, then its
+    WORK_BUDGETS predicted work."""
     bounds = FLAG_BOUNDS.get(args.command, {})
     for flag, (least, _) in bounds.items():
         value = getattr(args, flag)
@@ -546,6 +573,11 @@ def _check_bounds(args) -> None:
             if abs(value) > cap:
                 shown = value if value >= 0 else f"|{value}|"
                 raise ResourceError(f"--{flag.replace('_', '-')} cap exceeded: {shown} > {cap}")
+    if args.command in WORK_BUDGETS:
+        predict, formula, budget = WORK_BUDGETS[args.command]
+        if (work := predict(args)) > budget:
+            raise ResourceError(f"{args.command} predicted work exceeded: "
+                                f"{formula} = {work} > {budget}")
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ from .exactalg import exp_weight, scalar_ring
 from .partitions import Partition, partitions_up_to
 from .symfun import h_of_sigma, schur_monomial_map, support
 from .taufn import miwa_expand, miwa_scale, schur_weight
-from .weights import FINITE_C, WeightFamily, g_coeff
+from .weights import WeightFamily, g_coeff
 
 
 @dataclass(frozen=True)
@@ -239,11 +239,11 @@ def gen_A(
     0 <= i <= degrees[0], 0 <= j <= degrees[1]; negative r-power cells are
     verified to cancel and trigger an AssertionError otherwise.
     """
-    if family.kind != FINITE_C:
+    big_m = family.degree
+    if big_m is None:
         raise ConfigurationError("gen_A needs a polynomial G")
     ring = scalar_ring(beta_val, d_max)
     sigma = tuple(Fraction(x) for x in sigma)
-    big_m = len(family.c)
     L = len(sigma)
     imax, jmax = degrees
     # effective Taylor weights g_m beta^m of G(beta x)

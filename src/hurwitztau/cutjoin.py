@@ -20,7 +20,7 @@ from .exactalg import (
 from .partitions import Partition, enumerate_partitions, partitions_up_to
 from .symfun import cauchy_kernel, schur_sector_sum, schur_to_power
 from .taufn import build_tau
-from .weights import DUAL_FINITE_C, FINITE_C, WeightFamily, g_coeff, log_A_coeffs
+from .weights import WeightFamily, g_coeff, log_coeffs
 
 
 @dataclass(frozen=True)
@@ -147,25 +147,11 @@ def schur_eigen_check(weight_max: int = 6, commutator_weight: int = 8) -> dict:
     return {"ok": not failures, "checks": checks, "failures": failures}
 
 
-def _family_signs(family: WeightFamily, k_max: int) -> list[Fraction]:
-    """sign_k A_k with sign (-1)^{k+1} for direct families and +1 for the dual,
-    so that log(G(beta x)) = sum_k sign_k A_k (beta x)^k in both cases."""
-    a = log_A_coeffs(family, k_max)
-    if family.kind == DUAL_FINITE_C:
-        return a
-    return [(-1) ** (k + 1) * a[k - 1] for k in range(1, k_max + 1)]
-
-
-def _diagonal_log(family: WeightFamily, lam: Partition, d_max: int) -> BetaSeries:
-    """sum_k sign_k beta^k A_k q_k(lambda), the log of lambda's content product."""
-    signed = _family_signs(family, d_max)
-    return BetaSeries([0] + [signed[k - 1] * diagonal_Qk(k, lam) for k in range(1, d_max + 1)])
-
-
 def diagonal_exponent(family: WeightFamily, lam: Partition, d_max: int) -> BetaSeries:
-    """exp(sum_k sign_k beta^k A_k Q_k-eigenvalue), the content-product rebuilt
-    from the log-expansion data."""
-    return series_exp(_diagonal_log(family, lam, d_max))
+    """exp(sum_k a_k beta^k q_k(lambda)): lambda's content product rebuilt from
+    the log-series a_k of G."""
+    a = enumerate(log_coeffs(family, d_max), start=1)
+    return series_exp(BetaSeries([0] + [a_k * diagonal_Qk(k, lam) for k, a_k in a]))
 
 
 def _beta_euler(c: BetaSeries) -> BetaSeries:
@@ -185,7 +171,7 @@ def reconstruct_tau(family: WeightFamily, w_max: int, d_max: int) -> dict:
     """Diagonal cut-and-join reconstruction against the content-product tau.
 
     Every Schur sector of exp(sum k t_k s_k) is multiplied by
-    exp(sum_k sign_k beta^k A_k q_k(lambda)); the result must match build_tau
+    exp(sum_k a_k beta^k q_k(lambda)); the result must match build_tau
     coefficient by coefficient.  The explicit-operator form with Q_1, Q_2 is
     additionally checked through beta^2.
     """
@@ -194,16 +180,16 @@ def reconstruct_tau(family: WeightFamily, w_max: int, d_max: int) -> dict:
         w_max, d_max, lambda lam: diagonal_exponent(family, lam, d_max)
     )
 
-    # explicit operator route through beta^2: exp(A_1 beta Q_1 + sign A_2 beta^2 Q_2)
-    signed = _family_signs(family, min(2, d_max))
+    # explicit operator route through beta^2: exp(a_1 beta Q_1 + a_2 beta^2 Q_2)
+    a = log_coeffs(family, min(2, d_max))
     base = cauchy_kernel(w_max, d_max)
     q1 = build_Qk(1, w_max)
     q2 = build_Qk(2, w_max)
 
     def x_apply(p):
-        out = q1.apply(p).scale(BetaSeries.variable(d_max) * signed[0])
-        if len(signed) > 1 and signed[1]:
-            out = out + q2.apply(p).scale(BetaSeries.variable(d_max).shift(1) * signed[1])
+        out = q1.apply(p).scale(BetaSeries.variable(d_max) * a[0])
+        if len(a) > 1 and a[1]:
+            out = out + q2.apply(p).scale(BetaSeries.variable(d_max).shift(1) * a[1])
         return out
 
     terms = exp_terms(x_apply, base, 2)
@@ -231,16 +217,17 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
 
     * gamma d/dgamma tau = Q_0 tau: the grade times each coefficient equals the
       generated Q_0 action.
-    * d/dA_k tau = sign_k beta^k Q_k tau (k = 1..d_max): the A_k-derivative
-      is computed symbolically through the per-sector exponential of the
-      reconstruction; the right side applies the generated operator to the
-      content-product tau.
+    * d/dA_k tau = beta^k Q_k tau (k = 1..d_max), with A_k the coefficient
+      a_k of log G (weights.log_coeffs) taken as a parameter: the
+      A_k-derivative is computed symbolically through the per-sector
+      exponential of the reconstruction; the right side applies the generated
+      operator to the content-product tau.
     * beta d/dbeta tau = sum_k k A_k d/dA_k tau, as exact beta-series.
 
     The A_k left sides are Schur-sector sums weighted by the reconstruction's
     per-sector exponential, so they test the content-product tau against the
-    log-expansion data; the beta-Euler left side is their sum with weights
-    k sign_k A_k beta^k.
+    log-series of G; the beta-Euler left side is their sum with weights
+    k a_k beta^k.
     """
     tau = build_tau(family, w_max, d_max)
     body = tau.body
@@ -255,17 +242,17 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
 
     factors = {lam: diagonal_exponent(family, lam, d_max) for lam in partitions_up_to(w_max)}
 
-    # dA_k tau = sign_k beta^k Q_k tau; both sides carry sign_k beta^k, so the
+    # dA_k tau = beta^k Q_k tau; both sides carry beta^k, so the
     # content to verify is (diagonal q_k-weighted sectors) == (generated Q_k tau)
-    signed = _family_signs(family, d_max)
+    a = log_coeffs(family, d_max)
     beta = BetaSeries.variable(d_max)
     euler_lhs = GradedPoly.zero(w_max, d_max)
     for k in range(1, d_max + 1):
         lhs = schur_sector_sum(w_max, d_max, lambda lam: factors[lam] * diagonal_Qk(k, lam))
         if lhs != build_Qk(k, w_max).apply(body):
             failures.append(f"A_{k}-derivative")
-        # beta d/dbeta of a sector's log weight is sum_k k sign_k A_k beta^k q_k
-        euler_lhs = euler_lhs + lhs.scale(beta.shift(k - 1) * (k * signed[k - 1]))
+        # beta d/dbeta of a sector's log weight is sum_k k a_k beta^k q_k
+        euler_lhs = euler_lhs + lhs.scale(beta.shift(k - 1) * (k * a[k - 1]))
 
     # Euler identity in beta: beta d/dbeta tau = sum_k k A_k dA_k tau
     euler_body = GradedPoly({key: _beta_euler(c) for key, c in body.terms.items()}, w_max, d_max)
@@ -277,9 +264,9 @@ def pde_check(family: WeightFamily, w_max: int, d_max: int) -> dict:
 def build_Vk_and_single_rep(family: WeightFamily, w_max: int) -> dict:
     """Single-Hurwitz representation: per gamma-sector,
     tau(t, s = delta_{k,1}) == exp(gamma (t_1 + sum_{k<=M} g_k beta^k V_k)) . 1."""
-    if family.kind != FINITE_C:
+    M = family.degree
+    if M is None:
         raise ConfigurationError("single-Hurwitz V_k representation needs polynomial G")
-    M = len(family.c)
     d_max = max(M * w_max, 1)
     beta = BetaSeries.variable(d_max)
     t1 = GradedPoly({((1,), (), 1): BetaSeries.one(d_max)}, w_max, d_max)

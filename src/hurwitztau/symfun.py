@@ -95,24 +95,6 @@ def power_sum_value(k: int, c) -> Fraction:
     return sum((Fraction(ci) ** k for ci in c), Fraction(0))
 
 
-def elementary_list(c, n_max: int) -> list[Fraction]:
-    """e_0..e_n of the finite alphabet c, via prod (1 + c_i z)."""
-    out = [Fraction(1)] + [Fraction(0)] * n_max
-    deg = 0
-    for ci in c:
-        ci = Fraction(ci)
-        deg = min(deg + 1, n_max)
-        for n in range(deg, 0, -1):
-            out[n] += ci * out[n - 1]
-    return out
-
-
-def complete_list(c, n_max: int) -> list[Fraction]:
-    """h_0..h_n: the coefficients of exp(sum_k p_k(c) z^k / k) (Newton's identity)."""
-    a = [Fraction(0)] + [power_sum_value(k, c) / k for k in range(1, n_max + 1)]
-    return exp_pieces(a, Fraction(1), Fraction(0))
-
-
 def _distinct_arrangements(parts):
     return sorted(set(itertools.permutations(parts)))
 

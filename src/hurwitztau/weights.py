@@ -1,6 +1,6 @@
-"""Weight generating functions G / G-dual and their derived data: Taylor
-coefficients, content products, the convolution coefficients rho_j, and the
-log-expansion data A_k."""
+"""Weight generating functions G(z) = exp(sum_k a_k z^k) and their derived
+data: the log-series a_k, the Taylor coefficients g_i read off it, content
+products and the convolution coefficients rho_j."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from functools import lru_cache
 from .errors import ConfigurationError, DomainError, SingularParameterError
 from .exactalg import BetaSeries
 from .partitions import Partition
-from .symfun import complete_list, elementary_list, eval_basis
+from .symfun import eval_basis, power_sum_value
 
 FINITE_C = "finite_c"
 DUAL_FINITE_C = "dual_finite_c"
@@ -59,6 +59,11 @@ class WeightFamily:
             return "G(z)=exp(z)"
         return f"G(z)=prod(1+q^i z), q={self.q}"
 
+    @property
+    def degree(self) -> int | None:
+        """deg G = len(c) when G is a polynomial (finite_c), None otherwise."""
+        return len(self.c) if self.kind == FINITE_C else None
+
 
 def belyi() -> WeightFamily:
     return WeightFamily(FINITE_C, c=(1,), label="belyi")
@@ -76,30 +81,37 @@ def quantum(q) -> WeightFamily:
     return WeightFamily(QUANTUM, q=Fraction(q), label=f"quantum(q={Fraction(q)})")
 
 
+def log_coeffs(family: WeightFamily, k_max: int) -> list[Fraction]:
+    """a_1..a_{k_max} of log G(z) = sum_k a_k z^k: (-1)^{k+1} p_k(c)/k for
+    finite_c, p_k(c)/k for dual_finite_c, delta_{k1} for exponential and
+    (-1)^{k+1} q^k/(k(1 - q^k)) for quantum."""
+    out = []
+    for k in range(1, k_max + 1):
+        if family.kind == EXPONENTIAL:
+            out.append(Fraction(int(k == 1)))
+            continue
+        if family.kind == QUANTUM:
+            qk = family.q**k
+            a = qk / (k * (1 - qk))
+        else:
+            a = power_sum_value(k, family.c) / k
+        out.append(a if k % 2 or family.kind == DUAL_FINITE_C else -a)
+    return out
+
+
 # One entry per (family, i): the table job holds 5, the verify sweep 30, a
 # quantum --dmax 64 run 65.
 @lru_cache(maxsize=1024)
 def g_coeff(family: WeightFamily, i: int) -> Fraction:
-    """Taylor coefficient of z^i in the family's generating function."""
+    """Taylor coefficient g_i of z^i in G(z), read off the log-series by the exp
+    recurrence i g_i = sum_{k=1..i} k a_k g_{i-k} over the cached g_0..g_{i-1}."""
     if i < 0:
         raise DomainError("Taylor index must be nonnegative")
     if i == 0:
         return Fraction(1)
-    if family.kind == FINITE_C:
-        return elementary_list(family.c, i)[i] if i <= len(family.c) else Fraction(0)
-    if family.kind == DUAL_FINITE_C:
-        return complete_list(family.c, i)[i]
-    if family.kind == EXPONENTIAL:
-        out = Fraction(1)
-        for k in range(2, i + 1):
-            out /= k
-        return out
-    # e_i(q, q^2, ...) = q^{i(i+1)/2} / prod_{j=1..i} (1 - q^j)
-    q = family.q
-    den = Fraction(1)
-    for j in range(1, i + 1):
-        den *= 1 - q**j
-    return q ** (i * (i + 1) // 2) / den
+    lower = [g_coeff(family, j) for j in range(i)]  # ascending: each finds its own in the cache
+    terms = (k * a_k * lower[i - k] for k, a_k in enumerate(log_coeffs(family, i), start=1))
+    return sum(terms, Fraction(0)) / i
 
 
 def r_factor(family: WeightFamily, j: int, d_max: int) -> BetaSeries:
@@ -190,21 +202,6 @@ def rho_inv(family: WeightFamily, j: int, gamma_val: Fraction, ring):
     if not value:
         raise SingularParameterError(f"rho_{j} = 0: dual basis element undefined")
     return 1 / value
-
-
-def log_A_coeffs(family: WeightFamily, k_max: int) -> list[Fraction]:
-    """A_k = p_k(c)/k for k = 1..k_max (power sums of the weight alphabet)."""
-    out = []
-    for k in range(1, k_max + 1):
-        if family.kind in (FINITE_C, DUAL_FINITE_C):
-            pk = sum((ci**k for ci in family.c), Fraction(0))
-            out.append(pk / k)
-        elif family.kind == EXPONENTIAL:
-            out.append(Fraction(1) if k == 1 else Fraction(0))
-        else:
-            qk = family.q**k
-            out.append(qk / (k * (1 - qk)))
-    return out
 
 
 def profile_weight(family: WeightFamily, lam: Partition) -> Fraction:

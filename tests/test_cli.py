@@ -406,6 +406,22 @@ def test_config_records_every_flag_and_the_version(capsys):
         assert config["version"] == hurwitztau.__version__
 
 
+def test_version_has_one_source():
+    # pyproject.toml reads the package version off hurwitztau.__version__, the
+    # version every report's config carries, so the two cannot drift apart
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    dynamic = pyproject["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "hurwitztau.__version__"}
+    # a plain string literal, which setuptools reads without importing the package
+    init = (root / "src" / "hurwitztau" / "__init__.py").read_text(encoding="utf-8")
+    assert f'__version__ = "{hurwitztau.__version__}"\n' in init
+
+
 def test_series_basis_runs_differ_in_config_hash(capsys):
     hashes = set()
     for sigma, dmax in (("1/2", "4"), ("1/3", "2")):
@@ -566,6 +582,50 @@ def test_flag_outside_its_bounds_refused_before_compute(command, flag, monkeypat
     assert capsys.readouterr().err == (
         f"resource error: --{name} cap exceeded: {cap + 1} > {cap}\n"
     )
+
+
+# one run per WORK_BUDGETS command with every flag within its cap: each ran
+# past 90 s before the budget refused it
+OVER_BUDGET_RUNS = {
+    "hurwitz": ["--family", "exp", "--N", "10", "--dmax", "64"],
+    "basis": ["--family", "belyi", "--beta", "1/1001", "--s", "1/1001", "--k-lo", "-40",
+              "--k-hi", "40", "--depth", "-100"],
+    "cutjoin": ["--family", "belyi", "--wmax", "10", "--dmax", "64"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.WORK_BUDGETS))
+def test_run_over_its_work_budget_refused_before_compute(command, monkeypatch, capsys):
+    argv = [command, *OVER_BUDGET_RUNS[command]]
+    predict, formula, budget = cli.WORK_BUDGETS[command]
+    work = predict(cli.build_parser().parse_args(argv))
+    for module, name in ENTRY_POINTS[command]:
+        monkeypatch.setattr(module, name, _refuse(name))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"resource error: {command} predicted work exceeded: {formula} = {work} > {budget}\n"
+    )
+
+
+# the runs named with their cost in FLAG_BOUNDS, WORK_BUDGETS and README's caps
+# table, each at its command's defaults otherwise
+COSTED_RUNS = [
+    "hurwitz --family exp --N 10 --dmax 3", "hurwitz --dmax 64",
+    "basis --beta 1/1001 --s 1/1001 --k-hi 40", "basis --beta 1/1001 --s 1/1001 --depth -100",
+    "basis --family exp --beta series --sigma 1/2 --dmax 64",
+    "cutjoin --wmax 10", "cutjoin --dmax 64",
+    "cutjoin --family finite --c " + ",".join(["1"] * 21),
+    "cutjoin --family finite --wmax 10 --c " + ",".join(["1"] * 21),
+]
+
+
+def test_every_costed_run_is_within_its_work_budget():
+    parser = cli.build_parser()
+    assert {run.split()[0] for run in COSTED_RUNS} >= set(cli.WORK_BUDGETS)
+    for run in COSTED_RUNS:
+        args = parser.parse_args(run.split())
+        predict, _, budget = cli.WORK_BUDGETS[args.command]
+        assert predict(args) <= budget, run
 
 
 def test_csv_keeps_connected_only_entries(capsys):

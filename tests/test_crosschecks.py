@@ -24,7 +24,7 @@ from hurwitztau.exactalg import (
 )
 from hurwitztau.hurwitz import H_via_characters, H_via_paths, H_via_profiles
 from hurwitztau.partitions import Partition, enumerate_partitions
-from hurwitztau.symfun import complete_list, h_of_sigma, power_sum_value
+from hurwitztau.symfun import h_of_sigma, power_sum_value
 from hurwitztau.taufn import (
     TauSeries,
     build_tau,
@@ -38,6 +38,7 @@ from hurwitztau.weights import (
     belyi,
     content_product,
     exponential,
+    g_coeff,
     g_value,
     quantum,
     signed,
@@ -246,9 +247,11 @@ def test_beta_series_log_exp_match_power_sums():
 
 
 @pytest.mark.parametrize("c", [(F(1), F(1, 2)), (F(2), F(-1, 3))], ids=["1,1/2", "2,-1/3"])
-def test_complete_list_matches_newton(c):
+def test_dual_g_coeff_matches_newton(c):
+    # the dual family's G = prod (1 - c_i z)^-1 has g_n = h_n(c)
     p = [power_sum_value(k, c) for k in range(10)]
-    assert complete_list(c, 9) == reference_h_list(p, 9)
+    fam = WeightFamily("dual_finite_c", c=c)
+    assert [g_coeff(fam, n) for n in range(10)] == reference_h_list(p, 9)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

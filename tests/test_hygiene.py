@@ -4,7 +4,7 @@ that nothing calls or mentions by name, none but a listed few exists only
 for the tests, no optional parameter exists that no call passes, no
 parameter goes unread but a listed few, every module-level cache,
 bounded or not, is one of a listed few, and so is every import made inside
-a function."""
+a function and every function that reads a weight family's kind."""
 
 import ast
 import math
@@ -582,4 +582,78 @@ def plain():
     assert _deferred_imports("synthetic.py", ast.parse(source)) == [
         "synthetic.py: top -> .other", "synthetic.py: top -> json", "synthetic.py: top -> math",
         "synthetic.py: Box.method.inner -> .deep.er",
+    ]
+
+
+class _KindReads(ast.NodeVisitor):
+    """'module: qualname' of each function or method that reads an attribute
+    named ``kind``, in the order first met."""
+
+    def __init__(self, module):
+        self.module = module
+        self.scope = []
+        self.found = []
+
+    def _visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_scope
+
+    def visit_Attribute(self, node):
+        if node.attr == "kind" and isinstance(node.ctx, ast.Load):
+            reader = f"{self.module}: {'.'.join(self.scope) or '<module>'}"
+            if reader not in self.found:
+                self.found.append(reader)
+        self.generic_visit(node)
+
+
+def _kind_reads(module, tree):
+    visitor = _KindReads(module)
+    visitor.visit(tree)
+    return visitor.found
+
+
+# A weight family is its log-series: every other module asks the family for
+# what it needs (log_coeffs, g_coeff, g_value, degree), never for its kind.
+# classical_curve alone names the kind, to print a transcendental curve's
+# symbolic text.  The list is exact: a new reader fails.
+KIND_READERS = {
+    "weights.py: WeightFamily.__post_init__", "weights.py: WeightFamily._default_label",
+    "weights.py: WeightFamily.degree", "weights.py: log_coeffs", "weights.py: g_value",
+    "weights.py: profile_weight", "adaptedbasis.py: classical_curve",
+}
+
+
+def test_only_weights_reads_a_family_kind():
+    found = {r for path in _modules() for r in _kind_reads(path.name, _tree(path))}
+    assert found == KIND_READERS
+
+
+def test_kind_read_is_flagged():
+    source = """
+KIND = DEFAULT.kind
+
+
+def top(family):
+    return family.kind == "finite_c"
+
+
+class Box:
+    kind = "plain"
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def method(self, other):
+        def inner():
+            return other.kind
+        return inner
+
+    def unrelated(self):
+        return self.kinds, kind_of(self)
+"""
+    assert _kind_reads("synthetic.py", ast.parse(source)) == [
+        "synthetic.py: <module>", "synthetic.py: top", "synthetic.py: Box.method.inner",
     ]

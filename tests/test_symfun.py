@@ -6,8 +6,6 @@ from hurwitztau.partitions import Partition, enumerate_partitions, partitions_up
 from hurwitztau.symfun import (
     cauchy_kernel,
     character,
-    complete_list,
-    elementary_list,
     eval_basis,
     h_of_sigma,
     power_sum_value,
@@ -16,6 +14,7 @@ from hurwitztau.symfun import (
     schur_to_power,
     support,
 )
+from test_weights import reference_complete_list, reference_elementary_list
 
 F = Fraction
 
@@ -98,10 +97,6 @@ class TestEvalBasis:
     def test_monomial(self):
         assert eval_basis("m", Partition((2,)), [1, 1]) == 2
         assert eval_basis("m", Partition((2, 1)), [1, 2]) == 2 + 4  # 1^2*2 + 2^2*1
-
-    def test_elementary_complete(self):
-        assert elementary_list([1, 1], 2)[2] == 1
-        assert complete_list([1, 1], 2)[2] == 3
 
     def test_forgotten_single_part(self):
         assert eval_basis("f", Partition((2,)), [1]) == -1
@@ -200,8 +195,8 @@ class TestHPoly:
     def test_matches_concrete_alphabet(self):
         c = [F(1), F(1, 2), F(2, 5)]
         sigma = tuple(power_sum_value(k, c) / k for k in range(1, 12))
-        h = complete_list(c, 8)
-        e = elementary_list(c, 8)
+        h = reference_complete_list(c, 8)
+        e = reference_elementary_list(c, 8)
         for n in range(9):
             assert h_of_sigma(n, sigma, 1) == h[n]
             # negated alphabet: h_n(-X) = (-1)^n e_n(X)

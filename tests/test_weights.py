@@ -4,11 +4,9 @@ from functools import lru_cache
 import pytest
 
 from hurwitztau.errors import ConfigurationError, DomainError, SingularParameterError
-from hurwitztau.cutjoin import _family_signs
 from hurwitztau.exactalg import BetaSeries, BRing, QRing, log_pieces, series_exp, series_inv
 from hurwitztau.hurwitz import build_table
 from hurwitztau.partitions import Partition, partitions_up_to
-from hurwitztau.symfun import complete_list, elementary_list
 from hurwitztau.weights import (
     WeightFamily,
     belyi,
@@ -17,7 +15,7 @@ from hurwitztau.weights import (
     g_at,
     g_coeff,
     g_value,
-    log_A_coeffs,
+    log_coeffs,
     profile_weight,
     quantum,
     r_factor,
@@ -75,6 +73,24 @@ def reference_pk_eval(k: int, x) -> Fraction:
     return out
 
 
+def reference_elementary_list(c, n_max: int) -> list[Fraction]:
+    """e_0..e_n of the finite alphabet c, by expanding prod (1 + c_i z)."""
+    out = [F(1)] + [F(0)] * n_max
+    for ci in c:
+        for n in range(n_max, 0, -1):
+            out[n] += F(ci) * out[n - 1]
+    return out
+
+
+def reference_complete_list(c, n_max: int) -> list[Fraction]:
+    """h_0..h_n of the finite alphabet c, by expanding prod (1 - c_i z)^-1."""
+    out = [F(1)] + [F(0)] * n_max
+    for ci in c:
+        for n in range(1, n_max + 1):
+            out[n] += F(ci) * out[n - 1]
+    return out
+
+
 class TestGCoeff:
     def test_exponential(self):
         assert g_coeff(exponential(), 2) == F(1, 2)
@@ -93,7 +109,7 @@ class TestGCoeff:
         # after clearing the tail: closed form minus truncated e_i is O(q^{K+1}).
         for i in range(1, 5):
             for K in (i + 8, i + 12):
-                approx = elementary_list([q**j for j in range(1, K + 1)], i)[i]
+                approx = reference_elementary_list([q**j for j in range(1, K + 1)], i)[i]
                 exact = g_coeff(fam, i)
                 diff = exact - approx
                 assert abs(diff) <= F(2, 2 ** (K + 1))
@@ -102,15 +118,32 @@ class TestGCoeff:
         fam = signed()
         assert g_coeff(fam, 3) == 1  # h_3(1) = 1
 
+    def test_elementary_complete(self):
+        assert g_coeff(WeightFamily("finite_c", c=(1, 1)), 2) == 1  # e_2(1, 1)
+        assert g_coeff(WeightFamily("dual_finite_c", c=(1, 1)), 2) == 3  # h_2(1, 1)
+        assert reference_elementary_list([1, 1], 2)[2] == 1
+        assert reference_complete_list([1, 1], 2)[2] == 3
+
+    def test_degree_is_set_for_polynomial_G_only(self):
+        assert belyi().degree == 1
+        assert WeightFamily("finite_c", c=(1, F(1, 2), F(-2, 3))).degree == 3
+        assert WeightFamily("finite_c", c=()).degree == 0
+        for fam in (signed(), WeightFamily("dual_finite_c", c=(1, 2)), exponential(),
+                    quantum(F(1, 2))):
+            assert fam.degree is None
+        # g_i vanishes above the degree, and only there
+        fam = WeightFamily("finite_c", c=(1, F(1, 2), F(-2, 3)))
+        assert [i for i in range(12) if g_coeff(fam, i) == 0] == list(range(4, 12))
+
 
 def reference_g_coeff(family: WeightFamily, i: int) -> Fraction:
     """The Taylor coefficient g_i computed from scratch, one index at a time."""
     if i == 0:
         return F(1)
     if family.kind == "finite_c":
-        return elementary_list(family.c, i)[i] if i <= len(family.c) else F(0)
+        return reference_elementary_list(family.c, i)[i]
     if family.kind == "dual_finite_c":
-        return complete_list(family.c, i)[i]
+        return reference_complete_list(family.c, i)[i]
     if family.kind == "exponential":
         out = F(1)
         for k in range(2, i + 1):
@@ -354,13 +387,13 @@ class TestPkPoly:
 
 class TestLogA:
     def test_exponential(self):
-        assert log_A_coeffs(exponential(), 3) == [F(1), F(0), F(0)]
+        assert log_coeffs(exponential(), 3) == [F(1), F(0), F(0)]
 
     def test_belyi(self):
-        assert log_A_coeffs(belyi(), 4) == [F(1), F(1, 2), F(1, 3), F(1, 4)]
+        assert log_coeffs(belyi(), 4) == [F(1), F(-1, 2), F(1, 3), F(-1, 4)]
 
     def test_quantum(self):
-        assert log_A_coeffs(quantum(F(1, 2)), 2)[1] == F(1, 6)
+        assert log_coeffs(quantum(F(1, 2)), 2)[1] == F(-1, 6)
 
     @pytest.mark.parametrize(
         "fam",
@@ -370,22 +403,21 @@ class TestLogA:
         ids=lambda f: f.label,
     )
     def test_signed_A_are_log_G_coefficients(self, fam):
-        # log G(x) = sum_k sign_k A_k x^k, with G's Taylor coefficients g_coeff
-        log_g = log_pieces([g_coeff(fam, i) for i in range(9)], F(0))
-        assert log_g == [F(0)] + _family_signs(fam, 8)
+        # log G(x) = sum_k a_k x^k, with G's Taylor coefficients in closed form
+        log_g = log_pieces([reference_g_coeff(fam, i) for i in range(9)], F(0))
+        assert log_g == [F(0)] + log_coeffs(fam, 8)
 
     def test_t_consistency(self):
-        # product-form rho_j / gamma^j equals exp(sum_k sign_k beta^k A_k p_k(j))
+        # product-form rho_j / gamma^j equals exp(sum_k beta^k a_k p_k(j))
         d = 6
-        for fam, sign_flip in ((belyi(), False), (WeightFamily("finite_c", c=(1, F(1, 2))), False), (signed(), True)):
-            a = log_A_coeffs(fam, d)
+        for fam in (belyi(), WeightFamily("finite_c", c=(1, F(1, 2))), signed()):
+            a = log_coeffs(fam, d)
             for j in range(-4, 5):
                 series = rho(fam, j, 1, BRing(d))
                 expo = BetaSeries.zero(d)
                 for k in range(1, d + 1):
-                    sign = 1 if sign_flip else (-1) ** (k + 1)
                     expo = expo + BetaSeries.variable(d).shift(k - 1) * (
-                        sign * a[k - 1] * reference_pk_eval(k, j)
+                        a[k - 1] * reference_pk_eval(k, j)
                     )
                 assert series == series_exp(expo)
 
