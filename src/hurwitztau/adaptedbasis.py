@@ -14,16 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from typing import Callable
 
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
 from .exactalg import LaurentWindow, scalar_ring
-from .symfun import h_of_sigma, support
+from .symfun import h_list, support
 from .weights import EXPONENTIAL, QUANTUM, WeightFamily, g_at, g_coeff, g_value
 from .weights import rho, rho_inv
 
 
 @dataclass(frozen=True)
 class BasisWindow:
+    """The elements w_k, w*_k of a window and the scalar tables they are read
+    from.  ``gamma_g``, ``rho`` and ``rho_inv`` compute an index on first use
+    and keep it for the window's lifetime, so a singular index raises where it
+    is first read; ``h`` holds h_0..h_n(side sigma) over the window's span."""
+
     family: WeightFamily
     gamma: Fraction
     sigma: tuple  # beta^{-1} s as exact rationals
@@ -33,6 +39,10 @@ class BasisWindow:
     ring: object  # QRing(beta) or BRing(d_max): carries the beta mode
     w: dict  # k -> LaurentWindow
     ws: dict  # k -> LaurentWindow
+    gamma_g: Callable  # j -> gamma G(j beta)
+    rho: Callable  # j -> rho_j
+    rho_inv: Callable  # j -> rho_j^{-1}
+    h: dict  # side -> (h_0 .. h_{k_hi - depth - 1})(side sigma)
 
     def built_sides(self) -> list:
         """(side, elements) for each side that was built: +1 is w, -1 is w*."""
@@ -81,6 +91,7 @@ def build_basis(
     # every k reads the same rho_j and rho_j^{-1}: compute each once per window
     rho_j = cache(lambda j: rho(family, j, gamma_val, ring))
     rho_j_inv = cache(lambda j: rho_inv(family, j, gamma_val, ring))
+    h = {side: h_list(sig, side, k_hi - depth - 1) for side in (1, -1)}
     # the rho factor of the z^j coefficient: rho_{-j-1} in w_k, rho_j^{-1} in w*_k
     rho_factor = {1: lambda j: rho_j(-j - 1), -1: rho_j_inv}
     w, ws = {}, {}
@@ -88,10 +99,11 @@ def build_basis(
     for k in range(k_lo, k_hi + 1):
         for side, el in built:
             el[k] = LaurentWindow(depth, tuple(
-                h_of_sigma(k - j - 1, sig, side) * rho_factor[side](j)
-                for j in range(depth, k)
+                h[side][k - j - 1] * rho_factor[side](j) for j in range(depth, k)
             ))
-    return BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, w, ws)
+    gamma_g = cache(lambda j: g_at(family, j, ring) * gamma_val)
+    return BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, w, ws,
+                       gamma_g, rho_j, rho_j_inv, h)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +154,14 @@ _PLUS_MINUS = {1: "+", -1: "-"}  # matrix-label suffix of each side
 def op_R(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
     """R = (gamma/z) G(-beta D), R* = (gamma/z) G(beta D): diagonal multiplier
     then shift down."""
-    return window.diag(lambda j: g_at(b.family, -side * j, b.ring) * b.gamma).shift(-1)
+    return window.diag(lambda j: b.gamma_g(-side * j)).shift(-1)
 
 
 def op_a(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
     """a = R^{-1}: shift up, divide by gamma G(-side beta j) at the new exponent."""
 
     def factor(j):
-        val = g_at(b.family, -side * j, b.ring) * b.gamma
+        val = b.gamma_g(-side * j)
         if not val:
             raise _a_undefined(side, j)
         return 1 / val
@@ -317,10 +329,11 @@ def recursion_entry(family: WeightFamily, ring, sigma: tuple, i: int, j: int, si
     Q-_{ij} (side -1) likewise with beta -> -beta, sigma -> -sigma.  The
     Christoffel-Darboux matrix reads A_{ij} = -Q+_{1-i,j} off it (i, j >= 1)."""
     acc = ring.zero()
+    if j < i - 1:
+        return acc
+    h_in, h_out = h_list(sigma, side, j - i + 1), h_list(sigma, -side, j - i + 1)
     for k in range(i - 1, j + 1):
-        acc = acc + g_at(family, side * k, ring) * (
-            h_of_sigma(k - i + 1, sigma, side) * h_of_sigma(j - k, sigma, -side)
-        )
+        acc = acc + g_at(family, side * k, ring) * (h_in[k - i + 1] * h_out[j - k])
     return acc
 
 
@@ -371,16 +384,17 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
     """
     ring = b.ring
     q = partial(recursion_entry, b.family, ring, b.sigma)
+    h = {side: h_list(b.sigma, side, size) for side in (1, -1)}  # i - j <= size below
 
     def g_el(i, j):
         if i < j:
             return ring.zero()
-        return rho(b.family, i, b.gamma, ring) * h_of_sigma(i - j, b.sigma, 1)
+        return b.rho(i) * h[1][i - j]
 
     def g_inv_el(i, j):
         if i < j:
             return ring.zero()
-        return rho_inv(b.family, j, b.gamma, ring) * h_of_sigma(i - j, b.sigma, -1)
+        return b.rho_inv(j) * h[-1][i - j]
 
     def qt_plus(k, j):
         acc = ring.zero()

@@ -51,8 +51,8 @@ FLAG_BOUNDS = {
     # wmax: ``tau --wmax 12 --dmax 3`` takes 5.9 s; probe: ``--wmax 10 --probe 5``
     # takes 14 s, while ``--wmax 12 --probe 6`` ran past 60 s
     "tau": {"wmax": (1, 12), "probe": (0, 5), "dmax": (0, DMAX_CAP)},
-    # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 4.8 s (over 100 s at
-    # 100) and at ``--depth -100`` 4.4 s (46 s at -200)
+    # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 5.0 s (over 100 s at
+    # 100) and at ``--depth -100`` 4.3 s (46 s at -200)
     "basis": {"k_lo": (None, 40), "k_hi": (None, 40), "depth": (None, 100),
               "dmax": (0, DMAX_CAP)},
     # each entry of zlo,zhi,wlo,whi: ``--window=-40,-1,-40,40`` takes 7.1 s at
@@ -72,16 +72,20 @@ def _partition_terms(n_max: int, power: int) -> int:
 # predicted work, after every cap and before any compute (exit 2): command ->
 # (predict(args), its formula, budget).  Partition terms times (dmax + 1)^2, one
 # beta-series product: the character route sums the p(n) partitions of n for
-# each of the p(n)^2 pairs, and tau holds sum p(n)^2 terms; the basis window's
-# length times its k-count.  Each budget admits every run costed above.
+# each of the p(n)^2 pairs, and tau holds sum p(n)^2 terms.  The basis window's
+# length times its k-count, times the length again plus |depth|: the pairing
+# multiplies windows pairwise, and the coefficients grow with the depth, since
+# w_k reads rho_{-j-1} down to j = depth.  Each budget admits every run costed above.
 WORK_BUDGETS = {
     # exp ``--N 10 --dmax 12`` (19,764,043) takes 10 s, ``--N 10 --dmax 64`` over 150 s
     "hurwitz": (lambda a: _partition_terms(a.N, 3) * (a.dmax + 1) ** 2,
                 "sum_{n<=N} p(n)^3 (dmax+1)^2", 20_000_000),
-    # at beta = s = 1/1001, ``--k-hi 40`` (2,200) takes 5 s and ``--depth -100
-    # --k-lo -10 --k-hi 10`` (2,310) 23 s
-    "basis": (lambda a: max(a.k_hi - a.depth, 0) * max(a.k_hi - a.k_lo + 1, 0),
-              "(k_hi - depth) (k_hi - k_lo + 1)", 2_200),
+    # at beta = s = 1/1001, ``--k-hi 40`` (132,000) takes 5 s, ``--depth -100``
+    # (193,725) 4.3 s, ``--depth -100 --k-hi 12`` (379,904) 12 s and ``--depth
+    # -100 --k-lo -10 --k-hi 10`` (485,100) 21 s
+    "basis": (lambda a: (max(a.k_hi - a.depth, 0) * max(a.k_hi - a.k_lo + 1, 0)
+                         * (a.k_hi - a.depth + abs(a.depth))),
+              "(k_hi - depth) (k_hi - k_lo + 1) (k_hi - depth + |depth|)", 379_904),
     # ``--wmax 10 --dmax 10`` (433,543) takes 17 s, ``--wmax 10 --dmax 64`` over 90 s
     "cutjoin": (lambda a: _partition_terms(a.wmax, 2) * (a.dmax + 1) ** 2,
                 "sum_{n<=wmax} p(n)^2 (dmax+1)^2", 500_000),
@@ -580,7 +584,24 @@ def _check_bounds(args) -> None:
                                 f"{formula} = {work} > {budget}")
 
 
+def _join_negative_values(argv: list) -> list:
+    """argv with each value that starts with '-' and a digit joined to the flag
+    before it, ``--window -6,-1,-6,5`` as ``--window=-6,-1,-6,5``: argparse
+    before Python 3.13 takes such a value for an unknown flag unless it is a
+    plain negative number."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and len(prev) > 2 and "=" not in prev \
+                and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,7 +19,7 @@ from .adaptedbasis import BasisWindow, q_band, recursion_entry
 from .errors import ConfigurationError, OutOfWindowError
 from .exactalg import exp_weight, scalar_ring
 from .partitions import Partition, partitions_up_to
-from .symfun import h_of_sigma, schur_monomial_map, support
+from .symfun import h_list, schur_monomial_map, support
 from .taufn import miwa_expand, miwa_scale, schur_weight
 from .weights import WeightFamily, g_coeff
 
@@ -313,17 +313,14 @@ def h_orthogonality(s, k_max: int, n_max: int) -> dict:
     The n = 0 term is included with the convention 0^0 = 1, so the k = 0 row
     is the plain inverse-series identity; for k >= 1 it contributes nothing.
     """
-    s = tuple(Fraction(x) for x in s)
     L = support(s)
+    h_minus, h_plus = h_list(s, -1, n_max), h_list(s, 1, n_max)
     rows = {}
     ok = True
     for k in range(k_max + 1):
         for N in range(1, n_max + 1):
             value = sum(
-                (
-                    Fraction(n) ** k * h_of_sigma(n, s, -1) * h_of_sigma(N - n, s, 1)
-                    for n in range(0, N + 1)
-                ),
+                (Fraction(n) ** k * h_minus[n] * h_plus[N - n] for n in range(0, N + 1)),
                 Fraction(0),
             )
             rows[(k, N)] = value

@@ -151,12 +151,10 @@ def support(sigma) -> int:
     return max((i for i, x in enumerate(sigma, start=1) if x), default=0)
 
 
-def h_of_sigma(n: int, sigma, sign: int = 1) -> Fraction:
-    """h_n at the alphabet with normalized power sums sigma (p_k = sign k sigma_k)."""
-    if n < 0:
-        return Fraction(0)
-    sigma = tuple(Fraction(x) for x in sigma)
-    return _h_list_cached(sigma, sign, n)[n]
+def h_list(sigma, sign: int, n_max: int) -> tuple:
+    """h_0..h_{n_max} at the alphabet with normalized power sums sigma
+    (p_k = sign k sigma_k), for any sequence of rationals sigma."""
+    return _h_list_cached(tuple(Fraction(x) for x in sigma), sign, n_max)
 
 
 def schur_at_sigma(lam: Partition, sigma) -> Fraction:
@@ -167,9 +165,8 @@ def schur_at_sigma(lam: Partition, sigma) -> Fraction:
     ell = lam.length
     if ell == 0:
         return Fraction(1)
-    sigma = tuple(Fraction(x) for x in sigma)
     n_max = lam.parts[0] + ell
-    h = _h_list_cached(sigma, 1, n_max)
+    h = h_list(sigma, 1, n_max)
 
     def entry(i, j):
         n = lam.parts[i] - (i + 1) + (j + 1)
@@ -220,12 +217,18 @@ def schur_sector_sum(w_max: int, d_max: int, weight) -> GradedPoly:
     terms: dict = {}
     for lam in partitions_up_to(w_max):
         r = weight(lam)
-        tmap = schur_monomial_map(lam)
+        tmap = list(schur_monomial_map(lam).items())
         grade = lam.weight
-        for t_exp, a in tmap.items():
-            for s_exp, b in tmap.items():
+        # r a_t a_s is symmetric in (t, s): form r a_t once per t and each
+        # unordered pair once (row i holds j >= i), then add in (t, s) order
+        rows = []
+        for i, (_, a) in enumerate(tmap):
+            ra = r * a
+            rows.append([ra * b for _, b in tmap[i:]])
+        for i, (t_exp, _) in enumerate(tmap):
+            for j, (s_exp, _) in enumerate(tmap):
                 key = (t_exp, s_exp, grade)
-                contrib = r * (a * b)
+                contrib = rows[i][j - i] if i <= j else rows[j][i - j]
                 if key in terms:
                     terms[key] = terms[key] + contrib
                 else:

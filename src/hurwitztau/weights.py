@@ -114,9 +114,16 @@ def g_coeff(family: WeightFamily, i: int) -> Fraction:
     return sum(terms, Fraction(0)) / i
 
 
+# One entry per (family, d_max): the table and kp jobs hold 1, the verify sweep 11.
+@lru_cache(maxsize=256)
+def _g_series(family: WeightFamily, d_max: int) -> BetaSeries:
+    """G(beta) as a beta-series of order d_max."""
+    return BetaSeries([g_coeff(family, i) for i in range(d_max + 1)])
+
+
 def r_factor(family: WeightFamily, j: int, d_max: int) -> BetaSeries:
     """G(j beta) as a truncated beta-series, G(beta) dilated by j; r_0 = 1."""
-    return BetaSeries([g_coeff(family, i) for i in range(d_max + 1)]).dilate(j)
+    return _g_series(family, d_max).dilate(j)
 
 
 # One entry per (family, x); an int and an equal Fraction share one.  The verify

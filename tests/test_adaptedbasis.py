@@ -12,21 +12,24 @@ from hurwitztau.adaptedbasis import (
     ladder_R,
     pairing_check,
     quantum_curve_residual,
+    recursion_entry,
     recursion_Q,
     refuse_singular_a,
 )
 from hurwitztau.errors import SingularParameterError
 from hurwitztau.exactalg import BRing, LaurentWindow, QRing, series_inv
-from hurwitztau.symfun import h_of_sigma
 from hurwitztau.weights import (
     WeightFamily,
     belyi,
     exponential,
+    g_at,
     g_value,
     quantum,
     rho,
+    rho_inv,
     signed,
 )
+from test_crosschecks import h_of_sigma
 
 F = Fraction
 
@@ -150,6 +153,67 @@ class TestBuild:
         # Belyi at beta = 1: G(-beta) = 0 makes rho_{-2} undefined
         with pytest.raises(SingularParameterError):
             build_basis(belyi(), F(1), F(1), s=(F(1),), k_range=(2, 2), depth=-4)
+
+
+# (family, beta, gamma, sigma, k_range, depth, d_max): a rational and a series window
+TABLE_WINDOWS = [
+    (C2, F(1, 21), F(2, 3), (F(2), F(1, 3)), (-8, 8), -16, None),
+    (quantum(F(1, 3)), None, F(2), (F(1, 5),), (-5, 6), -12, 4),
+]
+
+
+class TestWindowTables:
+    @pytest.mark.parametrize("family,beta,gamma,sigma,k_range,depth,d_max", TABLE_WINDOWS,
+                             ids=["c2-rational", "quantum-series"])
+    def test_tables_match_their_definitions(self, family, beta, gamma, sigma, k_range, depth,
+                                            d_max):
+        b = build_basis(family, beta, gamma, sigma=sigma, k_range=k_range, depth=depth,
+                        d_max=d_max)
+        ring, (k_lo, k_hi) = b.ring, k_range
+        # every exponent that R, R^2 and a meet on the windows, both sides
+        for j in range(depth - len(sigma) - 2, k_hi + 2):
+            assert b.gamma_g(j) == g_at(family, j, ring) * gamma, j
+        # w_k reads rho_{-j-1} and w*_k reads rho_j^{-1} for depth <= j < k_hi
+        for j in range(depth, k_hi):
+            assert b.rho(-j - 1) == rho(family, -j - 1, gamma, ring), j
+            assert b.rho_inv(j) == rho_inv(family, j, gamma, ring), j
+        for side in (1, -1):
+            assert len(b.h[side]) == k_hi - depth
+            for n, h_n in enumerate(b.h[side]):
+                assert h_n == h_of_sigma(n, sigma, side), (side, n)
+
+    def test_singular_rho_raises_on_every_read(self):
+        # belyi at beta = 1: G(-beta) = 0, so rho_{-2} is singular while the
+        # dual side survives; the window's table raises weights.rho's error
+        # each time it is read, as it never stores an error
+        b = build_basis(belyi(), 1, 1, s=(1,), k_range=(-3, 5), depth=-10, sides=("ws",))
+        want = raised_message(lambda: rho(belyi(), -2, F(1), QRing(F(1))))
+        assert raised_message(lambda: b.rho(-2)) == want
+        assert raised_message(lambda: b.rho(-2)) == want
+        assert b.rho(-1) == rho(belyi(), -1, F(1), QRing(F(1)))
+
+
+def reference_recursion_entry(family, ring, sigma, i, j, side):
+    """Q+-_{ij} by its defining sum, one h-coefficient at a time:
+    sum_{k=i-1}^{j} G(side k beta) h_{k-i+1}(side sigma) h_{j-k}(-side sigma)."""
+    acc = ring.zero()
+    for k in range(i - 1, j + 1):
+        acc = acc + g_at(family, side * k, ring) * (
+            h_of_sigma(k - i + 1, sigma, side) * h_of_sigma(j - k, sigma, -side)
+        )
+    return acc
+
+
+@pytest.mark.parametrize("family,ring", [(C2, QRing(F(1, 23))), (belyi(), BRing(3)),
+                                         (signed(), QRing(F(1, 19)))],
+                         ids=["c2-rational", "belyi-series", "signed-rational"])
+def test_recursion_entry_matches_its_defining_sum(family, ring):
+    sigma = (F(2), F(-1, 3))
+    for i in range(-6, 7):
+        for j in range(-6, 9):
+            for side in (1, -1):
+                assert recursion_entry(family, ring, sigma, i, j, side) == \
+                    reference_recursion_entry(family, ring, sigma, i, j, side), (i, j, side)
 
 
 def _outcome(run):

@@ -612,6 +612,7 @@ def test_run_over_its_work_budget_refused_before_compute(command, monkeypatch, c
 COSTED_RUNS = [
     "hurwitz --family exp --N 10 --dmax 3", "hurwitz --dmax 64",
     "basis --beta 1/1001 --s 1/1001 --k-hi 40", "basis --beta 1/1001 --s 1/1001 --depth -100",
+    "basis --beta 1/1001 --s 1/1001 --depth -100 --k-hi 12",
     "basis --family exp --beta series --sigma 1/2 --dmax 64",
     "cutjoin --wmax 10", "cutjoin --dmax 64",
     "cutjoin --family finite --c " + ",".join(["1"] * 21),
@@ -626,6 +627,56 @@ def test_every_costed_run_is_within_its_work_budget():
         args = parser.parse_args(run.split())
         predict, _, budget = cli.WORK_BUDGETS[args.command]
         assert predict(args) <= budget, run
+
+
+def _basis_argv(*flags):
+    return ["basis", "--beta", "1/1001", "--s", "1/1001", *flags]
+
+
+def _basis_work(*flags):
+    return cli.WORK_BUDGETS["basis"][0](cli.build_parser().parse_args(_basis_argv(*flags)))
+
+
+def test_basis_work_weighs_depth():
+    # --depth -100 --k-hi 12 takes about 12 s at beta = s = 1/1001, more than
+    # twice --k-hi 40 (5.0 s) or --depth -100 (4.3 s): it predicts more than both
+    deep = _basis_work("--depth", "-100", "--k-hi", "12")
+    assert deep > max(_basis_work("--k-hi", "40"), _basis_work("--depth", "-100"))
+    # and --depth -100 --k-lo -10 --k-hi 10 (21 s) more again
+    assert _basis_work("--depth", "-100", "--k-lo", "-10", "--k-hi", "10") > deep
+
+
+# the basis budget is the predicted work of --depth -100 --k-hi 12
+AT_BUDGET = ("--depth", "-100", "--k-hi", "12")
+
+
+def test_basis_run_at_its_budget_is_admitted(monkeypatch):
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    assert _basis_work(*AT_BUDGET) == cli.WORK_BUDGETS["basis"][2]
+    with pytest.raises(AssertionError, match="build_basis ran"):
+        cli.main(_basis_argv(*AT_BUDGET))
+
+
+@pytest.mark.parametrize("extra", [("--k-lo", "-4"), ("--k-hi", "13")],
+                         ids=["k-lo-one-lower", "k-hi-one-higher"])
+def test_basis_run_one_k_over_its_budget_is_refused(extra, monkeypatch, capsys):
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    flags = (*AT_BUDGET, *extra)  # a repeated flag: the last one counts
+    _, formula, budget = cli.WORK_BUDGETS["basis"]
+    work = _basis_work(*flags)
+    assert work > budget
+    assert cli.main(_basis_argv(*flags)) == 2
+    assert capsys.readouterr().err == (
+        f"resource error: basis predicted work exceeded: {formula} = {work} > {budget}\n"
+    )
+
+
+def test_negative_window_after_a_space():
+    # argparse alone takes "-6,-1,-6,5" after a space for an unknown flag (exit 1)
+    spaced = run_cli("kernel", "--window", "-6,-1,-6,5")
+    joined = run_cli("kernel", "--window=-6,-1,-6,5")
+    assert spaced.returncode == joined.returncode == 0
+    assert spaced.stdout == joined.stdout
 
 
 def test_csv_keeps_connected_only_entries(capsys):

@@ -17,9 +17,10 @@ from hurwitztau.correlators import (
 )
 from hurwitztau.exactalg import BRing, QRing, exp_weight, scalar_ring
 from hurwitztau.partitions import Partition, partitions_up_to
-from hurwitztau.symfun import h_of_sigma, schur_monomial_map
+from hurwitztau.symfun import schur_monomial_map
 from hurwitztau.taufn import miwa_expand, miwa_scale
 from hurwitztau.weights import WeightFamily, belyi, exponential, g_at, quantum, rho, rho_inv, signed
+from test_crosschecks import h_of_sigma
 
 F = Fraction
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -24,7 +25,7 @@ from hurwitztau.exactalg import (
 )
 from hurwitztau.hurwitz import H_via_characters, H_via_paths, H_via_profiles
 from hurwitztau.partitions import Partition, enumerate_partitions
-from hurwitztau.symfun import h_of_sigma, power_sum_value
+from hurwitztau.symfun import h_list, power_sum_value
 from hurwitztau.taufn import (
     TauSeries,
     build_tau,
@@ -87,6 +88,18 @@ def reference_h_list(p, n_max):
     for n in range(1, n_max + 1):
         h[n] = sum((p[k] * h[n - k] for k in range(1, n + 1)), F(0)) / n
     return h
+
+
+@lru_cache(maxsize=None)
+def _newton_h_list(sigma, sign, n_max):
+    p = [F(0)] + [sign * k * (sigma[k - 1] if k <= len(sigma) else 0) for k in range(1, n_max + 1)]
+    return reference_h_list(p, n_max)
+
+
+def h_of_sigma(n, sigma, sign=1):
+    """h_n at the alphabet with normalized power sums sigma (p_k = sign k sigma_k),
+    zero for n < 0: the Newton-identity reference for symfun.h_list."""
+    return _newton_h_list(tuple(F(x) for x in sigma), sign, n)[n] if n >= 0 else F(0)
 
 
 def random_flow_polys(count=15, seed=123):
@@ -257,8 +270,7 @@ def test_dual_g_coeff_matches_newton(c):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_h_of_sigma_matches_newton(sign):
     sigma = (F(2, 3), F(-1, 5), F(1, 7))
-    p = [F(0)] + [sign * k * (sigma[k - 1] if k <= len(sigma) else 0) for k in range(1, 10)]
-    assert [h_of_sigma(n, sigma, sign) for n in range(10)] == reference_h_list(p, 9)
+    assert list(h_list(sigma, sign, 9)) == [h_of_sigma(n, sigma, sign) for n in range(10)]
 
 
 def test_three_point_cumulant_identity():

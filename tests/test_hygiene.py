@@ -327,10 +327,11 @@ UNBOUNDED_CACHES = {
 }
 
 # The module-level caches with a bound.  The list is exact too: a new memo,
-# say of G(j beta) as a beta-series, fails until it is listed here.
+# say of G(j beta) for each j, fails until it is listed here.
 BOUNDED_CACHES = {
     "grouporacle.py: _walk_table",
     "symfun.py: _h_list_cached",
+    "weights.py: _g_series",
     "weights.py: g_coeff",
     "weights.py: g_value",
 }

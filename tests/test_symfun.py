@@ -1,19 +1,23 @@
 import random
 from fractions import Fraction
 
-from hurwitztau.exactalg import BetaSeries, GradedPoly, monomial_from_partition
+import pytest
+
+from hurwitztau.exactalg import BetaSeries, BRing, GradedPoly, QRing, monomial_from_partition
 from hurwitztau.partitions import Partition, enumerate_partitions, partitions_up_to
 from hurwitztau.symfun import (
     cauchy_kernel,
     character,
     eval_basis,
-    h_of_sigma,
+    h_list,
     power_sum_value,
     schur_at_sigma,
+    schur_monomial_map,
     schur_sector_sum,
     schur_to_power,
     support,
 )
+from hurwitztau.weights import belyi, content_product, exponential, quantum
 from test_weights import reference_complete_list, reference_elementary_list
 
 F = Fraction
@@ -93,6 +97,31 @@ class TestSchurToPower:
             assert schur_to_power(lam, 7) == reference_schur_to_power(lam, 7)
 
 
+def reference_sector_sum(w_max, d_max, weight):
+    """The sector sum by its double loop: r_lambda (a_t a_s) for every ordered
+    pair (t, s) of each s_lambda's monomials."""
+    terms = {}
+    for lam in partitions_up_to(w_max):
+        r = weight(lam)
+        tmap = schur_monomial_map(lam)
+        for t_exp, a in tmap.items():
+            for s_exp, b in tmap.items():
+                key = (t_exp, s_exp, lam.weight)
+                terms[key] = terms[key] + r * (a * b) if key in terms else r * (a * b)
+    return GradedPoly(terms, w_max, d_max)
+
+
+@pytest.mark.parametrize("d_max,weight", [
+    (4, lambda lam: content_product(exponential(), lam, BRing(4))),
+    (0, lambda lam: BetaSeries.constant(content_product(belyi(), lam, QRing(F(1, 7))), 0)),
+    (3, lambda lam: content_product(quantum(F(1, 2)), lam, BRing(3))),
+], ids=["exp-series", "belyi-at-1/7", "quantum-1/2-series"])
+def test_sector_sum_matches_double_loop(d_max, weight):
+    got, want = schur_sector_sum(6, d_max, weight), reference_sector_sum(6, d_max, weight)
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # in the same order
+
+
 class TestEvalBasis:
     def test_monomial(self):
         assert eval_basis("m", Partition((2,)), [1, 1]) == 2
@@ -160,9 +189,9 @@ def _invert(a):
 
 
 class TestHPoly:
-    # h_n of the rescaled alphabet s / beta is h_of_sigma(n, s / beta, sign)
+    # h_n of the rescaled alphabet s / beta is h_list(s / beta, sign, n)[n]
     def test_h0_is_one(self):
-        assert h_of_sigma(0, [F(2) / F(3, 7)], 1) == 1
+        assert h_list([F(2) / F(3, 7)], 1, 0)[0] == 1
 
     def test_h_cache_is_bounded(self):
         from hurwitztau.symfun import _h_list_cached
@@ -170,20 +199,17 @@ class TestHPoly:
         assert _h_list_cached.cache_info().maxsize is not None
 
     def test_h1_sign(self):
-        assert h_of_sigma(1, [F(1)], 1) == 1
-        assert h_of_sigma(1, [F(1)], -1) == -1
+        assert h_list([F(1)], 1, 1)[1] == 1
+        assert h_list([F(1)], -1, 1)[1] == -1
 
     def test_h2_single_s(self):
-        assert h_of_sigma(2, [F(1)], 1) == F(1, 2)
+        assert h_list([F(1)], 1, 2)[2] == F(1, 2)
 
     def test_inverse_series(self):
         sigma = (F(2, 3), F(-1, 5), F(1, 7))
+        h, h_dual = h_list(sigma, 1, 8), h_list(sigma, -1, 8)
         for big_n in range(1, 9):
-            total = sum(
-                h_of_sigma(n, sigma, 1) * h_of_sigma(big_n - n, sigma, -1)
-                for n in range(big_n + 1)
-            )
-            assert total == 0
+            assert sum(h[n] * h_dual[big_n - n] for n in range(big_n + 1)) == 0
 
     def test_support_is_the_last_nonzero_index(self):
         # sigma = s/beta for nonzero beta: s and sigma share the support
@@ -197,10 +223,9 @@ class TestHPoly:
         sigma = tuple(power_sum_value(k, c) / k for k in range(1, 12))
         h = reference_complete_list(c, 8)
         e = reference_elementary_list(c, 8)
-        for n in range(9):
-            assert h_of_sigma(n, sigma, 1) == h[n]
-            # negated alphabet: h_n(-X) = (-1)^n e_n(X)
-            assert h_of_sigma(n, sigma, -1) == (-1) ** n * e[n]
+        assert list(h_list(sigma, 1, 8)) == h
+        # negated alphabet: h_n(-X) = (-1)^n e_n(X)
+        assert list(h_list(sigma, -1, 8)) == [(-1) ** n * e[n] for n in range(9)]
 
 
 class TestSchurAtSigma:

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from hurwitztau import weights
 from hurwitztau.errors import ConfigurationError, DomainError, SingularParameterError
 from hurwitztau.exactalg import BetaSeries, BRing, QRing, log_pieces, series_exp, series_inv
 from hurwitztau.hurwitz import build_table
@@ -224,9 +225,13 @@ class TestCachedConstants:
         assert made == [] and got == want
 
     def test_table_holds_one_coefficient_per_index(self):
+        # and one G(beta) series per (family, d_max), which every G(j beta) dilates
         g_coeff.cache_clear()
+        weights._g_series.cache_clear()
         build_table(exponential(), 8, 4)
         assert g_coeff.cache_info().currsize == 5
+        assert weights._g_series.cache_info().currsize == 1
+        assert weights._g_series(exponential(), 4) == r_factor(exponential(), 1, 4)
 
 
 # Cross-mode checks: for polynomial G of degree M, G(j beta) has beta-degree M,
