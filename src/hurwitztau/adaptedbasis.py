@@ -19,7 +19,7 @@ from typing import Callable
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
 from .exactalg import LaurentWindow, scalar_ring
 from .symfun import h_list, support
-from .weights import EXPONENTIAL, QUANTUM, WeightFamily, g_at, g_coeff, g_value
+from .weights import EXPONENTIAL, QUANTUM, WeightFamily, g_at, g_coeff
 from .weights import rho, rho_inv
 
 
@@ -171,37 +171,6 @@ def op_a(b: BasisWindow, window: LaurentWindow, side: int = 1) -> LaurentWindow:
 
 def _a_undefined(side: int, j: int) -> SingularParameterError:
     return SingularParameterError(f"a{_STAR[side]} undefined: gamma G({-side * j} beta) = 0")
-
-
-def refuse_singular_a(family: WeightFamily, beta_val, gamma_val, k_range, depth: int) -> None:
-    """Raise, from the parameters alone, the error that kac_schwarz_check would
-    raise on build_basis(family, beta_val, gamma_val, k_range=k_range, depth=depth)
-    at the first exponent where op_a divides by a vanishing gamma G(-side beta j).
-
-    Only a polynomial G at a rational beta vanishes.  A window that build_basis
-    refuses itself (beta or gamma zero, an empty window, or G(+-i beta) = 0
-    with 1 <= i < k_hi, which makes a rho_j in the basis singular) is left to it.
-    """
-    k_lo, k_hi = k_range
-    if family.degree is None or not beta_val or not gamma_val or depth > k_lo - 1:
-        return
-    beta = Fraction(beta_val)
-
-    def vanishes(j):
-        return g_value(family, j * beta) == 0
-
-    if any(vanishes(i) or vanishes(-i) for i in range(1, k_hi)):
-        return
-    # a w_k and a* w*_k, in kac_schwarz_check's order: a on the window
-    # [depth, k - 1] of el[k] meets the exponents depth + 1 .. k
-    for k in range(k_lo, k_hi):
-        for side in (1, -1):
-            for j in range(depth + 1 if k == k_lo else k, k + 1):
-                if vanishes(-side * j):
-                    raise _a_undefined(side, j)
-    # [c, a]: a on c w_k, whose window starts one exponent lower
-    if k_lo < k_hi and vanishes(-depth):
-        raise _a_undefined(1, depth)
 
 
 def _lincomb(terms, out: LaurentWindow | None = None) -> LaurentWindow | None:

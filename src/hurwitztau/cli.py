@@ -48,8 +48,9 @@ FLAG_BOUNDS = {
     # N: ``hurwitz --N 10 --dmax 3`` takes 4 s; the character route sums over
     # the p(N) partitions of N for each of the p(N)^2 pairs
     "hurwitz": {"N": (0, hurwitz.CHAR_TABLE_N_CAP), "dmax": (0, DMAX_CAP)},
-    # wmax: ``tau --wmax 12 --dmax 3`` takes 5.9 s; probe: ``--wmax 10 --probe 5``
-    # takes 14 s, while ``--wmax 12 --probe 6`` ran past 60 s
+    # wmax: ``tau --wmax 12 --dmax 3`` takes 2.0 s (22 s with ``--family exp
+    # --dmax 64``); probe: ``--wmax 10 --probe 5`` takes 6.2 s and ``--wmax 12
+    # --dmax 3 --probe 5`` 7.7 s, while ``--wmax 12 --probe 6`` ran past 60 s
     "tau": {"wmax": (1, 12), "probe": (0, 5), "dmax": (0, DMAX_CAP)},
     # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 5.0 s (over 100 s at
     # 100) and at ``--depth -100`` 4.3 s (46 s at -200)
@@ -72,14 +73,24 @@ def _partition_terms(n_max: int, power: int) -> int:
 # predicted work, after every cap and before any compute (exit 2): command ->
 # (predict(args), its formula, budget).  Partition terms times (dmax + 1)^2, one
 # beta-series product: the character route sums the p(n) partitions of n for
-# each of the p(n)^2 pairs, and tau holds sum p(n)^2 terms.  The basis window's
-# length times its k-count, times the length again plus |depth|: the pairing
-# multiplies windows pairwise, and the coefficients grow with the depth, since
-# w_k reads rho_{-j-1} down to j = depth.  Each budget admits every run costed above.
+# each of the p(n)^2 pairs, tau holds sum p(n)^2 terms, and the Hirota residual
+# multiplies every pair of the R terms of t-weight <= probe + 1.  The basis
+# window's length times its k-count, times the length again plus |depth|: the
+# pairing multiplies windows pairwise, and the coefficients grow with the depth,
+# since w_k reads rho_{-j-1} down to j = depth.  Each budget admits every run
+# costed above.
 WORK_BUDGETS = {
     # exp ``--N 10 --dmax 12`` (19,764,043) takes 10 s, ``--N 10 --dmax 64`` over 150 s
     "hurwitz": (lambda a: _partition_terms(a.N, 3) * (a.dmax + 1) ** 2,
                 "sum_{n<=N} p(n)^3 (dmax+1)^2", 20_000_000),
+    # exp ``--wmax 12 --dmax 64`` (53,437,800) takes 22 s and ``--wmax 12 --dmax 24
+    # --probe 5`` (35,467,500) 19 s; ``--dmax 32 --probe 5`` (61,798,572) 22 s,
+    # ``--dmax 64 --probe 3`` (60,197,800) 26 s and ``--dmax 64 --probe 5`` 45 s
+    "tau": (lambda a: ((_partition_terms(a.wmax, 2)
+                        + (_partition_terms(a.probe + 1, 2) if a.probe else 0) ** 2)
+                       * (a.dmax + 1) ** 2),
+            "(sum_{n<=wmax} p(n)^2 + R^2) (dmax+1)^2, R = sum_{n<=probe+1} p(n)^2 "
+            "(0 at probe 0)", 60_000_000),
     # at beta = s = 1/1001, ``--k-hi 40`` (132,000) takes 5 s, ``--depth -100``
     # (193,725) 4.3 s, ``--depth -100 --k-hi 12`` (379,904) 12 s and ``--depth
     # -100 --k-lo -10 --k-hi 10`` (485,100) 21 s
@@ -320,17 +331,19 @@ def cmd_basis(args) -> dict:
                     f"basis window k in [{k_lo}, {k_hi}], depth {depth} has no "
                     f"{check} check: needs {needs}"
                 )
-    adaptedbasis.refuse_singular_a(family, beta, gamma, (k_lo, k_hi), depth)
     b = adaptedbasis.build_basis(
         family, beta, gamma, s=s, k_range=(k_lo, k_hi), depth=depth, sigma=sigma,
         d_max=args.dmax,
     )
+    # first: it raises where a = R^{-1} divides by a vanishing gamma G(-beta j),
+    # so such a window exits before the slower checks run
+    kac_schwarz = adaptedbasis.kac_schwarz_check(b)
     euler = adaptedbasis.euler_P(b)
     result = {
         "window": {"k_lo": b.k_lo, "k_hi": b.k_hi, "depth": b.depth},
         "pairing": adaptedbasis.pairing_check(b),
         "ladder": adaptedbasis.ladder_R(b),
-        "kac_schwarz": adaptedbasis.kac_schwarz_check(b),
+        "kac_schwarz": kac_schwarz,
         "quantum_curve": adaptedbasis.quantum_curve_residual(b),
         "euler": {k: v for k, v in euler.items() if k in ("ok", "checks", "failures")},
         "euler_matrices": {"Pt+": euler["Pt+"], "Pt-": euler["Pt-"]},

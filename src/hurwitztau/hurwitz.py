@@ -67,7 +67,7 @@ def _profile_sum(family: WeightFamily, mu: Partition, nu: Partition, d: int, cou
     part of lam (parts in their sorted order, distinct profiles of equal
     colength contributing once per assignment) -- this is the class-sum
     expansion of the content product, prod over parts of C-sums of the given
-    colength, weighted by the monomial (or forgotten) symmetric function.
+    colength, weighted by m_lambda of G's roots (``profile_weight``).
     ``count(N, profiles)`` is 1/N! times the number of identity
     factorizations with those cycle types: all of them for R2, the transitive
     ones for the connected oracle.

@@ -1,14 +1,13 @@
 """Symmetric-function layer: S_N characters via Murnaghan-Nakayama, the
-Schur <-> power-sum transition, and exact evaluations of the standard bases
-(p, e, h, m and the forgotten f) at finite rational alphabets."""
+Schur <-> power-sum transition, and exact evaluations at an alphabet given by
+its power sums: p_k of a finite rational alphabet, m_lambda, h_n and s_lambda."""
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .exactalg import BetaSeries, GradedPoly, exp_pieces, monomial_from_partition
 from .partitions import Partition, enumerate_partitions, partitions_up_to
 
@@ -87,7 +86,7 @@ def schur_to_power(lam: Partition, w_max: int | None = None) -> GradedPoly:
 
 
 # ---------------------------------------------------------------------------
-# Evaluations at finite alphabets.
+# Evaluations at an alphabet given by its power sums.
 # ---------------------------------------------------------------------------
 
 
@@ -95,39 +94,26 @@ def power_sum_value(k: int, c) -> Fraction:
     return sum((Fraction(ci) ** k for ci in c), Fraction(0))
 
 
-def _distinct_arrangements(parts):
-    return sorted(set(itertools.permutations(parts)))
+def monomial_value(lam: Partition, p) -> Fraction:
+    """m_lambda of the alphabet whose k-th power sum is p(k).
 
+    |Aut lambda| m_lambda is the Moebius inversion of p_lambda over the set
+    partitions pi of lambda's parts, sum_pi prod_{B in pi} (-1)^{|B|-1} (|B|-1)!
+    p(sum_{i in B} lambda_i).  It is summed by splitting off the first part a:
+    M(a, mu) = p(a) M(mu) - sum_i M(mu with mu_i + a), since p_a M(mu) puts x^a
+    on a letter apart from those of mu or on the letter of one mu_i.
+    """
 
-def eval_basis(basis: str, lam: Partition, c) -> Fraction:
-    """Exact evaluation of m_lambda or f_lambda at the finite alphabet c."""
-    c = [Fraction(x) for x in c]
-    if lam.weight == 0:
-        return Fraction(1)
-    k = lam.length
-    if basis == "m":
-        if k > len(c):
-            return Fraction(0)
-        total = Fraction(0)
-        for idx in itertools.combinations(range(len(c)), k):
-            for arrangement in _distinct_arrangements(lam.parts):
-                prod = Fraction(1)
-                for pos, expo in zip(idx, arrangement):
-                    prod *= c[pos] ** expo
-                total += prod
-        return total
-    if basis == "f":
-        # forgotten basis, with the displayed sign and 1/|aut| normalization
-        sign = (-1) ** lam.colength()
-        total = Fraction(0)
-        for sigma in itertools.permutations(range(k)):
-            for idx in itertools.combinations_with_replacement(range(len(c)), k):
-                prod = Fraction(1)
-                for pos, which in zip(idx, sigma):
-                    prod *= c[pos] ** lam.parts[which]
-                total += prod
-        return Fraction(sign, lam.aut_order()) * total
-    raise ConfigurationError(f"unknown basis {basis!r}")
+    def augmented(parts):  # |Aut| m of the nonempty parts, in any order
+        a, rest = parts[0], parts[1:]
+        if not rest:
+            return p(a)
+        out = p(a) * augmented(rest)
+        for i in range(len(rest)):
+            out -= augmented(rest[:i] + (rest[i] + a,) + rest[i + 1:])
+        return out
+
+    return Fraction(augmented(lam.parts), lam.aut_order()) if lam.parts else Fraction(1)
 
 
 # ---------------------------------------------------------------------------

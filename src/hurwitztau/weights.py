@@ -1,10 +1,9 @@
 """Weight generating functions G(z) = exp(sum_k a_k z^k) and their derived
-data: the log-series a_k, the Taylor coefficients g_i read off it, content
-products and the convolution coefficients rho_j."""
+data: the log-series a_k, the Taylor coefficients g_i and the profile weights
+m_lambda read off it, content products and the convolution coefficients rho_j."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -12,7 +11,7 @@ from functools import lru_cache
 from .errors import ConfigurationError, DomainError, SingularParameterError
 from .exactalg import BetaSeries
 from .partitions import Partition
-from .symfun import eval_basis, power_sum_value
+from .symfun import monomial_value, power_sum_value
 
 FINITE_C = "finite_c"
 DUAL_FINITE_C = "dual_finite_c"
@@ -212,40 +211,11 @@ def rho_inv(family: WeightFamily, j: int, gamma_val: Fraction, ring):
 
 
 def profile_weight(family: WeightFamily, lam: Partition) -> Fraction:
-    """Weight attached to a branch-profile signature lam in the configuration sums.
-
-    m_lambda(c) for the direct families, f_lambda(c) for the dual one.  The
-    exponential family is the all-transpositions limit (only lam = (1^k)
-    survives, with weight 1/k!); the quantum family has the exact closed form
-    of a geometric alphabet.
-    """
-    if lam.weight == 0:
-        return Fraction(1)
-    if family.kind == FINITE_C:
-        return eval_basis("m", lam, family.c)
-    if family.kind == DUAL_FINITE_C:
-        return eval_basis("f", lam, family.c)
-    if family.kind == EXPONENTIAL:
-        if all(p == 1 for p in lam.parts):
-            out = Fraction(1)
-            for i in range(2, lam.length + 1):
-                out /= i
-            return out
-        return Fraction(0)
-    return _quantum_monomial(family.q, lam)
-
-
-def _quantum_monomial(q: Fraction, lam: Partition) -> Fraction:
-    """m_lambda(q, q^2, ...) via the closed product over orderings."""
-    total = Fraction(0)
-    for sigma in itertools.permutations(lam.parts):
-        prod = Fraction(1)
-        partial = 0
-        for part in sigma:
-            partial += part
-            prod /= q ** (-partial) - 1
-        total += prod
-    return total / lam.aut_order()
+    """Weight of a branch-profile signature lam in the configuration sums:
+    m_lambda of G's roots, whose power sums are p_k = (-1)^{k+1} k a_k."""
+    a = log_coeffs(family, lam.weight)
+    p = [(-1) ** (k + 1) * k * a_k for k, a_k in enumerate(a, start=1)]
+    return monomial_value(lam, lambda k: p[k - 1])
 
 
 def path_weight(family: WeightFamily, lam: Partition) -> Fraction:

@@ -538,9 +538,11 @@ def test_cutjoin_c_list_at_cap_runs(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["single_hurwitz_rep"]["M"] == 32
 
 
-def test_singular_a_window_refused_before_build(monkeypatch, capsys):
-    # G(-21 beta) = 0 at the default beta 1/21: a* on w*_k divides by it
-    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+def test_singular_a_window_refused_before_the_other_checks(monkeypatch, capsys):
+    # G(-21 beta) = 0 at the default beta 1/21: a* on w*_k divides by it, and
+    # the Kac-Schwarz check, run first, raises before any slower check starts
+    for name in ("euler_P", "pairing_check", "ladder_R"):
+        monkeypatch.setattr(cli.adaptedbasis, name, _refuse(name))
     assert cli.main(["basis", "--family", "belyi", "--depth", "-100"]) == 1
     assert capsys.readouterr().err == "error: a* undefined: gamma G(-21 beta) = 0\n"
 
@@ -584,10 +586,11 @@ def test_flag_outside_its_bounds_refused_before_compute(command, flag, monkeypat
     )
 
 
-# one run per WORK_BUDGETS command with every flag within its cap: each ran
-# past 90 s before the budget refused it
+# one run per WORK_BUDGETS command with every flag within its cap: the tau run
+# took 42-49 s, each other ran past 90 s, before the budget refused it
 OVER_BUDGET_RUNS = {
     "hurwitz": ["--family", "exp", "--N", "10", "--dmax", "64"],
+    "tau": ["--family", "exp", "--wmax", "12", "--dmax", "64", "--probe", "5"],
     "basis": ["--family", "belyi", "--beta", "1/1001", "--s", "1/1001", "--k-lo", "-40",
               "--k-hi", "40", "--depth", "-100"],
     "cutjoin": ["--family", "belyi", "--wmax", "10", "--dmax", "64"],
@@ -608,9 +611,12 @@ def test_run_over_its_work_budget_refused_before_compute(command, monkeypatch, c
 
 
 # the runs named with their cost in FLAG_BOUNDS, WORK_BUDGETS and README's caps
-# table, each at its command's defaults otherwise
+# table, each at its command's defaults otherwise, and the bench's kp job
 COSTED_RUNS = [
     "hurwitz --family exp --N 10 --dmax 3", "hurwitz --dmax 64",
+    "tau --wmax 12 --dmax 3", "tau --wmax 10 --probe 5", "tau --wmax 12 --dmax 3 --probe 5",
+    "tau --family exp --wmax 12 --dmax 64", "tau --family exp --wmax 12 --dmax 24 --probe 5",
+    "tau --family exp --wmax 8 --dmax 3 --probe 4",
     "basis --beta 1/1001 --s 1/1001 --k-hi 40", "basis --beta 1/1001 --s 1/1001 --depth -100",
     "basis --beta 1/1001 --s 1/1001 --depth -100 --k-hi 12",
     "basis --family exp --beta series --sigma 1/2 --dmax 64",

@@ -616,14 +616,15 @@ def _kind_reads(module, tree):
     return visitor.found
 
 
-# A weight family is its log-series: every other module asks the family for
-# what it needs (log_coeffs, g_coeff, g_value, degree), never for its kind.
+# A weight family is its log-series: g_coeff and profile_weight read it, and
+# every other module asks the family for what it needs (log_coeffs, g_coeff,
+# g_value, degree), never for its kind.
 # classical_curve alone names the kind, to print a transcendental curve's
 # symbolic text.  The list is exact: a new reader fails.
 KIND_READERS = {
     "weights.py: WeightFamily.__post_init__", "weights.py: WeightFamily._default_label",
     "weights.py: WeightFamily.degree", "weights.py: log_coeffs", "weights.py: g_value",
-    "weights.py: profile_weight", "adaptedbasis.py: classical_curve",
+    "adaptedbasis.py: classical_curve",
 }
 
 

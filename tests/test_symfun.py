@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from hurwitztau.partitions import Partition, enumerate_partitions, partitions_up
 from hurwitztau.symfun import (
     cauchy_kernel,
     character,
-    eval_basis,
     h_list,
+    monomial_value,
     power_sum_value,
     schur_at_sigma,
     schur_monomial_map,
@@ -18,7 +19,12 @@ from hurwitztau.symfun import (
     support,
 )
 from hurwitztau.weights import belyi, content_product, exponential, quantum
-from test_weights import reference_complete_list, reference_elementary_list
+from test_weights import (
+    reference_complete_list,
+    reference_elementary_list,
+    reference_forgotten,
+    reference_monomial,
+)
 
 F = Fraction
 
@@ -122,13 +128,40 @@ def test_sector_sum_matches_double_loop(d_max, weight):
     assert list(got.terms) == list(want.terms)  # in the same order
 
 
+def _at(c, sign=1):
+    """k -> the k-th power sum of the finite alphabet c; with sign -1, of the
+    alphabet omega sends it to, (-1)^{k+1} p_k(c), at which m_lambda is f_lambda(c)."""
+    return lambda k: sign ** (k + 1) * power_sum_value(k, c)
+
+
 class TestEvalBasis:
+    """m_lambda and f_lambda at finite alphabets: the test-local closed forms,
+    and monomial_value at the alphabet's power sums."""
+
     def test_monomial(self):
-        assert eval_basis("m", Partition((2,)), [1, 1]) == 2
-        assert eval_basis("m", Partition((2, 1)), [1, 2]) == 2 + 4  # 1^2*2 + 2^2*1
+        for lam, c, want in (((2,), [1, 1], 2), ((2, 1), [1, 2], 2 + 4)):  # 1^2*2 + 2^2*1
+            assert reference_monomial(Partition(lam), c) == want
+            assert monomial_value(Partition(lam), _at(c)) == want
+
+    def test_monomial_value_of_a_union_is_the_coproduct(self):
+        # p_k adds over a union of alphabets, so m_lambda(c + d) is the sum over
+        # alpha + beta = lambda (as multisets) of m_alpha(c) m_beta(d); here d is
+        # the infinite geometric alphabet 1/3, 1/9, ... of the quantum family
+        c, d = [F(1), F(-1, 2)], lambda k: F(1, 3) ** k / (1 - F(1, 3) ** k)
+        union = lambda k: power_sum_value(k, c) + d(k)
+        for lam in partitions_up_to(6):
+            mult = lam.multiplicities()
+            want = F(0)
+            for taken in itertools.product(*(range(m + 1) for m in mult.values())):
+                alpha = [p for p, t in zip(mult, taken) for _ in range(t)]
+                beta = [p for p, t in zip(mult, taken) for _ in range(mult[p] - t)]
+                want += (monomial_value(Partition(sorted(alpha, reverse=True)), _at(c))
+                         * monomial_value(Partition(sorted(beta, reverse=True)), d))
+            assert monomial_value(lam, union) == want, lam
 
     def test_forgotten_single_part(self):
-        assert eval_basis("f", Partition((2,)), [1]) == -1
+        assert reference_forgotten(Partition((2,)), [1]) == -1
+        assert monomial_value(Partition((2,)), _at([1], -1)) == -1
 
     def test_forgotten_matches_omega_involution(self):
         # f_lambda = omega(m_lambda); omega(p_mu) = (-1)^{|mu|-ell(mu)} p_mu.
@@ -170,7 +203,8 @@ class TestEvalBasis:
                         for part in mu.parts:
                             p_mu *= power_sum_value(part, c)
                         expected += coeff * sign * p_mu
-                assert eval_basis("f", lam, c) == expected
+                assert reference_forgotten(lam, c) == expected
+                assert monomial_value(lam, _at(c, -1)) == expected
 
 
 def _invert(a):

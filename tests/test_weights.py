@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 import pytest
 
@@ -90,6 +92,47 @@ def reference_complete_list(c, n_max: int) -> list[Fraction]:
         for n in range(1, n_max + 1):
             out[n] += F(ci) * out[n - 1]
     return out
+
+
+def reference_monomial(lam: Partition, c) -> Fraction:
+    """m_lambda(c): each distinct arrangement of lambda's parts as exponents on
+    each choice of len(lambda) letters of c."""
+    arrangements = set(itertools.permutations(lam.parts))
+    return sum((prod(F(c[i]) ** e for i, e in zip(idx, arrangement))
+                for idx in itertools.combinations(range(len(c)), lam.length)
+                for arrangement in arrangements), F(0))
+
+
+def reference_forgotten(lam: Partition, c) -> Fraction:
+    """f_lambda(c) = omega(m_lambda) at c: (-1)^{|lam| - len(lam)} / |Aut lam|
+    times the sum, over the orderings of lambda's parts and the multisets of
+    len(lambda) letters of c, of the monomial they make."""
+    total = sum((prod(F(c[i]) ** e for i, e in zip(idx, order))
+                 for order in itertools.permutations(lam.parts)
+                 for idx in itertools.combinations_with_replacement(range(len(c)), lam.length)),
+                F(0))
+    return F((-1) ** lam.colength(), lam.aut_order()) * total
+
+
+def reference_quantum_monomial(q: Fraction, lam: Partition) -> Fraction:
+    """m_lambda(q, q^2, q^3, ...) by the closed product over orderings of the parts:
+    sum_sigma prod_i 1/(q^{-(sigma_1 + ... + sigma_i)} - 1), over |Aut lam|."""
+    total = sum((prod(1 / (q ** -partial - 1) for partial in itertools.accumulate(order))
+                 for order in itertools.permutations(lam.parts)), F(0))
+    return total / lam.aut_order()
+
+
+def reference_profile_weight(family: WeightFamily, lam: Partition) -> Fraction:
+    """m_lambda of G's roots in each kind's closed form, read off c and q, never
+    off the log-series: m_lambda(c), f_lambda(c) for the dual family, 1/k! on
+    1^k for exp (the all-transpositions limit) and the geometric alphabet q^i."""
+    if family.kind == "finite_c":
+        return reference_monomial(lam, family.c)
+    if family.kind == "dual_finite_c":
+        return reference_forgotten(lam, family.c)
+    if family.kind == "exponential":
+        return F(1, factorial(lam.length)) if set(lam.parts) <= {1} else F(0)
+    return reference_quantum_monomial(family.q, lam)
 
 
 class TestGCoeff:
@@ -427,7 +470,33 @@ class TestLogA:
                 assert series == series_exp(expo)
 
 
+PROFILE_FAMILIES = [
+    belyi(), exponential(), signed(), quantum(F(1, 2)), quantum(F(2, 3)),
+    WeightFamily("finite_c", c=(1, F(1, 2))), WeightFamily("dual_finite_c", c=(F(1, 3), 2)),
+    WeightFamily("finite_c", c=(-1, 2, F(1, 5))),
+]
+
+
+def _profile_mismatches(family):
+    return [lam for lam in partitions_up_to(6)
+            if profile_weight(family, lam) != reference_profile_weight(family, lam)]
+
+
 class TestProfileWeight:
+    @pytest.mark.parametrize("fam", PROFILE_FAMILIES, ids=lambda f: f.label)
+    def test_matches_closed_forms(self, fam):
+        assert _profile_mismatches(fam) == []
+
+    @pytest.mark.parametrize("fam", PROFILE_FAMILIES, ids=lambda f: f.label)
+    def test_wrong_log_coefficient_is_caught(self, fam, monkeypatch):
+        # every route reads log_coeffs, so only the closed forms can catch a wrong a_k
+        def wrong(family, k_max):
+            a = log_coeffs(family, k_max)
+            return a[:2] + [a[2] + 1] + a[3:] if k_max >= 3 else a
+
+        monkeypatch.setattr(weights, "log_coeffs", wrong)
+        assert [lam.parts for lam in _profile_mismatches(fam)][:1] == [(3,)]
+
     def test_exponential_is_transposition_measure(self):
         assert profile_weight(exponential(), Partition((1, 1))) == F(1, 2)
         assert profile_weight(exponential(), Partition((2,))) == 0
