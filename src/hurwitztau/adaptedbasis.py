@@ -17,9 +17,9 @@ from functools import cache, partial
 from typing import Callable
 
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
-from .exactalg import LaurentWindow, scalar_ring
+from .exactalg import BetaSeries, LaurentWindow, scalar_ring
 from .symfun import h_list, support
-from .weights import EXPONENTIAL, QUANTUM, WeightFamily, g_at, g_coeff
+from .weights import EXPONENTIAL, QUANTUM, WeightFamily, g_at, r_factor
 from .weights import rho, rho_inv
 
 
@@ -28,7 +28,7 @@ class BasisWindow:
     """The elements w_k, w*_k of a window and the scalar tables they are read
     from.  ``gamma_g``, ``rho`` and ``rho_inv`` compute an index on first use
     and keep it for the window's lifetime, so a singular index raises where it
-    is first read; ``h`` holds h_0..h_n(side sigma) over the window's span."""
+    is first read."""
 
     family: WeightFamily
     gamma: Fraction
@@ -42,7 +42,6 @@ class BasisWindow:
     gamma_g: Callable  # j -> gamma G(j beta)
     rho: Callable  # j -> rho_j
     rho_inv: Callable  # j -> rho_j^{-1}
-    h: dict  # side -> (h_0 .. h_{k_hi - depth - 1})(side sigma)
 
     def built_sides(self) -> list:
         """(side, elements) for each side that was built: +1 is w, -1 is w*."""
@@ -103,7 +102,7 @@ def build_basis(
             ))
     gamma_g = cache(lambda j: g_at(family, j, ring) * gamma_val)
     return BasisWindow(family, gamma_val, sig, k_lo, k_hi, depth, ring, w, ws,
-                       gamma_g, rho_j, rho_j_inv, h)
+                       gamma_g, rho_j, rho_j_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +466,15 @@ def classical_curve(family: WeightFamily, s, gamma_val) -> ClassicalCurve:
     if M is None:
         raise ConfigurationError("classical curve needs a polynomial G")
     poly: dict = {(1, 1): Fraction(1)}  # x y
-
-    # u-powers of gamma x G(u): compute S(gamma x G(xy)) term by term
-    def upoly_mul(a, b):
-        out = {}
-        for i, ai in a.items():
-            for j, bj in b.items():
-                out[i + j] = out.get(i + j, Fraction(0)) + ai * bj
-        return out
-
-    # G(xy) as a polynomial in the single variable u = x y
-    g_upoly = {m: g for m in range(M + 1) if (g := g_coeff(family, m))}
-    power = {0: Fraction(1)}  # (gamma x G)^0 in u with x-bookkeeping below
+    # G(u)^k in the single variable u = x y, exact: deg G^k <= M len(s)
+    g = r_factor(family, 1, M * len(s))
+    power = BetaSeries.one(g.d_max)
     for k, sk in enumerate(s, start=1):
-        power = upoly_mul(power, g_upoly)
+        power = power * g
         if sk == 0:
             continue
-        # (gamma x G(u))^k = gamma^k x^k * power(u); u^m = x^m y^m
-        for m, cm in power.items():
+        # (gamma x G(u))^k = gamma^k x^k G(u)^k; u^m = x^m y^m
+        for m, cm in enumerate(power.coeffs):
             key = (k + m, m)
             poly[key] = poly.get(key, Fraction(0)) - k * sk * gamma_val**k * cm
     poly = {k: v for k, v in poly.items() if v != 0}

@@ -19,7 +19,7 @@ from .errors import ConfigurationError, HurwitzTauError, ResourceError
 from .exactalg import BetaSeries, exp_weight
 from .partitions import enumerate_partitions
 from .symfun import support
-from .weights import WeightFamily, belyi, exponential, quantum, signed
+from .weights import WeightFamily, belyi, exponential, quantum, r_factor, signed
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -31,9 +31,10 @@ EXIT_VERIFY = 3
 OUTPUT_FLAGS = ("format", "out", "config")
 
 # Every beta-series holds d_max + 1 coefficients and a product of two costs
-# (d_max + 1)^2, so a huge --dmax would allocate and multiply without end:
-# at 64, ``basis --family exp --beta series --sigma 1/2`` takes about 23 s on a
-# 2-core machine.
+# (d_max + 1)^2, so a huge --dmax would allocate and multiply without end: at
+# 64, ``basis --family exp --beta series --sigma 1/2`` takes 19-25 s on a
+# 2-core machine.  The quantum family's series are far larger at the same
+# order, which the series-mode basis and kernel budgets weigh.
 DMAX_CAP = 64
 
 # (minimum, cap) of each integer flag, per command, checked after the config
@@ -56,8 +57,9 @@ FLAG_BOUNDS = {
     # 100) and at ``--depth -100`` 4.3 s (46 s at -200)
     "basis": {"k_lo": (None, 40), "k_hi": (None, 40), "depth": (None, 100),
               "dmax": (0, DMAX_CAP)},
-    # each entry of zlo,zhi,wlo,whi: ``--window=-40,-1,-40,40`` takes 7.1 s at
-    # ``--beta 1/1001 --s 1/1001`` and 11.7 s with ``--family exp --beta series``
+    # each entry of zlo,zhi,wlo,whi: ``--window=-40,-1,-40,40`` takes 4.4 s at
+    # ``--beta 1/1001 --s 1/1001`` and 4.3 s with ``--family exp --beta series
+    # --sigma 1/2``
     "kernel": {"window": (None, 40), "dmax": (0, DMAX_CAP)},
     # ``cutjoin --wmax 10`` takes 3.6 s, and the cost doubles with each weight
     "cutjoin": {"wmax": (2, 10), "dmax": (1, DMAX_CAP)},
@@ -69,16 +71,38 @@ def _partition_terms(n_max: int, power: int) -> int:
     return sum(len(enumerate_partitions(n)) ** power for n in range(n_max + 1))
 
 
+def _series_weight(args) -> int:
+    """1 at a rational beta.  In series mode, every scalar is a beta-series
+    whose product costs about (dmax + 1) (bits + 500) / 7500 times a rational
+    one, bits the size of G(beta) to order dmax (its numerators and common
+    denominator).  G(beta) is formed here, in 0.02 s for quantum(1/2) at order
+    64, but in seconds for a q of many digits (2.4 s at q = 10^-9)."""
+    if args.beta != "series":
+        return 1
+    g = r_factor(make_family(args), 1, args.dmax)
+    bits = sum(n.bit_length() for n in (*g.nums, g.den))
+    return max(1, (args.dmax + 1) * (bits + 500) // 7500)
+
+
+def _window_work(k_lo: int, k_hi: int, depth: int) -> int:
+    """The basis window's length times its k-count, times the length again
+    plus |depth|: the pairing multiplies windows pairwise, and the coefficients
+    grow with the depth, since w_k reads rho_{-j-1} down to j = depth."""
+    length = max(k_hi - depth, 0)
+    return length * max(k_hi - k_lo + 1, 0) * (length + abs(depth))
+
+
+_SERIES_WEIGHT = ("with S = 1 at a rational beta, "
+                  "else max(1, (dmax+1) (bits(G(beta)) + 500) // 7500)")
+
 # Flags within their caps still multiply, so a run is also refused by its
 # predicted work, after every cap and before any compute (exit 2): command ->
 # (predict(args), its formula, budget).  Partition terms times (dmax + 1)^2, one
 # beta-series product: the character route sums the p(n) partitions of n for
 # each of the p(n)^2 pairs, tau holds sum p(n)^2 terms, and the Hirota residual
-# multiplies every pair of the R terms of t-weight <= probe + 1.  The basis
-# window's length times its k-count, times the length again plus |depth|: the
-# pairing multiplies windows pairwise, and the coefficients grow with the depth,
-# since w_k reads rho_{-j-1} down to j = depth.  Each budget admits every run
-# costed above.
+# multiplies every pair of the R terms of t-weight <= probe + 1.  basis and
+# kernel weigh their basis window (_window_work) by the cost of a scalar
+# (_series_weight).  Each budget admits every run costed above.
 WORK_BUDGETS = {
     # exp ``--N 10 --dmax 12`` (19,764,043) takes 10 s, ``--N 10 --dmax 64`` over 150 s
     "hurwitz": (lambda a: _partition_terms(a.N, 3) * (a.dmax + 1) ** 2,
@@ -93,10 +117,19 @@ WORK_BUDGETS = {
             "(0 at probe 0)", 60_000_000),
     # at beta = s = 1/1001, ``--k-hi 40`` (132,000) takes 5 s, ``--depth -100``
     # (193,725) 4.3 s, ``--depth -100 --k-hi 12`` (379,904) 12 s and ``--depth
-    # -100 --k-lo -10 --k-hi 10`` (485,100) 21 s
-    "basis": (lambda a: (max(a.k_hi - a.depth, 0) * max(a.k_hi - a.k_lo + 1, 0)
-                         * (a.k_hi - a.depth + abs(a.depth))),
-              "(k_hi - depth) (k_hi - k_lo + 1) (k_hi - depth + |depth|)", 379_904),
+    # -100 --k-lo -10 --k-hi 10`` (485,100) 21 s; at ``--beta series --sigma 1/2
+    # --dmax 64``, exp (344,250) takes 19-25 s and quantum(1/2) (2,689,875) over 150 s
+    "basis": (lambda a: _window_work(a.k_lo, a.k_hi, a.depth) * _series_weight(a),
+              "(k_hi - depth) (k_hi - k_lo + 1) (k_hi - depth + |depth|) S, " + _SERIES_WEIGHT,
+              379_904),
+    # over the basis window of _kernel_basis_window: ``--window=-40,-1,-40,40``
+    # (850,750) takes 4.4 s at beta = s = 1/1001 and 4.3 s at exp ``--beta series
+    # --sigma 1/2``, 11.5 s there at ``--dmax 16`` (1,701,500); exp at ``--dmax 64``
+    # takes 6.6 s at ``--window=-10,-1,-10,10`` (1,806,420), 21 s at
+    # ``--window=-20,-1,-20,20`` (11,973,780) and ran past 90 s at -40 (86,776,500)
+    "kernel": (lambda a: _window_work(*_kernel_basis_window(a)) * _series_weight(a),
+               "(k_hi - depth) (k_hi - k_lo + 1) (k_hi - depth + |depth|) S over the basis "
+               "window the kernel reads, " + _SERIES_WEIGHT, 2_000_000),
     # ``--wmax 10 --dmax 10`` (433,543) takes 17 s, ``--wmax 10 --dmax 64`` over 90 s
     "cutjoin": (lambda a: _partition_terms(a.wmax, 2) * (a.dmax + 1) ** 2,
                 "sum_{n<=wmax} p(n)^2 (dmax+1)^2", 500_000),
@@ -373,19 +406,29 @@ def _kernel_window(text: str) -> tuple:
     return window
 
 
+def _kernel_basis_window(args) -> tuple:
+    """(k_lo, k_hi, depth) of the basis that --window reads: w_j and w*_{1-j}
+    for 1 <= j <= -zlo, below every exponent of the window."""
+    zlo, _, wlo, _ = _kernel_window(args.window)
+    k_lo = min(0, 1 + zlo) - 1
+    if args.check_finiteness:
+        family = make_family(args)
+        if family.degree is None:
+            raise ConfigurationError("--check-finiteness needs a polynomial family")
+        # the CD check reads w*_k down to k = 1 - LM, which the window alone may not reach
+        _, _, s, sigma = _basis_params(args)
+        k_lo = min(k_lo, 1 - adaptedbasis.q_band(family, sigma or s))
+    return k_lo, max(1, -zlo) + 1, min(zlo, wlo, 0, k_lo + 1) - 2
+
+
 def cmd_kernel(args) -> dict:
     family = make_family(args)
     beta, gamma, s, sigma = _basis_params(args)
     window = _kernel_window(args.window)
-    if args.check_finiteness and family.degree is None:
-        raise ConfigurationError("--check-finiteness needs a polynomial family")
-    k_lo = min(0, 1 + window[0]) - 1
-    if args.check_finiteness:
-        # the CD check reads w*_k down to k = 1 - LM, which the window alone may not reach
-        k_lo = min(k_lo, 1 - adaptedbasis.q_band(family, sigma or s))
+    k_lo, k_hi, depth = _kernel_basis_window(args)
     b = adaptedbasis.build_basis(
-        family, beta, gamma, s=s, sigma=sigma, k_range=(k_lo, max(1, -window[0]) + 1),
-        depth=min(window[0], window[2], 0, k_lo + 1) - 2, d_max=args.dmax,
+        family, beta, gamma, s=s, sigma=sigma, k_range=(k_lo, k_hi), depth=depth,
+        d_max=args.dmax,
     )
     k_tau = correlators.K2_via_tau(family, beta, gamma, b.sigma, window, d_max=args.dmax)
     k_bas, info = correlators.K2_via_basis(b, window)

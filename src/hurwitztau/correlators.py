@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .adaptedbasis import BasisWindow, q_band, recursion_entry
 from .errors import ConfigurationError, OutOfWindowError
-from .exactalg import exp_weight, scalar_ring
+from .exactalg import BetaSeries, exp_weight, scalar_ring
 from .partitions import Partition, partitions_up_to
 from .symfun import h_list, schur_monomial_map, support
 from .taufn import miwa_expand, miwa_scale, schur_weight
@@ -314,16 +314,14 @@ def h_orthogonality(s, k_max: int, n_max: int) -> dict:
     is the plain inverse-series identity; for k >= 1 it contributes nothing.
     """
     L = support(s)
-    h_minus, h_plus = h_list(s, -1, n_max), h_list(s, 1, n_max)
+    h_minus, h_plus = h_list(s, -1, n_max), BetaSeries(h_list(s, 1, n_max))
     rows = {}
     ok = True
     for k in range(k_max + 1):
+        # [z^N] of (sum_n n^k h_n(-s) z^n) (sum_n h_n(s) z^n)
+        product = BetaSeries([n**k * h for n, h in enumerate(h_minus)]) * h_plus
         for N in range(1, n_max + 1):
-            value = sum(
-                (Fraction(n) ** k * h_minus[n] * h_plus[N - n] for n in range(0, N + 1)),
-                Fraction(0),
-            )
-            rows[(k, N)] = value
+            rows[(k, N)] = value = product[N]
             if N > k * L and value != 0:
                 ok = False
     return {"ok": ok, "L": L, "values": rows}

@@ -90,7 +90,7 @@ def build_Qk(k: int, w_max: int) -> DiffOp:
                 order = k + 2 - nu.length - mu.length
                 if order < 0 or order % 2:
                     continue
-                c = sum(a[i] * b[order - i] for i in range(order + 1))
+                c = (a * b)[order]
                 if c:
                     terms.append((monomial_from_partition(nu.parts),
                                   monomial_from_partition(mu.parts), c * factorial(k)))

@@ -277,7 +277,5 @@ def _genus_slice(w_terms: dict, n: int, genus: int, d_max: int) -> dict:
     for (xexp, s, g), c in w_terms.items():
         d = riemann_hurwitz_d(n, sum(s), genus)
         if 0 <= d <= d_max and c[d] != 0:
-            coeffs = [Fraction(0)] * (d_max + 1)
-            coeffs[d] = c[d]
-            out[(xexp, s, g)] = BetaSeries(coeffs)
+            out[(xexp, s, g)] = BetaSeries.constant(c[d], d_max).shift(d)
     return out

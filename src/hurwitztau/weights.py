@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigurationError, DomainError, SingularParameterError
-from .exactalg import BetaSeries
+from .exactalg import BetaSeries, series_exp
 from .partitions import Partition
 from .symfun import monomial_value, power_sum_value
 
@@ -98,26 +98,18 @@ def log_coeffs(family: WeightFamily, k_max: int) -> list[Fraction]:
     return out
 
 
-# One entry per (family, i): the table job holds 5, the verify sweep 30, a
-# quantum --dmax 64 run 65.
-@lru_cache(maxsize=1024)
 def g_coeff(family: WeightFamily, i: int) -> Fraction:
-    """Taylor coefficient g_i of z^i in G(z), read off the log-series by the exp
-    recurrence i g_i = sum_{k=1..i} k a_k g_{i-k} over the cached g_0..g_{i-1}."""
+    """Taylor coefficient g_i of z^i in G(z), read off G's series of order i."""
     if i < 0:
         raise DomainError("Taylor index must be nonnegative")
-    if i == 0:
-        return Fraction(1)
-    lower = [g_coeff(family, j) for j in range(i)]  # ascending: each finds its own in the cache
-    terms = (k * a_k * lower[i - k] for k, a_k in enumerate(log_coeffs(family, i), start=1))
-    return sum(terms, Fraction(0)) / i
+    return _g_series(family, i)[i]
 
 
-# One entry per (family, d_max): the table and kp jobs hold 1, the verify sweep 11.
+# One entry per (family, d_max), g_coeff's too: the table and kp jobs hold 1, the sweep 23.
 @lru_cache(maxsize=256)
 def _g_series(family: WeightFamily, d_max: int) -> BetaSeries:
-    """G(beta) as a beta-series of order d_max."""
-    return BetaSeries([g_coeff(family, i) for i in range(d_max + 1)])
+    """G(beta) as a beta-series of order d_max: exp of the log-series."""
+    return series_exp(BetaSeries([0, *log_coeffs(family, d_max)]))
 
 
 def r_factor(family: WeightFamily, j: int, d_max: int) -> BetaSeries:

@@ -176,10 +176,12 @@ class TestWindowTables:
         for j in range(depth, k_hi):
             assert b.rho(-j - 1) == rho(family, -j - 1, gamma, ring), j
             assert b.rho_inv(j) == rho_inv(family, j, gamma, ring), j
-        for side in (1, -1):
-            assert len(b.h[side]) == k_hi - depth
-            for n, h_n in enumerate(b.h[side]):
-                assert h_n == h_of_sigma(n, sigma, side), (side, n)
+        # the elements read h_{k-j-1}(side sigma) for every z^j of the window
+        for k in range(k_lo, k_hi + 1):
+            assert b.w[k].lo == b.ws[k].lo == depth and b.w[k].hi == b.ws[k].hi == k - 1
+            for j in range(depth, k):
+                assert b.w[k].get(j) == h_of_sigma(k - j - 1, sigma, 1) * b.rho(-j - 1), (k, j)
+                assert b.ws[k].get(j) == h_of_sigma(k - j - 1, sigma, -1) * b.rho_inv(j), (k, j)
 
     def test_singular_rho_raises_on_every_read(self):
         # belyi at beta = 1: G(-beta) = 0, so rho_{-2} is singular while the
@@ -350,6 +352,25 @@ class TestClassicalCurve:
     def test_s_zero(self):
         curve = classical_curve(belyi(), (), F(3))
         assert curve.poly == {(1, 1): F(1)}
+
+    @pytest.mark.parametrize("c", [(), (1,), (F(1, 2), -2), (1, F(-1, 3), F(2, 5))],
+                             ids=lambda c: f"M{len(c)}")
+    @pytest.mark.parametrize("s", [(F(1, 2), F(-3)), (F(2, 3), F(0), F(1, 4))],
+                             ids=["s2", "s3"])
+    @pytest.mark.parametrize("gamma", [F(3, 2), F(-2, 5)], ids=["gamma3/2", "gamma-2/5"])
+    def test_matches_closed_form_on_a_grid(self, c, s, gamma):
+        # P(x, y) = x y - sum_k k s_k (gamma x G(x y))^k with G(xy) by g_value; P
+        # has x-degree <= L + M L and y-degree <= M L, so agreement on a grid one
+        # point wider than each degree proves the polynomials equal
+        fam = WeightFamily("finite_c", c=c)
+        poly = classical_curve(fam, s, gamma).poly
+        deg = len(c) * len(s)
+        for x in (F(i, 3) for i in range(1, len(s) + deg + 2)):
+            for y in (F(-i, 5) for i in range(1, deg + 2)):
+                want = x * y - sum(k * sk * (gamma * x * g_value(fam, x * y)) ** k
+                                   for k, sk in enumerate(s, start=1))
+                assert sum(v * x**i * y**j for (i, j), v in poly.items()) == want, (x, y)
+        assert all(poly.values())
 
     def test_transcendental_families_symbolic(self):
         # x y = S(gamma x G(x y)) with G = e^z and G = prod_{j>=1} (1 + q^j z)

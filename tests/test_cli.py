@@ -593,6 +593,8 @@ OVER_BUDGET_RUNS = {
     "tau": ["--family", "exp", "--wmax", "12", "--dmax", "64", "--probe", "5"],
     "basis": ["--family", "belyi", "--beta", "1/1001", "--s", "1/1001", "--k-lo", "-40",
               "--k-hi", "40", "--depth", "-100"],
+    "kernel": ["--family", "exp", "--beta", "series", "--sigma", "1/2", "--dmax", "64",
+               "--window=-40,-1,-40,40"],
     "cutjoin": ["--family", "belyi", "--wmax", "10", "--dmax", "64"],
 }
 
@@ -620,6 +622,10 @@ COSTED_RUNS = [
     "basis --beta 1/1001 --s 1/1001 --k-hi 40", "basis --beta 1/1001 --s 1/1001 --depth -100",
     "basis --beta 1/1001 --s 1/1001 --depth -100 --k-hi 12",
     "basis --family exp --beta series --sigma 1/2 --dmax 64",
+    "kernel --beta 1/1001 --s 1/1001 --window=-40,-1,-40,40",
+    "kernel --family exp --beta series --sigma 1/2 --window=-40,-1,-40,40",
+    "kernel --family exp --beta series --sigma 1/2 --dmax 16 --window=-40,-1,-40,40",
+    "kernel --family exp --beta series --sigma 1/2 --dmax 64 --window=-10,-1,-10,10",
     "cutjoin --wmax 10", "cutjoin --dmax 64",
     "cutjoin --family finite --c " + ",".join(["1"] * 21),
     "cutjoin --family finite --wmax 10 --c " + ",".join(["1"] * 21),
@@ -675,6 +681,42 @@ def test_basis_run_one_k_over_its_budget_is_refused(extra, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         f"resource error: basis predicted work exceeded: {formula} = {work} > {budget}\n"
     )
+
+
+def test_series_basis_weighs_the_size_of_g(monkeypatch, capsys):
+    # quantum(1/2) at --dmax 64 ran past 150 s, exp there takes about 20 s: the
+    # same flags, but quantum's G(beta) holds eight times the bits
+    argv = ["basis", "--family", "quantum", "--q", "1/2", "--beta", "series", "--sigma", "1/2",
+            "--dmax", "64"]
+    exp = ["basis", "--family", "exp", *argv[5:]]
+    predict, _, budget = cli.WORK_BUDGETS["basis"]
+    parser = cli.build_parser()
+    assert predict(parser.parse_args(exp)) <= budget < predict(parser.parse_args(argv))
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", _refuse("build_basis"))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("resource error: basis predicted work exceeded: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window=-6,-1,-5,5"],
+    ["--window=-2,-1,-9,3"],
+    ["--family", "finite", "--c", "1,1/2,1/3", "--s", "1/21,1/21", "--window=-3,-1,-2,2",
+     "--check-finiteness"],
+], ids=["wide", "deep-w", "finiteness"])
+def test_kernel_predicts_the_basis_window_it_builds(argv, monkeypatch):
+    args = cli.build_parser().parse_args(["kernel", *argv])
+    built = {}
+
+    def build_basis(*a, k_range, depth, **kw):
+        built.update(k_range=k_range, depth=depth)
+        raise AssertionError("build_basis ran")
+
+    monkeypatch.setattr(cli.adaptedbasis, "build_basis", build_basis)
+    with pytest.raises(AssertionError, match="build_basis ran"):
+        cli.main(["kernel", *argv])
+    k_lo, k_hi, depth = cli._kernel_basis_window(args)
+    assert built == {"k_range": (k_lo, k_hi), "depth": depth}
+    assert cli.WORK_BUDGETS["kernel"][0](args) == cli._window_work(k_lo, k_hi, depth)
 
 
 def test_negative_window_after_a_space():

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -231,6 +232,18 @@ class TestHOrthogonality:
     def test_generally_nonzero_below_threshold(self):
         rep = h_orthogonality((F(1), F(1, 2)), 2, 8)
         assert rep["values"][(1, 1)] != 0  # N = 1 <= kL = 2: no vanishing forced
+
+    def test_values_match_their_defining_sum(self):
+        # sum_{n=0..N} n^k h_n(-s) h_{N-n}(s), with 0^0 = 1, on random s
+        rng = random.Random(29)
+        for _ in range(6):
+            s = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+            values = h_orthogonality(s, 3, 9)["values"]
+            assert set(values) == {(k, N) for k in range(4) for N in range(1, 10)}
+            for (k, N), value in values.items():
+                want = sum(F(n) ** k * h_of_sigma(n, s, -1) * h_of_sigma(N - n, s, 1)
+                           for n in range(N + 1))
+                assert value == want, (s, k, N)
 
 
 def reference_multipair_two_point(family, beta_val, gamma_val, sigma, degree=4, d_max=None):

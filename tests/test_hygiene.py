@@ -332,7 +332,6 @@ BOUNDED_CACHES = {
     "grouporacle.py: _walk_table",
     "symfun.py: _h_list_cached",
     "weights.py: _g_series",
-    "weights.py: g_coeff",
     "weights.py: g_value",
 }
 

@@ -217,13 +217,13 @@ RATIONAL_FAMILIES = tuple(f for f in CACHED_FAMILIES if f.kind in ("finite_c", "
 
 
 class TestCachedConstants:
-    """g_coeff and g_value are memoized per (family, index or point); a cached
+    """G's series and g_value are memoized per (family, order or point); a cached
     value must equal the one computed from scratch, whatever the call order."""
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     def test_g_coeff_matches_reference(self, order):
-        g_coeff.cache_clear()
-        indices = range(13) if order == "ascending" else range(12, -1, -1)
+        weights._g_series.cache_clear()
+        indices = range(65) if order == "ascending" else range(64, -1, -1)
         for fam in CACHED_FAMILIES:  # one cache for all six: no entry may leak
             for i in indices:
                 assert g_coeff(fam, i) == reference_g_coeff(fam, i)
@@ -268,11 +268,9 @@ class TestCachedConstants:
         assert made == [] and got == want
 
     def test_table_holds_one_coefficient_per_index(self):
-        # and one G(beta) series per (family, d_max), which every G(j beta) dilates
-        g_coeff.cache_clear()
+        # one G(beta) series per (family, d_max), which every G(j beta) dilates
         weights._g_series.cache_clear()
         build_table(exponential(), 8, 4)
-        assert g_coeff.cache_info().currsize == 5
         assert weights._g_series.cache_info().currsize == 1
         assert weights._g_series(exponential(), 4) == r_factor(exponential(), 1, 4)
 
