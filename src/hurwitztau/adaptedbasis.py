@@ -435,33 +435,22 @@ def euler_P(b: BasisWindow) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalCurve:
-    family_label: str
-    poly: dict | None  # (x-exponent, y-exponent) -> Fraction, or None if symbolic
-    symbolic: str | None = None
+def classical_curve(family: WeightFamily, s, gamma_val) -> dict:
+    """P(x, y) = x y - S(gamma x G(x y)) for polynomial G, expanded exactly, as
+    the report {"family", "polynomial", "symbolic"}: the polynomial maps
+    (x-exponent, y-exponent) to its coefficient.
 
-
-def classical_curve(family: WeightFamily, s, gamma_val) -> ClassicalCurve:
-    """P(x, y) = x y - S(gamma x G(x y)) for polynomial G, expanded exactly.
-
-    For the exponential and quantum families the curve is transcendental and
-    only a symbolic rendering is returned.
+    For the exponential and quantum families the curve is transcendental:
+    the polynomial is None and only a symbolic rendering is returned.
     """
     gamma_val = Fraction(gamma_val)
     s = tuple(Fraction(x) for x in s)
     if family.kind == EXPONENTIAL:
-        return ClassicalCurve(
-            family.label,
-            None,
-            "x*y = sum_i i*s_i*gamma^i*x^i*exp(i*x*y)",
-        )
+        return {"family": family.label, "polynomial": None,
+                "symbolic": "x*y = sum_i i*s_i*gamma^i*x^i*exp(i*x*y)"}
     if family.kind == QUANTUM:
-        return ClassicalCurve(
-            family.label,
-            None,
-            "x*y = sum_i i*s_i*gamma^i*x^i*(prod_{j>=1}(1 + q^j*x*y))^i",
-        )
+        return {"family": family.label, "polynomial": None,
+                "symbolic": "x*y = sum_i i*s_i*gamma^i*x^i*(prod_{j>=1}(1 + q^j*x*y))^i"}
     M = family.degree
     if M is None:
         raise ConfigurationError("classical curve needs a polynomial G")
@@ -478,4 +467,4 @@ def classical_curve(family: WeightFamily, s, gamma_val) -> ClassicalCurve:
             key = (k + m, m)
             poly[key] = poly.get(key, Fraction(0)) - k * sk * gamma_val**k * cm
     poly = {k: v for k, v in poly.items() if v != 0}
-    return ClassicalCurve(family.label, poly)
+    return {"family": family.label, "polynomial": poly, "symbolic": None}

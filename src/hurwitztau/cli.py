@@ -34,7 +34,7 @@ OUTPUT_FLAGS = ("format", "out", "config")
 # (d_max + 1)^2, so a huge --dmax would allocate and multiply without end: at
 # 64, ``basis --family exp --beta series --sigma 1/2`` takes 19-25 s on a
 # 2-core machine.  The quantum family's series are far larger at the same
-# order, which the series-mode basis and kernel budgets weigh.
+# order, which every work budget weighs (_g_bits).
 DMAX_CAP = 64
 
 # (minimum, cap) of each integer flag, per command, checked after the config
@@ -71,17 +71,30 @@ def _partition_terms(n_max: int, power: int) -> int:
     return sum(len(enumerate_partitions(n)) ** power for n in range(n_max + 1))
 
 
+def _g_bits(family: WeightFamily, dmax: int) -> int:
+    """The size of G(beta) to order dmax: the bits of its numerators and common
+    denominator.  G(beta) is formed here, in 0.02 s for quantum(1/2) at order
+    64, but in seconds for a q of many digits (2.4 s at q = 10^-9)."""
+    g = r_factor(family, 1, dmax)
+    return sum(n.bit_length() for n in (*g.nums, g.den))
+
+
 def _series_weight(args) -> int:
     """1 at a rational beta.  In series mode, every scalar is a beta-series
     whose product costs about (dmax + 1) (bits + 500) / 7500 times a rational
-    one, bits the size of G(beta) to order dmax (its numerators and common
-    denominator).  G(beta) is formed here, in 0.02 s for quantum(1/2) at order
-    64, but in seconds for a q of many digits (2.4 s at q = 10^-9)."""
+    one, bits = _g_bits."""
     if args.beta != "series":
         return 1
-    g = r_factor(make_family(args), 1, args.dmax)
-    bits = sum(n.bit_length() for n in (*g.nums, g.den))
-    return max(1, (args.dmax + 1) * (bits + 500) // 7500)
+    return max(1, (args.dmax + 1) * (_g_bits(make_family(args), args.dmax) + 500) // 7500)
+
+
+def _g_weighted(args, work: int) -> int:
+    """work times G(beta)'s size relative to exp's at the same order, if that
+    is above 1: the beta-series products of hurwitz, tau and cutjoin cost about
+    as much more as their coefficients have bits.  At q = 1 - 10^-9 and order
+    40, quantum's G(beta) holds 254 times exp's bits."""
+    bits = _g_bits(make_family(args), args.dmax)
+    return max(work, work * bits // _g_bits(exponential(), args.dmax))
 
 
 def _window_work(k_lo: int, k_hi: int, depth: int) -> int:
@@ -94,27 +107,29 @@ def _window_work(k_lo: int, k_hi: int, depth: int) -> int:
 
 _SERIES_WEIGHT = ("with S = 1 at a rational beta, "
                   "else max(1, (dmax+1) (bits(G(beta)) + 500) // 7500)")
+_G_WEIGHT = "G = max(1, bits(G(beta)) / bits(exp's G(beta))) to order dmax"
 
 # Flags within their caps still multiply, so a run is also refused by its
 # predicted work, after every cap and before any compute (exit 2): command ->
 # (predict(args), its formula, budget).  Partition terms times (dmax + 1)^2, one
 # beta-series product: the character route sums the p(n) partitions of n for
 # each of the p(n)^2 pairs, tau holds sum p(n)^2 terms, and the Hirota residual
-# multiplies every pair of the R terms of t-weight <= probe + 1.  basis and
-# kernel weigh their basis window (_window_work) by the cost of a scalar
-# (_series_weight).  Each budget admits every run costed above.
+# multiplies every pair of the R terms of t-weight <= probe + 1, each weighed by
+# the size of G(beta) (_g_weighted).  basis and kernel weigh their basis window
+# (_window_work) by the cost of a scalar (_series_weight).  Each budget admits
+# every run costed above.
 WORK_BUDGETS = {
     # exp ``--N 10 --dmax 12`` (19,764,043) takes 10 s, ``--N 10 --dmax 64`` over 150 s
-    "hurwitz": (lambda a: _partition_terms(a.N, 3) * (a.dmax + 1) ** 2,
-                "sum_{n<=N} p(n)^3 (dmax+1)^2", 20_000_000),
+    "hurwitz": (lambda a: _g_weighted(a, _partition_terms(a.N, 3) * (a.dmax + 1) ** 2),
+                "sum_{n<=N} p(n)^3 (dmax+1)^2 G, " + _G_WEIGHT, 20_000_000),
     # exp ``--wmax 12 --dmax 64`` (53,437,800) takes 22 s and ``--wmax 12 --dmax 24
     # --probe 5`` (35,467,500) 19 s; ``--dmax 32 --probe 5`` (61,798,572) 22 s,
     # ``--dmax 64 --probe 3`` (60,197,800) 26 s and ``--dmax 64 --probe 5`` 45 s
-    "tau": (lambda a: ((_partition_terms(a.wmax, 2)
-                        + (_partition_terms(a.probe + 1, 2) if a.probe else 0) ** 2)
-                       * (a.dmax + 1) ** 2),
-            "(sum_{n<=wmax} p(n)^2 + R^2) (dmax+1)^2, R = sum_{n<=probe+1} p(n)^2 "
-            "(0 at probe 0)", 60_000_000),
+    "tau": (lambda a: _g_weighted(a, (_partition_terms(a.wmax, 2)
+                                      + (_partition_terms(a.probe + 1, 2) if a.probe else 0) ** 2)
+                                  * (a.dmax + 1) ** 2),
+            "(sum_{n<=wmax} p(n)^2 + R^2) (dmax+1)^2 G, R = sum_{n<=probe+1} p(n)^2 "
+            "(0 at probe 0), " + _G_WEIGHT, 60_000_000),
     # at beta = s = 1/1001, ``--k-hi 40`` (132,000) takes 5 s, ``--depth -100``
     # (193,725) 4.3 s, ``--depth -100 --k-hi 12`` (379,904) 12 s and ``--depth
     # -100 --k-lo -10 --k-hi 10`` (485,100) 21 s; at ``--beta series --sigma 1/2
@@ -131,8 +146,8 @@ WORK_BUDGETS = {
                "(k_hi - depth) (k_hi - k_lo + 1) (k_hi - depth + |depth|) S over the basis "
                "window the kernel reads, " + _SERIES_WEIGHT, 2_000_000),
     # ``--wmax 10 --dmax 10`` (433,543) takes 17 s, ``--wmax 10 --dmax 64`` over 90 s
-    "cutjoin": (lambda a: _partition_terms(a.wmax, 2) * (a.dmax + 1) ** 2,
-                "sum_{n<=wmax} p(n)^2 (dmax+1)^2", 500_000),
+    "cutjoin": (lambda a: _g_weighted(a, _partition_terms(a.wmax, 2) * (a.dmax + 1) ** 2),
+                "sum_{n<=wmax} p(n)^2 (dmax+1)^2 G, " + _G_WEIGHT, 500_000),
 }
 
 
@@ -279,19 +294,14 @@ def _report_ok(result) -> bool:
 
 
 def cmd_hurwitz(args) -> dict:
-    if args.verify_routes and args.N < 1:  # at N 0 the routes share no entry to compare
-        raise ConfigurationError(f"hurwitz --verify-routes needs --N >= 1, got {args.N}")
     family = make_family(args)
     table = hurwitz.build_table(family, args.N, args.dmax)
     connected = (
         hurwitz.connected_table_entries(family, args.N, args.dmax) if args.connected else {}
     )
 
-    def by_key(kv):
-        return kv[0][0].parts, kv[0][1].parts, kv[0][2]
-
     rows = []
-    for (mu, nu, d), value in sorted(table.items(), key=by_key):
+    for (mu, nu, d), value in sorted(table.items()):  # keys are unique: sorted by (mu, nu, d)
         row = {"mu": list(mu.parts), "nu": list(nu.parts), "d": d, "value": str(value)}
         if (mu, nu, d) in connected:
             row["connected"] = str(connected[(mu, nu, d)])
@@ -300,7 +310,7 @@ def cmd_hurwitz(args) -> dict:
     if args.connected:
         result["connected_only_entries"] = [
             {"mu": list(mu.parts), "nu": list(nu.parts), "d": d, "connected": str(value)}
-            for (mu, nu, d), value in sorted(connected.items(), key=by_key)
+            for (mu, nu, d), value in sorted(connected.items())
             if (mu, nu, d) not in table
         ]
     if args.verify_routes:
@@ -311,11 +321,6 @@ def cmd_hurwitz(args) -> dict:
 
 
 def cmd_tau(args) -> dict:
-    if args.probe and args.wmax < 2 * args.probe:
-        raise ConfigurationError(
-            f"tau --probe {args.probe} needs --wmax >= {2 * args.probe}, got {args.wmax}: "
-            "the Hirota residual reads tau up to weight 2 * probe"
-        )
     family = make_family(args)
     tau = taufn.build_tau(family, args.wmax, args.dmax)
     grades_ok = all(exp_weight(t) == exp_weight(s) == g for (t, s, g) in tau.body.terms)
@@ -347,26 +352,9 @@ def _basis_params(args) -> tuple:
 def cmd_basis(args) -> dict:
     family = make_family(args)
     beta, gamma, s, sigma = _basis_params(args)
-    k_lo, k_hi, depth = args.k_lo, args.k_hi, args.depth
-    # refuse a window on which a check would compare nothing; build_basis
-    # refuses an empty window itself
-    L = support(sigma or s)  # sigma = s/beta has the support of s
-    LM = adaptedbasis.q_band(family, sigma or s) if family.degree is not None else 0
-    if k_lo <= k_hi and depth < k_lo:
-        for empty, check, needs in (
-            (k_hi == k_lo, "ladder", "--k-hi > --k-lo"),
-            (k_hi - k_lo < L, "Euler", f"--k-hi >= --k-lo + {L}, the sigma support"),
-            (k_hi - k_lo < LM, "recursion_Q", f"--k-hi >= --k-lo + {LM}, the recursion band"),
-            (depth > -k_lo, "pairing", f"--depth <= {-k_lo}"),
-        ):
-            if empty:
-                raise ConfigurationError(
-                    f"basis window k in [{k_lo}, {k_hi}], depth {depth} has no "
-                    f"{check} check: needs {needs}"
-                )
     b = adaptedbasis.build_basis(
-        family, beta, gamma, s=s, k_range=(k_lo, k_hi), depth=depth, sigma=sigma,
-        d_max=args.dmax,
+        family, beta, gamma, s=s, k_range=(args.k_lo, args.k_hi), depth=args.depth,
+        sigma=sigma, d_max=args.dmax,
     )
     # first: it raises where a = R^{-1} divides by a vanishing gamma G(-beta j),
     # so such a window exits before the slower checks run
@@ -412,12 +400,9 @@ def _kernel_basis_window(args) -> tuple:
     zlo, _, wlo, _ = _kernel_window(args.window)
     k_lo = min(0, 1 + zlo) - 1
     if args.check_finiteness:
-        family = make_family(args)
-        if family.degree is None:
-            raise ConfigurationError("--check-finiteness needs a polynomial family")
         # the CD check reads w*_k down to k = 1 - LM, which the window alone may not reach
         _, _, s, sigma = _basis_params(args)
-        k_lo = min(k_lo, 1 - adaptedbasis.q_band(family, sigma or s))
+        k_lo = min(k_lo, 1 - adaptedbasis.q_band(make_family(args), sigma or s))
     return k_lo, max(1, -zlo) + 1, min(zlo, wlo, 0, k_lo + 1) - 2
 
 
@@ -456,9 +441,9 @@ def cmd_kernel(args) -> dict:
 
 
 def cmd_curve(args) -> dict:
-    family = make_family(args)
-    curve = adaptedbasis.classical_curve(family, _fraction_list(args.s), _fraction(args.gamma))
-    return {"family": curve.family_label, "polynomial": curve.poly, "symbolic": curve.symbolic}
+    return adaptedbasis.classical_curve(
+        make_family(args), _fraction_list(args.s), _fraction(args.gamma)
+    )
 
 
 def cmd_cutjoin(args) -> dict:
@@ -619,14 +604,55 @@ def _given_on_command_line(parser, argv, command) -> set:
             a.default = default
 
 
+def _check_relations(args) -> None:
+    """The flags that need one another, each a config error: the family's
+    flags (make_family), and per command the flags that bound each other."""
+    family = make_family(args)
+    if args.command == "hurwitz" and args.verify_routes and args.N < 1:
+        # at N 0 the routes share no entry to compare
+        raise ConfigurationError(f"hurwitz --verify-routes needs --N >= 1, got {args.N}")
+    if args.command == "tau" and args.probe and args.wmax < 2 * args.probe:
+        raise ConfigurationError(
+            f"tau --probe {args.probe} needs --wmax >= {2 * args.probe}, got {args.wmax}: "
+            "the Hirota residual reads tau up to weight 2 * probe"
+        )
+    if args.command == "basis":
+        _check_basis_window(args, family)
+    if args.command == "kernel" and args.check_finiteness and family.degree is None:
+        raise ConfigurationError("--check-finiteness needs a polynomial family")
+
+
+def _check_basis_window(args, family: WeightFamily) -> None:
+    """Refuse a basis window on which a check would compare nothing;
+    build_basis refuses an empty window itself."""
+    _, _, s, sigma = _basis_params(args)
+    k_lo, k_hi, depth = args.k_lo, args.k_hi, args.depth
+    L = support(sigma or s)  # sigma = s/beta has the support of s
+    LM = adaptedbasis.q_band(family, sigma or s) if family.degree is not None else 0
+    if k_lo <= k_hi and depth < k_lo:
+        for empty, check, needs in (
+            (k_hi == k_lo, "ladder", "--k-hi > --k-lo"),
+            (k_hi - k_lo < L, "Euler", f"--k-hi >= --k-lo + {L}, the sigma support"),
+            (k_hi - k_lo < LM, "recursion_Q", f"--k-hi >= --k-lo + {LM}, the recursion band"),
+            (depth > -k_lo, "pairing", f"--depth <= {-k_lo}"),
+        ):
+            if empty:
+                raise ConfigurationError(
+                    f"basis window k in [{k_lo}, {k_hi}], depth {depth} has no "
+                    f"{check} check: needs {needs}"
+                )
+
+
 def _check_bounds(args) -> None:
-    """Every FLAG_BOUNDS minimum of the command, then every cap, then its
-    WORK_BUDGETS predicted work."""
+    """Every FLAG_BOUNDS minimum of the command, then every relation between
+    its flags (_check_relations), then every cap, then its WORK_BUDGETS
+    predicted work: a config error outranks a resource error."""
     bounds = FLAG_BOUNDS.get(args.command, {})
     for flag, (least, _) in bounds.items():
         value = getattr(args, flag)
         if least is not None and value < least:
             raise ConfigurationError(f"{args.command} needs --{flag} >= {least}, got {value}")
+    _check_relations(args)
     for flag, (_, cap) in bounds.items():
         values = _kernel_window(args.window) if flag == "window" else [getattr(args, flag)]
         for value in values:

@@ -8,7 +8,6 @@ it is the oracle the fast routes are validated against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -71,17 +70,10 @@ def conjugacy_classes(n: int) -> dict:
     return {lam: tuple(v) for lam, v in buckets.items()}
 
 
-@dataclass(frozen=True)
-class ClassAlgebra:
-    N: int
-    classes: tuple  # Partitions, reverse-lex order
-    sizes: dict  # Partition -> int
-    structure: dict  # (mu, nu) -> dict lam -> int, C_mu C_nu = sum k^lam C_lam
-
-
 @lru_cache(maxsize=None)
-def build_class_algebra(N: int) -> ClassAlgebra:
-    """Exact structure constants by direct enumeration (N <= 7)."""
+def build_class_algebra(N: int) -> dict:
+    """The class algebra of S_N as its structure constants, by direct
+    enumeration (N <= 7): (mu, nu) -> {lam: k}, C_mu C_nu = sum k^lam C_lam."""
     if not 1 <= N <= CLASS_ALGEBRA_CAP:
         raise ResourceError(f"class algebra cap exceeded: N={N} > {CLASS_ALGEBRA_CAP}")
     classes = enumerate_partitions(N)
@@ -102,7 +94,7 @@ def build_class_algebra(N: int) -> ClassAlgebra:
                     raise AssertionError("structure constant is not an integer")
                 row[lam] = total // sizes[lam]
             structure[(mu, nu)] = row
-    return ClassAlgebra(N, classes, sizes, structure)
+    return structure
 
 
 def factorization_count(N: int, profiles) -> Fraction:
@@ -111,14 +103,14 @@ def factorization_count(N: int, profiles) -> Fraction:
     profiles = [Partition(p) if not isinstance(p, Partition) else p for p in profiles]
     if any(p.weight != N for p in profiles):
         return Fraction(0)
-    algebra = build_class_algebra(N)
+    structure = build_class_algebra(N)
     id_class = Partition([1] * N)
     # accumulate prod C_mu in the class-sum basis
     vec = {id_class: 1}
     for prof in profiles:
         new: dict[Partition, int] = {}
         for lam, a in vec.items():
-            for rho_cls, k in algebra.structure[(prof, lam)].items():
+            for rho_cls, k in structure[(prof, lam)].items():
                 new[rho_cls] = new.get(rho_cls, 0) + a * k
         vec = new
     return Fraction(vec.get(id_class, 0), factorial(N))

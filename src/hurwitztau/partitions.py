@@ -9,30 +9,35 @@ from math import factorial
 from .errors import DomainError
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers.
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers, equal and hash-equal to
+    the plain tuple of its parts.
 
     Labels both ramification profiles (conjugacy classes of S_N) and
     irreducible characters / Schur functions.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(int(p) for p in parts if p != 0)
         if any(p < 0 for p in parts):
             raise DomainError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             parts = tuple(sorted(parts, reverse=True))
-        self.parts = parts
+        return super().__new__(cls, parts)
+
+    @property
+    def parts(self) -> tuple:
+        return tuple(self)
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def colength(self) -> int:
         """|lambda| - ell(lambda), the branching defect."""
@@ -40,7 +45,7 @@ class Partition:
 
     def multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for p in self.parts:
+        for p in self:
             out[p] = out.get(p, 0) + 1
         return out
 
@@ -59,52 +64,30 @@ class Partition:
 
     def contents(self) -> list[int]:
         """Multiset {j - i : (i, j) a cell}, rows and columns 1-based."""
-        return [j - i for i, p in enumerate(self.parts, start=1) for j in range(1, p + 1)]
+        return [j - i for i, p in enumerate(self, start=1) for j in range(1, p + 1)]
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
+        if not self:
             return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
 
     def frobenius(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Frobenius coordinates (a_1..a_r | b_1..b_r): arm and leg lengths on the diagonal."""
-        conj = self.conjugate().parts
+        conj = self.conjugate()
         arms, legs = [], []
-        for i, p in enumerate(self.parts, start=1):
+        for i, p in enumerate(self, start=1):
             if p < i:
                 break
             arms.append(p - i)
             legs.append(conj[i - 1] - i)
         return tuple(arms), tuple(legs)
 
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __repr__(self):
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
 
 @lru_cache(maxsize=None)

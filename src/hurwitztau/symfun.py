@@ -20,8 +20,6 @@ def _border_strip_removals(lam: Partition, r: int):
     beta-numbers jumped over.
     """
     n = lam.length
-    if n == 0:
-        return
     beta = [lam.parts[i] + n - 1 - i for i in range(n)]
     bset = set(beta)
     for b in beta:

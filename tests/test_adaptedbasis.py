@@ -280,6 +280,12 @@ class TestRelations:
         assert quantum_curve_residual(b)["ok"]
         assert euler_P(b)["ok"]
 
+    @pytest.mark.parametrize("sides", [("w",), ("ws",)])
+    def test_pairing_on_one_side_says_it_tested_nothing(self, sides):
+        b = build_basis(belyi(), k_range=(-3, 5), depth=-10, sides=sides, **BELYI_CFG)
+        assert pairing_check(b) == {"ok": True, "tested": 0, "untestable": [], "failures": [],
+                                    "skipped": "one side of the basis is not built"}
+
     def test_pairing_values(self):
         b = belyi_basis()
         assert b.w[1].residue_with(b.ws[0]) == 1  # j + l = 1
@@ -342,16 +348,16 @@ class TestClassicalCurve:
     def test_trivial_g(self):
         curve = classical_curve(WeightFamily("finite_c", c=()), (F(1), F(1, 2)), F(1))
         # P = xy - S(gamma x) = xy - s_1 x - 2 s_2 x^2
-        assert curve.poly == {(1, 1): F(1), (1, 0): F(-1), (2, 0): F(-1)}
+        assert curve["polynomial"] == {(1, 1): F(1), (1, 0): F(-1), (2, 0): F(-1)}
 
     def test_belyi_single_s(self):
         curve = classical_curve(belyi(), (F(1),), F(1))
         # xy - s_1 gamma x (1 + xy)
-        assert curve.poly == {(1, 1): F(1), (1, 0): F(-1), (2, 1): F(-1)}
+        assert curve["polynomial"] == {(1, 1): F(1), (1, 0): F(-1), (2, 1): F(-1)}
 
     def test_s_zero(self):
         curve = classical_curve(belyi(), (), F(3))
-        assert curve.poly == {(1, 1): F(1)}
+        assert curve["polynomial"] == {(1, 1): F(1)}
 
     @pytest.mark.parametrize("c", [(), (1,), (F(1, 2), -2), (1, F(-1, 3), F(2, 5))],
                              ids=lambda c: f"M{len(c)}")
@@ -363,7 +369,7 @@ class TestClassicalCurve:
         # has x-degree <= L + M L and y-degree <= M L, so agreement on a grid one
         # point wider than each degree proves the polynomials equal
         fam = WeightFamily("finite_c", c=c)
-        poly = classical_curve(fam, s, gamma).poly
+        poly = classical_curve(fam, s, gamma)["polynomial"]
         deg = len(c) * len(s)
         for x in (F(i, 3) for i in range(1, len(s) + deg + 2)):
             for y in (F(-i, 5) for i in range(1, deg + 2)):
@@ -375,10 +381,10 @@ class TestClassicalCurve:
     def test_transcendental_families_symbolic(self):
         # x y = S(gamma x G(x y)) with G = e^z and G = prod_{j>=1} (1 + q^j z)
         curve = classical_curve(exponential(), (1,), 1)
-        assert curve.poly is None
-        assert curve.symbolic == "x*y = sum_i i*s_i*gamma^i*x^i*exp(i*x*y)"
+        assert curve["polynomial"] is None
+        assert curve["symbolic"] == "x*y = sum_i i*s_i*gamma^i*x^i*exp(i*x*y)"
         from hurwitztau.weights import quantum
 
         curve = classical_curve(quantum(F(1, 2)), (1,), 1)
-        assert curve.poly is None
-        assert curve.symbolic == "x*y = sum_i i*s_i*gamma^i*x^i*(prod_{j>=1}(1 + q^j*x*y))^i"
+        assert curve["polynomial"] is None
+        assert curve["symbolic"] == "x*y = sum_i i*s_i*gamma^i*x^i*(prod_{j>=1}(1 + q^j*x*y))^i"

@@ -12,7 +12,6 @@ import pytest
 import hurwitztau
 from hurwitztau import cli, correlators
 from hurwitztau.exactalg import BRing
-from hurwitztau.partitions import Partition
 
 PY = [sys.executable, "-m", "hurwitztau.cli"]
 
@@ -561,6 +560,8 @@ def test_every_integer_flag_has_a_cap():
 def _bound_argv(flag, value):
     if flag == "window":  # each entry is bounded: set whi
         return [f"--window=-5,-1,-4,{value}"]
+    if flag == "probe":  # --probe needs --wmax >= 2 probe, a relation checked before any cap
+        return ["--wmax", "12", "--probe", str(value)]
     return [f"--{flag.replace('_', '-')}", str(value)]
 
 
@@ -587,7 +588,9 @@ def test_flag_outside_its_bounds_refused_before_compute(command, flag, monkeypat
 
 
 # one run per WORK_BUDGETS command with every flag within its cap: the tau run
-# took 42-49 s, each other ran past 90 s, before the budget refused it
+# took 42-49 s, each other ran past 90 s, before the budget refused it.  The
+# quantum runs at q = 1 - 10^-9 weigh G(beta)'s size: with the same flags exp
+# takes 2.8 s and 0.37 s, quantum ran past 60 s and took 28 s
 OVER_BUDGET_RUNS = {
     "hurwitz": ["--family", "exp", "--N", "10", "--dmax", "64"],
     "tau": ["--family", "exp", "--wmax", "12", "--dmax", "64", "--probe", "5"],
@@ -596,12 +599,33 @@ OVER_BUDGET_RUNS = {
     "kernel": ["--family", "exp", "--beta", "series", "--sigma", "1/2", "--dmax", "64",
                "--window=-40,-1,-40,40"],
     "cutjoin": ["--family", "belyi", "--wmax", "10", "--dmax", "64"],
+    "hurwitz-quantum": ["--family", "quantum", "--q", "999999999/1000000000", "--N", "6",
+                        "--dmax", "20"],
+    "tau-quantum": ["--family", "quantum", "--q", "999999999/1000000000", "--wmax", "10",
+                    "--dmax", "40"],
 }
 
 
-@pytest.mark.parametrize("command", list(cli.WORK_BUDGETS))
-def test_run_over_its_work_budget_refused_before_compute(command, monkeypatch, capsys):
-    argv = [command, *OVER_BUDGET_RUNS[command]]
+@pytest.mark.parametrize("run", ["hurwitz-quantum", "tau-quantum"])
+def test_work_weighs_the_size_of_g(run):
+    # the same flags on exp, whose G(beta) has 158 and 254 times fewer bits at
+    # orders 20 and 40, are admitted
+    command = run.split("-")[0]
+    argv = [command, *OVER_BUDGET_RUNS[run]]
+    exp = [command, "--family", "exp", *argv[5:]]
+    predict, _, budget = cli.WORK_BUDGETS[command]
+    parser = cli.build_parser()
+    assert predict(parser.parse_args(exp)) <= budget < predict(parser.parse_args(argv))
+
+
+def test_every_work_budget_has_a_run_over_it():
+    assert {run.split("-")[0] for run in OVER_BUDGET_RUNS} == set(cli.WORK_BUDGETS)
+
+
+@pytest.mark.parametrize("run", list(OVER_BUDGET_RUNS))
+def test_run_over_its_work_budget_refused_before_compute(run, monkeypatch, capsys):
+    command = run.split("-")[0]
+    argv = [command, *OVER_BUDGET_RUNS[run]]
     predict, formula, budget = cli.WORK_BUDGETS[command]
     work = predict(cli.build_parser().parse_args(argv))
     for module, name in ENTRY_POINTS[command]:
@@ -746,6 +770,33 @@ def test_every_minimum_is_checked_before_any_cap(capsys):
     assert capsys.readouterr().err == "configuration error: tau needs --probe >= 0, got -1\n"
 
 
+# runs that break a relation between flags and exceed a cap or a budget: the
+# relation, a config error, is reported first
+RELATION_BEFORE_CAP_RUNS = [
+    (["tau", "--wmax", "2", "--probe", "6"],
+     "tau --probe 6 needs --wmax >= 12, got 2: the Hirota residual reads tau up to weight "
+     "2 * probe"),
+    (["hurwitz", "--N", "0", "--verify-routes", "--dmax", "65"],
+     "hurwitz --verify-routes needs --N >= 1, got 0"),
+    (["kernel", "--family", "exp", "--beta", "series", "--sigma", "1/2", "--check-finiteness",
+      "--window=-41,-1,-4,4"],
+     "--check-finiteness needs a polynomial family"),
+    (["basis", "--k-lo", "5", "--k-hi", "5", "--depth", "4", "--dmax", "65"],
+     "basis window k in [5, 5], depth 4 has no ladder check: needs --k-hi > --k-lo"),
+    (["hurwitz", "--family", "quantum", "--dmax", "65"], "--family quantum needs --q"),
+]
+
+
+@pytest.mark.parametrize("argv,message", RELATION_BEFORE_CAP_RUNS,
+                         ids=["tau-probe", "hurwitz-verify-routes", "kernel-finiteness",
+                              "basis-window", "quantum-q"])
+def test_every_relation_is_checked_before_any_cap(argv, message, monkeypatch, capsys):
+    for module, name in ENTRY_POINTS[argv[0]]:
+        monkeypatch.setattr(module, name, _refuse(name))
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("command,entry,report", [
     (["hurwitz", "--N", "2", "--dmax", "1", "--verify-routes"], (cli.hurwitz, "verify_routes"),
      {"ok": False, "mu": [2], "nu": [1, 1], "d": 1}),
@@ -839,5 +890,5 @@ def test_vacuous_basis_window_refused_before_compute(check, vacuous, nearest, mo
 
 
 def test_serialize_refuses_a_type_it_has_no_form_for():
-    with pytest.raises(TypeError, match="cannot serialize a Partition"):
-        cli.serialize({"mu": Partition([2, 1])})
+    with pytest.raises(TypeError, match="cannot serialize a set"):
+        cli.serialize({"mu": {2, 1}})

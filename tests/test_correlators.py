@@ -19,7 +19,7 @@ from hurwitztau.correlators import (
 from hurwitztau.exactalg import BRing, QRing, exp_weight, scalar_ring
 from hurwitztau.partitions import Partition, partitions_up_to
 from hurwitztau.symfun import schur_monomial_map
-from hurwitztau.taufn import miwa_expand, miwa_scale
+from hurwitztau.taufn import miwa_expand
 from hurwitztau.weights import WeightFamily, belyi, exponential, g_at, quantum, rho, rho_inv, signed
 from test_crosschecks import h_of_sigma
 
@@ -57,6 +57,17 @@ class TestPairKernel:
         k_bas, info = K2_via_basis(b, win)
         assert kernels_equal(k_tau, k_bas, ring)
         assert info["j_cutoff"] <= 6
+
+    def test_corrupted_basis_element_fails(self, monkeypatch):
+        # K2_via_basis reads w_1 in every cell of w-exponent 0
+        ring = QRing()
+        b = rational_basis(belyi(), SIGMA1)
+        win = (-6, -1, -6, 5)
+        k_tau = K2_via_tau(belyi(), BETA, GAMMA, b.sigma, win)
+        monkeypatch.setitem(b.w, 1, b.w[1].scale(2))
+        k_bas, _ = K2_via_basis(b, win)
+        assert not kernels_equal(k_tau, k_bas, ring)
+        assert k_bas.cell(-1, 0, ring) == 2 * k_tau.cell(-1, 0, ring)
 
     def test_tau_equals_basis_exponential_series(self):
         d_max = 5
@@ -225,6 +236,19 @@ class TestHOrthogonality:
             rep = h_orthogonality(s, 3, 12)
             assert rep["ok"]
 
+    def test_perturbed_h_fails(self, monkeypatch):
+        # h_3(s) + 1 adds h_0(-s) = 1 to the k = 0 row at N = 3 > kL = 0
+        real = correlators.h_list
+
+        def perturbed(sigma, sign, n_max):
+            h = real(sigma, sign, n_max)
+            return h[:3] + (h[3] + 1,) + h[4:] if sign == 1 else h
+
+        monkeypatch.setattr(correlators, "h_list", perturbed)
+        rep = h_orthogonality((F(1),), 1, 5)
+        assert not rep["ok"]
+        assert rep["values"][(0, 3)] == 1
+
     def test_hand_example(self):
         rep = h_orthogonality((F(1),), 1, 2)
         assert rep["values"][(1, 2)] == 0
@@ -259,7 +283,7 @@ def reference_multipair_two_point(family, beta_val, gamma_val, sigma, degree=4, 
         weight = correlators.schur_weight(family, lam, gamma_val, sigma, ring)
         for t_exp, coeff in schur_monomial_map(lam).items():
             by_monomial[t_exp] = by_monomial.get(t_exp, ring.zero()) + weight * coeff
-    letters = (miwa_scale(-1), miwa_scale(-1), miwa_scale(1), miwa_scale(1))
+    letters = (-1, -1, 1, 1)
     tau_x = {}
     for t_exp, value in by_monomial.items():
         for pieces, coeff in miwa_expand(t_exp, letters):
@@ -335,6 +359,16 @@ class TestMultipair:
         rep = multipair_two_point(belyi(), BETA, GAMMA, SIGMA1, degree=5)
         assert not rep["ok"]
         assert rep["mismatches"][0] == (-2, -1, 0, 1)
+
+    def test_broken_z1_z2_symmetry_fails_antisymmetry(self, monkeypatch):
+        # z1's Miwa letter 2 instead of -1: tau(X) is no longer symmetric in z1, z2
+        def miwa_expand_z1_moved(exps, letters):
+            return miwa_expand(exps, (2, *letters[1:]))
+
+        monkeypatch.setattr(correlators, "miwa_expand", miwa_expand_z1_moved)
+        rep = multipair_two_point(belyi(), BETA, GAMMA, SIGMA1, degree=5)
+        assert not rep["antisymmetric"]
+        assert not rep["ok"]
 
     def test_corrupted_pair_T_fails(self, monkeypatch):
         _corrupt_pair_T(monkeypatch)

@@ -157,6 +157,31 @@ class TestDiagonal:
         report = schur_eigen_check(6, 8)
         assert report["ok"], report["failures"][:3]
 
+    def test_wrong_eigenvalue_is_named(self, monkeypatch):
+        real = cutjoin.diagonal_Qk
+        monkeypatch.setattr(cutjoin, "diagonal_Qk",
+                            lambda k, lam: real(k, lam) + (k == 2 and lam == (2, 1)))
+        report = schur_eigen_check(3, 3)
+        assert not report["ok"]
+        assert report["failures"] == [{"k": 2, "lambda": (2, 1)}]
+
+    def test_non_commuting_q2_is_named(self, monkeypatch):
+        # Q_2 + t_1 d/dt_2 at the commutator weight: t_1 d/dt_2 kills t_1^2 but
+        # not Q_1 t_1^2, a multiple of t_2
+        real = cutjoin.build_Qk
+
+        def build_Qk_perturbed(k, w_max):
+            op = real(k, w_max)
+            if (k, w_max) != (2, 4):
+                return op
+            return DiffOp(op.terms + (((1,), (0, 1), F(1)),), 0)
+
+        monkeypatch.setattr(cutjoin, "build_Qk", build_Qk_perturbed)
+        report = schur_eigen_check(3, 4)
+        assert not report["ok"]
+        assert all("commutator" in f for f in report["failures"])
+        assert report["failures"][0] == {"commutator": (1, 1)}
+
 
 class TestReconstruction:
     def test_trivial_family(self):
@@ -213,6 +238,18 @@ def test_corrupted_tau_fails_pde_and_reconstruction(monkeypatch):
         "A_1-derivative", "A_2-derivative", "A_3-derivative", "beta-Euler identity"
     ]
     assert reconstruct_tau(belyi(), 4, 3)["diagonal_ok"] is False
+
+
+def test_wrong_q0_fails_the_gamma_derivative(monkeypatch):
+    # Q_0 + t_1 d/dt_1 counts each t_1 twice, so gamma d/dgamma tau != Q_0 tau
+    real = cutjoin.build_Qk
+
+    def build_Qk_perturbed(k, w_max):
+        op = real(k, w_max)
+        return DiffOp(op.terms + (((1,), (1,), F(1)),), 0) if k == 0 else op
+
+    monkeypatch.setattr(cutjoin, "build_Qk", build_Qk_perturbed)
+    assert pde_check(belyi(), 4, 3)["failures"] == ["gamma-derivative (Q_0)"]
 
 
 class TestSingleHurwitzRep:

@@ -27,36 +27,34 @@ F = Fraction
 
 
 def test_class_sizes():
-    alg = build_class_algebra(4)
-    assert sum(alg.sizes.values()) == factorial(4)
-    assert alg.sizes[Partition((2, 1, 1))] == 6
+    sizes = {lam: len(members) for lam, members in conjugacy_classes(4).items()}
+    assert sum(sizes.values()) == factorial(4)
+    assert sizes[Partition((2, 1, 1))] == 6
 
 
 def test_transposition_squares_to_identity():
-    alg = build_class_algebra(2)
-    row = alg.structure[(Partition((2,)), Partition((2,)))]
+    row = build_class_algebra(2)[(Partition((2,)), Partition((2,)))]
     assert row == {Partition((1, 1)): 1}
 
 
 def test_s3_transposition_product():
-    alg = build_class_algebra(3)
-    row = alg.structure[(Partition((2, 1)), Partition((2, 1)))]
+    row = build_class_algebra(3)[(Partition((2, 1)), Partition((2, 1)))]
     assert row == {Partition((1, 1, 1)): 3, Partition((3,)): 3}
 
 
 def test_identity_class_is_unit():
-    alg = build_class_algebra(4)
+    structure = build_class_algebra(4)
     e = Partition((1, 1, 1, 1))
-    for lam in alg.classes:
-        assert alg.structure[(e, lam)] == {lam: 1}
-        assert alg.structure[(lam, e)] == {lam: 1}
+    for lam in enumerate_partitions(4):
+        assert structure[(e, lam)] == {lam: 1}
+        assert structure[(lam, e)] == {lam: 1}
 
 
 def test_class_multiplication_commutes_and_associates_spot():
-    alg = build_class_algebra(4)
-    classes = alg.classes
+    structure = build_class_algebra(4)
+    classes = enumerate_partitions(4)
     for mu, nu in itertools.product(classes[:3], classes[:3]):
-        assert alg.structure[(mu, nu)] == alg.structure[(nu, mu)]
+        assert structure[(mu, nu)] == structure[(nu, mu)]
 
 
 def test_factorization_against_direct_enumeration():

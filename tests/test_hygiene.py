@@ -461,9 +461,8 @@ def _unread_parameters(module, tree):
     return visitor.unread
 
 
-# miwa_expand calls every scale with the index b; the plain variable's scale
-# is 1 whatever b is.  The list is exact.
-UNREAD_PARAMETERS = {"taufn.py: _plain(b)"}
+# The parameters that a body may leave unread.  The list is exact.
+UNREAD_PARAMETERS = set()
 
 
 def test_every_parameter_is_read():

@@ -94,3 +94,14 @@ def test_conjugate():
     for n in range(7):
         for lam in enumerate_partitions(n):
             assert lam.conjugate().conjugate() == lam
+
+
+def test_a_partition_is_the_tuple_of_its_parts():
+    lam = Partition([1, 0, 3, 1])  # zeros dropped, parts sorted
+    assert isinstance(lam, tuple)
+    assert lam == (3, 1, 1) and hash(lam) == hash((3, 1, 1))
+    assert lam.parts == (3, 1, 1) and type(lam.parts) is tuple
+    assert {lam: 1}[(3, 1, 1)] == 1
+    assert repr(lam) == "Partition(3, 1, 1)"
+    with pytest.raises(DomainError, match="partition parts must be positive"):
+        Partition([2, -1])

@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from hurwitztau import taufn
 from hurwitztau.errors import ConfigurationError, OutOfWindowError
 from hurwitztau.exactalg import BetaSeries, BRing, GradedPoly, LaurentWindow, QRing, exps_mul
 from hurwitztau.exactalg import monomial_from_partition
@@ -309,8 +310,6 @@ class TestMulticurrent:
 
     def test_connected_check_builds_and_logs_tau_once(self, monkeypatch):
         # W_n and the rows of F_n are read off one log tau
-        from hurwitztau import taufn
-
         calls = []
         real_build, real_log = taufn.build_tau, GradedPoly.log
 
@@ -331,6 +330,22 @@ class TestMulticurrent:
     def test_w_equals_df(self, fam):
         assert check_W_equals_dF(fam, 1, 3, 5, 3)["equal"]
         assert check_W_equals_dF(fam, 2, 2, 5, 3)["equal"]
+
+    def test_corrupted_tau_coefficient_is_named(self, monkeypatch):
+        # add beta to the t_1^2 s_1^2 coefficient of tau: W_2 reads it at the
+        # x-exponents (0, 0), the character route's dF_2 does not
+        real_build = taufn.build_tau
+
+        def corrupted_build_tau(family, w_max, d_max):
+            tau = real_build(family, w_max, d_max)
+            terms = dict(tau.body.terms)
+            terms[((2,), (2,), 2)] += BetaSeries.variable(d_max)
+            return TauSeries(family, w_max, d_max, GradedPoly(terms, w_max, d_max))
+
+        monkeypatch.setattr(taufn, "build_tau", corrupted_build_tau)
+        report = check_W_equals_dF(belyi(), 2, 2, 5, 3)
+        assert not report["equal"]
+        assert [m["key"] for m in report["mismatches"]] == [((0, 0), (2,), 2)]
 
     @pytest.mark.parametrize("fam", [exponential(), belyi()], ids=lambda f: f.label)
     def test_connected_and_genus_slices(self, fam):
