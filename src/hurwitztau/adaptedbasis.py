@@ -11,10 +11,9 @@ the two parametrizations interconvert exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, OutOfWindowError, SingularParameterError
 from .exactalg import BetaSeries, LaurentWindow, scalar_ring
@@ -23,8 +22,7 @@ from .weights import EXPONENTIAL, QUANTUM, WeightFamily, g_at, r_factor
 from .weights import rho, rho_inv
 
 
-@dataclass(frozen=True)
-class BasisWindow:
+class BasisWindow(NamedTuple):
     """The elements w_k, w*_k of a window and the scalar tables they are read
     from.  ``gamma_g``, ``rho`` and ``rho_inv`` compute an index on first use
     and keep it for the window's lifetime, so a singular index raises where it
@@ -48,13 +46,16 @@ class BasisWindow:
         return [(side, el) for side, el in ((1, self.w), (-1, self.ws)) if el]
 
 
-def _sigma_from(beta_val, s, sigma):
+def basis_sigma(beta_val, s, sigma) -> tuple:
+    """sigma = beta^{-1} s as exact rationals, or the sigma given; refused at
+    beta 0, and in series mode (beta_val None) without sigma."""
+    if beta_val is not None and Fraction(beta_val) == 0:
+        raise ConfigurationError("beta must be nonzero")
     if sigma is not None:
         return tuple(Fraction(x) for x in sigma)
     if beta_val is None:
         raise ConfigurationError("series-mode basis needs sigma = s/beta directly")
-    b = Fraction(beta_val)
-    return tuple(Fraction(x) / b for x in s)
+    return tuple(Fraction(x) / Fraction(beta_val) for x in s)
 
 
 def build_basis(
@@ -80,9 +81,7 @@ def build_basis(
     regular (the dual side survives vanishing G(-i beta) factors).
     """
     gamma_val = Fraction(gamma_val)
-    if beta_val is not None and Fraction(beta_val) == 0:
-        raise ConfigurationError("beta must be nonzero")
-    sig = _sigma_from(beta_val, s, sigma)
+    sig = basis_sigma(beta_val, s, sigma)
     ring = scalar_ring(beta_val, d_max)
     k_lo, k_hi = k_range
     if k_lo > k_hi or depth > k_lo - 1:
@@ -355,26 +354,18 @@ def general_Q_cross_check(b: BasisWindow, size: int = 6) -> dict:
     h = {side: h_list(b.sigma, side, size) for side in (1, -1)}  # i - j <= size below
 
     def g_el(i, j):
-        if i < j:
-            return ring.zero()
-        return b.rho(i) * h[1][i - j]
+        return b.rho(i) * h[1][i - j] if i >= j else ring.zero()
 
     def g_inv_el(i, j):
-        if i < j:
-            return ring.zero()
-        return b.rho_inv(j) * h[-1][i - j]
+        return b.rho_inv(j) * h[-1][i - j] if i >= j else ring.zero()
 
     def qt_plus(k, j):
-        acc = ring.zero()
-        for i in range(-k - 1, -j + 1):
-            acc = acc + g_inv_el(-j, i) * g_el(i + 1, -k)
-        return acc
+        terms = (g_inv_el(-j, i) * g_el(i + 1, -k) for i in range(-k - 1, -j + 1))
+        return sum(terms, ring.zero())
 
     def qt_minus(k, j):
-        acc = ring.zero()
-        for i in range(j - 2, k):
-            acc = acc + g_inv_el(k - 1, i) * g_el(i + 1, j - 1)
-        return acc
+        terms = (g_inv_el(k - 1, i) * g_el(i + 1, j - 1) for i in range(j - 2, k))
+        return sum(terms, ring.zero())
 
     gamma_inv = Fraction(1) / b.gamma
     c = _Checks()

@@ -53,8 +53,8 @@ FLAG_BOUNDS = {
     # --dmax 64``); probe: ``--wmax 10 --probe 5`` takes 6.2 s and ``--wmax 12
     # --dmax 3 --probe 5`` 7.7 s, while ``--wmax 12 --probe 6`` ran past 60 s
     "tau": {"wmax": (1, 12), "probe": (0, 5), "dmax": (0, DMAX_CAP)},
-    # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 5.0 s (over 100 s at
-    # 100) and at ``--depth -100`` 4.3 s (46 s at -200)
+    # ``--beta 1/1001 --s 1/1001`` at ``--k-hi 40`` takes 5.3 s (over 100 s at
+    # 100) and at ``--depth -100`` 0.34 s (1.6 s at -200)
     "basis": {"k_lo": (None, 40), "k_hi": (None, 40), "depth": (None, 100),
               "dmax": (0, DMAX_CAP)},
     # each entry of zlo,zhi,wlo,whi: ``--window=-40,-1,-40,40`` takes 4.4 s at
@@ -73,8 +73,8 @@ def _partition_terms(n_max: int, power: int) -> int:
 
 def _g_bits(family: WeightFamily, dmax: int) -> int:
     """The size of G(beta) to order dmax: the bits of its numerators and common
-    denominator.  G(beta) is formed here, in 0.02 s for quantum(1/2) at order
-    64, but in seconds for a q of many digits (2.4 s at q = 10^-9)."""
+    denominator.  G(beta) is formed here, in 0.01 s for quantum(1/2) at order
+    64, but in seconds for a q of many digits (1.0-1.2 s at q = 10^-9)."""
     g = r_factor(family, 1, dmax)
     return sum(n.bit_length() for n in (*g.nums, g.den))
 
@@ -130,10 +130,10 @@ WORK_BUDGETS = {
                                   * (a.dmax + 1) ** 2),
             "(sum_{n<=wmax} p(n)^2 + R^2) (dmax+1)^2 G, R = sum_{n<=probe+1} p(n)^2 "
             "(0 at probe 0), " + _G_WEIGHT, 60_000_000),
-    # at beta = s = 1/1001, ``--k-hi 40`` (132,000) takes 5 s, ``--depth -100``
-    # (193,725) 4.3 s, ``--depth -100 --k-hi 12`` (379,904) 12 s and ``--depth
-    # -100 --k-lo -10 --k-hi 10`` (485,100) 21 s; at ``--beta series --sigma 1/2
-    # --dmax 64``, exp (344,250) takes 19-25 s and quantum(1/2) (2,689,875) over 150 s
+    # at beta = s = 1/1001, ``--k-hi 40`` (132,000) takes 5.3 s, ``--depth -100``
+    # (193,725) 0.34 s, ``--depth -100 --k-hi 12`` (379,904) 0.68 s and ``--depth
+    # -100 --k-lo -10 --k-hi 10`` (485,100) 1.05 s; at ``--beta series --sigma 1/2
+    # --dmax 64``, exp (344,250) takes 20-24 s and quantum(1/2) (2,689,875) over 150 s
     "basis": (lambda a: _window_work(a.k_lo, a.k_hi, a.depth) * _series_weight(a),
               "(k_hi - depth) (k_hi - k_lo + 1) (k_hi - depth + |depth|) S, " + _SERIES_WEIGHT,
               379_904),
@@ -203,12 +203,12 @@ def serialize(obj):
             {"key": serialize(k), "value": serialize(v)}
             for k, v in sorted(obj.items(), key=lambda kv: json.dumps(serialize(kv[0])))
         ]
+    if isinstance(obj, correlators.KernelWindow):  # a tuple: before the list branch
+        return {"window": [obj.zlo, obj.zhi, obj.wlo, obj.whi], "cells": serialize(obj.cells)}
     if isinstance(obj, (list, tuple)):
         return [serialize(x) for x in obj]
     if obj is None or isinstance(obj, (int, str)):  # bool is an int
         return obj
-    if isinstance(obj, correlators.KernelWindow):
-        return {"window": [obj.zlo, obj.zhi, obj.wlo, obj.whi], "cells": serialize(obj.cells)}
     raise TypeError(f"cannot serialize a {type(obj).__name__}")
 
 
@@ -342,18 +342,19 @@ def cmd_tau(args) -> dict:
 
 
 def _basis_params(args) -> tuple:
-    """(beta, gamma, s, sigma) from --beta --gamma --s --sigma: beta is None in
-    series mode, sigma None unless given."""
+    """(beta, gamma, sigma) from --beta --gamma --s --sigma: beta is None in
+    series mode, and sigma is --sigma or s/beta (adaptedbasis.basis_sigma)."""
     beta = None if args.beta == "series" else _fraction(args.beta)
     sigma = _fraction_list(args.sigma) if args.sigma else None
-    return beta, _fraction(args.gamma), _fraction_list(args.s), sigma
+    s = _fraction_list(args.s)
+    return beta, _fraction(args.gamma), adaptedbasis.basis_sigma(beta, s, sigma)
 
 
 def cmd_basis(args) -> dict:
     family = make_family(args)
-    beta, gamma, s, sigma = _basis_params(args)
+    beta, gamma, sigma = _basis_params(args)
     b = adaptedbasis.build_basis(
-        family, beta, gamma, s=s, k_range=(args.k_lo, args.k_hi), depth=args.depth,
+        family, beta, gamma, k_range=(args.k_lo, args.k_hi), depth=args.depth,
         sigma=sigma, d_max=args.dmax,
     )
     # first: it raises where a = R^{-1} divides by a vanishing gamma G(-beta j),
@@ -401,18 +402,17 @@ def _kernel_basis_window(args) -> tuple:
     k_lo = min(0, 1 + zlo) - 1
     if args.check_finiteness:
         # the CD check reads w*_k down to k = 1 - LM, which the window alone may not reach
-        _, _, s, sigma = _basis_params(args)
-        k_lo = min(k_lo, 1 - adaptedbasis.q_band(make_family(args), sigma or s))
+        k_lo = min(k_lo, 1 - adaptedbasis.q_band(make_family(args), _basis_params(args)[2]))
     return k_lo, max(1, -zlo) + 1, min(zlo, wlo, 0, k_lo + 1) - 2
 
 
 def cmd_kernel(args) -> dict:
     family = make_family(args)
-    beta, gamma, s, sigma = _basis_params(args)
+    beta, gamma, sigma = _basis_params(args)
     window = _kernel_window(args.window)
     k_lo, k_hi, depth = _kernel_basis_window(args)
     b = adaptedbasis.build_basis(
-        family, beta, gamma, s=s, sigma=sigma, k_range=(k_lo, k_hi), depth=depth,
+        family, beta, gamma, sigma=sigma, k_range=(k_lo, k_hi), depth=depth,
         d_max=args.dmax,
     )
     k_tau = correlators.K2_via_tau(family, beta, gamma, b.sigma, window, d_max=args.dmax)
@@ -616,19 +616,20 @@ def _check_relations(args) -> None:
             f"tau --probe {args.probe} needs --wmax >= {2 * args.probe}, got {args.wmax}: "
             "the Hirota residual reads tau up to weight 2 * probe"
         )
+    if args.command in ("basis", "kernel"):
+        _, _, sigma = _basis_params(args)  # refuses beta 0, and series mode without sigma
     if args.command == "basis":
-        _check_basis_window(args, family)
+        _check_basis_window(args, family, sigma)
     if args.command == "kernel" and args.check_finiteness and family.degree is None:
         raise ConfigurationError("--check-finiteness needs a polynomial family")
 
 
-def _check_basis_window(args, family: WeightFamily) -> None:
+def _check_basis_window(args, family: WeightFamily, sigma: tuple) -> None:
     """Refuse a basis window on which a check would compare nothing;
     build_basis refuses an empty window itself."""
-    _, _, s, sigma = _basis_params(args)
     k_lo, k_hi, depth = args.k_lo, args.k_hi, args.depth
-    L = support(sigma or s)  # sigma = s/beta has the support of s
-    LM = adaptedbasis.q_band(family, sigma or s) if family.degree is not None else 0
+    L = support(sigma)
+    LM = adaptedbasis.q_band(family, sigma) if family.degree is not None else 0
     if k_lo <= k_hi and depth < k_lo:
         for empty, check, needs in (
             (k_hi == k_lo, "ladder", "--k-hi > --k-lo"),

@@ -12,8 +12,8 @@ Conventions (pinned by exact verification, see tests): all kernels live in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .adaptedbasis import BasisWindow, q_band, recursion_entry
 from .errors import ConfigurationError, OutOfWindowError
@@ -24,8 +24,7 @@ from .taufn import miwa_expand, schur_weight
 from .weights import WeightFamily, g_coeff
 
 
-@dataclass(frozen=True)
-class KernelWindow:
+class KernelWindow(NamedTuple):
     """Rectangular window of a two-variable Laurent kernel, |z| > |w| regime.
 
     Cells outside the rectangle are unknown, except that every kernel here has

@@ -3,9 +3,9 @@ exponential reconstruction of the tau-function, and the parametric PDEs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm, prod
+from typing import NamedTuple
 
 from .errors import ConfigurationError, DomainError
 from .exactalg import (
@@ -23,8 +23,7 @@ from .taufn import build_tau
 from .weights import WeightFamily, g_coeff, log_coeffs
 
 
-@dataclass(frozen=True)
-class DiffOp:
+class DiffOp(NamedTuple):
     """Finite sum of terms (t-monomial multiplier) * (partial-derivative monomial).
 
     Application to a GradedPoly changes every term's t-weight by exactly

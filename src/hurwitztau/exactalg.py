@@ -19,10 +19,9 @@ over the rationals:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     ConfigurationError,
@@ -282,10 +281,18 @@ def log_pieces(a, zero) -> list:
 
 
 def series_exp(a: BetaSeries) -> BetaSeries:
-    """exp of a series with constant term 0."""
-    if a.nums[0]:
+    """exp of a series with constant term 0, by exp_pieces' recurrence on
+    integers: with a = A/D and E_{<n} = nums/den, E_n = num/q for q = n D den
+    and num = sum_k k A_k nums_{n-k}; one gcd per order keeps den least."""
+    A, D = a.nums, a.den
+    if A[0]:
         raise DomainError("series_exp requires constant term 0")
-    return BetaSeries(exp_pieces(a.coeffs, _ONE, _ZERO))
+    nums, den = [1], 1
+    for n in range(1, len(A)):
+        num, q = sum(k * A[k] * nums[n - k] for k in range(1, n + 1) if A[k]), n * D * den
+        grow = q // gcd(q, num * den)  # den * grow: the least multiple of den clearing E_n
+        nums, den = [x * grow for x in nums] + [num * den * grow // q], den * grow
+    return BetaSeries._reduced(nums, den)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +538,7 @@ class GradedPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentWindow:
+class LaurentWindow(NamedTuple):
     """Window [lo, lo+len(coeffs)-1] of a Laurent series in z.
 
     Coefficients above the top of the window are known to be zero (all series
@@ -604,13 +610,16 @@ class LaurentWindow:
         return LaurentWindow(lo, tuple(out))
 
     def residue_with(self, other: "LaurentWindow"):
-        """Coefficient of z^{-1} in the product (the Hirota bilinear pairing)."""
-        prod = self.mul(other)
+        """Coefficient of z^{-1} in the product (the Hirota bilinear pairing),
+        formed from each factor's z^p with p >= -1 - (the other's top) only."""
+        prod = self._from(-1 - other.hi).mul(other._from(-1 - self.hi))
         if prod.lo > -1:
-            raise OutOfWindowError(
-                f"residue undetermined: product valid only from z^{prod.lo}"
-            )
+            raise OutOfWindowError(f"residue undetermined: product valid only from z^{prod.lo}")
         return prod.get(-1)
+
+    def _from(self, lo: int) -> "LaurentWindow":  # the window from z^lo, or its top
+        k = min(max(lo - self.lo, 0), len(self.coeffs) - 1)
+        return LaurentWindow(self.lo + k, self.coeffs[k:])
 
     def is_zero_on_valid(self) -> bool:
         return not any(self.coeffs)

@@ -4,10 +4,10 @@ residual, and the multicurrent correlators W_n / F_n."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from .errors import ConfigurationError, OutOfWindowError
 from .exactalg import (
@@ -23,8 +23,7 @@ from .symfun import schur_at_sigma, schur_sector_sum
 from .weights import WeightFamily, content_product
 
 
-@dataclass(frozen=True)
-class TauSeries:
+class TauSeries(NamedTuple):
     """Truncated tau-function.
 
     The coefficient in ``body`` of the monomial p_mu(t) p_nu(s) is

@@ -4,7 +4,7 @@ m_lambda read off it, content products and the convolution coefficients rho_j.""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,8 +21,7 @@ QUANTUM = "quantum"
 _KINDS = (FINITE_C, DUAL_FINITE_C, EXPONENTIAL, QUANTUM)
 
 
-@dataclass(frozen=True)
-class WeightFamily:
+class WeightFamily(namedtuple("WeightFamily", "kind c q label")):
     """A weight generating function.
 
     finite_c:      G(z) = prod_i (1 + z c_i)            (polynomial, degree M = len(c))
@@ -31,37 +30,34 @@ class WeightFamily:
     quantum:       G(z) = prod_{i>=1} (1 + q^i z)
     """
 
-    kind: str
-    c: tuple = ()
-    q: Fraction | None = None
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown weight family kind {self.kind!r}")
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
-        if self.kind == QUANTUM:
-            if self.q is None:
+    def __new__(cls, kind: str, c: tuple = (), q: Fraction | None = None, label: str = ""):
+        if kind not in _KINDS:
+            raise ConfigurationError(f"unknown weight family kind {kind!r}")
+        c = tuple(Fraction(x) for x in c)
+        if kind == QUANTUM:
+            if q is None:
                 raise ConfigurationError("quantum family needs q")
-            object.__setattr__(self, "q", Fraction(self.q))
-            if not 0 < self.q < 1:
+            q = Fraction(q)
+            if not 0 < q < 1:
                 raise ConfigurationError("quantum family needs 0 < q < 1")
-        if not self.label:
-            object.__setattr__(self, "label", self._default_label())
-
-    def _default_label(self) -> str:
-        if self.kind == FINITE_C:
-            return "G(z)=prod(1+z c_i), c=" + str([str(x) for x in self.c])
-        if self.kind == DUAL_FINITE_C:
-            return "G(z)=prod(1-z c_i)^-1, c=" + str([str(x) for x in self.c])
-        if self.kind == EXPONENTIAL:
-            return "G(z)=exp(z)"
-        return f"G(z)=prod(1+q^i z), q={self.q}"
+        return super().__new__(cls, kind, c, q, label or _default_label(kind, c, q))
 
     @property
     def degree(self) -> int | None:
         """deg G = len(c) when G is a polynomial (finite_c), None otherwise."""
         return len(self.c) if self.kind == FINITE_C else None
+
+
+def _default_label(kind: str, c: tuple, q: Fraction | None) -> str:
+    if kind == FINITE_C:
+        return "G(z)=prod(1+z c_i), c=" + str([str(x) for x in c])
+    if kind == DUAL_FINITE_C:
+        return "G(z)=prod(1-z c_i)^-1, c=" + str([str(x) for x in c])
+    if kind == EXPONENTIAL:
+        return "G(z)=exp(z)"
+    return f"G(z)=prod(1+q^i z), q={q}"
 
 
 def belyi() -> WeightFamily:

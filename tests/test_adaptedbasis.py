@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -308,7 +307,7 @@ class TestRelations:
         coeffs = list(bad_w[2].coeffs)
         coeffs[3] = coeffs[3] + 1
         bad_w[2] = LaurentWindow(bad_w[2].lo, tuple(coeffs))
-        bad = replace(b, w=bad_w)
+        bad = b._replace(w=bad_w)
         assert not quantum_curve_residual(bad)["ok"]
 
     @pytest.mark.parametrize(
@@ -322,7 +321,7 @@ class TestRelations:
         def corrupt(index):
             coeffs = list(b.ws[2].coeffs)
             coeffs[index] += 1
-            return replace(b, ws={**b.ws, 2: LaurentWindow(b.ws[2].lo, tuple(coeffs))})
+            return b._replace(ws={**b.ws, 2: LaurentWindow(b.ws[2].lo, tuple(coeffs))})
 
         bad = corrupt(3)
         for check in (ladder_R, kac_schwarz_check, quantum_curve_residual, euler_P, recursion_Q):

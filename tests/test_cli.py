@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -784,12 +785,18 @@ RELATION_BEFORE_CAP_RUNS = [
     (["basis", "--k-lo", "5", "--k-hi", "5", "--depth", "4", "--dmax", "65"],
      "basis window k in [5, 5], depth 4 has no ladder check: needs --k-hi > --k-lo"),
     (["hurwitz", "--family", "quantum", "--dmax", "65"], "--family quantum needs --q"),
+    (["basis", "--beta", "series", "--dmax", "65"],
+     "series-mode basis needs sigma = s/beta directly"),
+    (["basis", "--beta", "0", "--dmax", "65"], "beta must be nonzero"),
+    (["kernel", "--beta", "series", "--dmax", "65"],
+     "series-mode basis needs sigma = s/beta directly"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", RELATION_BEFORE_CAP_RUNS,
                          ids=["tau-probe", "hurwitz-verify-routes", "kernel-finiteness",
-                              "basis-window", "quantum-q"])
+                              "basis-window", "quantum-q", "basis-series-sigma", "basis-beta-0",
+                              "kernel-series-sigma"])
 def test_every_relation_is_checked_before_any_cap(argv, message, monkeypatch, capsys):
     for module, name in ENTRY_POINTS[argv[0]]:
         monkeypatch.setattr(module, name, _refuse(name))
@@ -892,3 +899,10 @@ def test_vacuous_basis_window_refused_before_compute(check, vacuous, nearest, mo
 def test_serialize_refuses_a_type_it_has_no_form_for():
     with pytest.raises(TypeError, match="cannot serialize a set"):
         cli.serialize({"mu": {2, 1}})
+
+
+def test_a_kernel_window_serializes_as_its_window_and_cells():
+    # a KernelWindow is a tuple: serialize must not take it for a list
+    window = correlators.KernelWindow(-2, -1, 0, 1, {(-1, 0): Fraction(1, 2)})
+    assert cli.serialize({"kernel": window}) == {"kernel": {
+        "window": [-2, -1, 0, 1], "cells": [{"key": [-1, 0], "value": "1/2"}]}}

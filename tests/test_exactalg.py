@@ -307,12 +307,14 @@ class TestBetaSeriesReference:
         a = BetaSeries([F(1, 3), F(-2, 5), 0, F(7, 2)])
         b = BetaSeries([F(1, 2), 3, F(-1, 6), 0])
         f = F(-3, 4)
+        u = b - F(1, 2)  # constant term 0
         with fractions_made() as made:
             for op in (lambda: a + b, lambda: a - b, lambda: -a, lambda: a * b,
                        lambda: a * f, lambda: 2 * a, lambda: a / f, lambda: a + f,
                        lambda: 2 - a, lambda: a.shift(2), lambda: a.dilate(-3),
                        lambda: a == b, lambda: a == f,
-                       lambda: hash(a), lambda: bool(a), lambda: series_inv(a), lambda: b / a):
+                       lambda: hash(a), lambda: bool(a), lambda: series_inv(a), lambda: b / a,
+                       lambda: series_exp(u)):
                 op()
         assert made == []
 
@@ -384,6 +386,21 @@ class TestLaurentWindow:
         u = LaurentWindow(-3, (F(0), F(2), F(0), F(1)))  # 2 z^-2 + 1
         v = LaurentWindow(-1, (F(0), F(0), F(3)))  # 3 z, known down to z^-1
         assert u.residue_with(v) == 6
+
+    def test_residue_reads_only_the_coefficients_that_reach_z_minus_1(self):
+        class Unread:  # a coefficient that must not enter the product, on either side
+            def __mul__(self, other):
+                raise AssertionError("a coefficient that cannot reach z^-1 was multiplied")
+
+            __rmul__ = __mul__
+
+        x = Unread()
+        # u's top is z^1 and v's z^0: only u from z^-1 and v from z^-2 can reach z^-1
+        u = LaurentWindow(-5, (x, x, x, x, F(2), F(3), F(5)))
+        v = LaurentWindow(-4, (x, x, F(1), F(4), F(6)))
+        assert u.residue_with(v) == 2 * 6 + 3 * 4 + 5 * 1
+        with pytest.raises(OutOfWindowError, match="valid only from z\\^0"):
+            LaurentWindow(-1, (F(1), F(1))).residue_with(LaurentWindow(0, (F(1), F(1))))
 
     def test_euler_and_shift(self):
         u = LaurentWindow(-1, (F(4), F(7)))

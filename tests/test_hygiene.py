@@ -4,14 +4,26 @@ that nothing calls or mentions by name, none but a listed few exists only
 for the tests, no optional parameter exists that no call passes, no
 parameter goes unread but a listed few, every module-level cache,
 bounded or not, is one of a listed few, and so is every import made inside
-a function and every function that reads a weight family's kind."""
+a function and every function that reads a weight family's kind.  The
+package's values are tuples: importing it loads no ``dataclasses``."""
 
 import ast
 import math
+import subprocess
+import sys
 from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import hurwitztau
+from hurwitztau.adaptedbasis import BasisWindow
+from hurwitztau.correlators import KernelWindow
+from hurwitztau.cutjoin import DiffOp
+from hurwitztau.exactalg import GradedPoly, LaurentWindow
+from hurwitztau.taufn import TauSeries
+from hurwitztau.weights import exponential
 
 PACKAGE = Path(hurwitztau.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
@@ -620,7 +632,6 @@ def _kind_reads(module, tree):
 # classical_curve alone names the kind, to print a transcendental curve's
 # symbolic text.  The list is exact: a new reader fails.
 KIND_READERS = {
-    "weights.py: WeightFamily.__post_init__", "weights.py: WeightFamily._default_label",
     "weights.py: WeightFamily.degree", "weights.py: log_coeffs", "weights.py: g_value",
     "adaptedbasis.py: classical_curve",
 }
@@ -657,3 +668,31 @@ class Box:
     assert _kind_reads("synthetic.py", ast.parse(source)) == [
         "synthetic.py: <module>", "synthetic.py: top", "synthetic.py: Box.method.inner",
     ]
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # the package's values are tuples; dataclasses would pull in inspect, ast and dis
+    code = ("import sys; before = set(sys.modules); import hurwitztau.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"
+    assert not [path.name for path in _modules() if "dataclass" in path.read_text("utf-8")]
+
+
+PLAIN_VALUES = [
+    (LaurentWindow, (-1, (Fraction(1), Fraction(2)))),
+    (KernelWindow, (-2, -1, 0, 1, {})),
+    (DiffOp, ((((1,), (), Fraction(1)),), 1)),
+    (TauSeries, (exponential(), 2, 1, GradedPoly({}, 2, 1))),
+    (BasisWindow, (exponential(), 1, (), -1, 1, -2, None, {}, {}, None, None, None)),
+]
+
+
+@pytest.mark.parametrize("cls,args", PLAIN_VALUES, ids=lambda x: getattr(x, "__name__", ""))
+def test_a_value_is_the_tuple_of_its_fields(cls, args):
+    value = cls(*args)
+    assert isinstance(value, tuple) and tuple(value) == args
+    assert cls(**dict(zip(cls._fields, args))) == value
+    assert repr(value).startswith(f"{cls.__name__}({cls._fields[0]}=")
+    assert not hasattr(value, "__dict__")

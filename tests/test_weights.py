@@ -7,7 +7,15 @@ import pytest
 
 from hurwitztau import weights
 from hurwitztau.errors import ConfigurationError, DomainError, SingularParameterError
-from hurwitztau.exactalg import BetaSeries, BRing, QRing, log_pieces, series_exp, series_inv
+from hurwitztau.exactalg import (
+    BetaSeries,
+    BRing,
+    QRing,
+    exp_pieces,
+    log_pieces,
+    series_exp,
+    series_inv,
+)
 from hurwitztau.hurwitz import build_table
 from hurwitztau.partitions import Partition, partitions_up_to
 from hurwitztau.weights import (
@@ -178,6 +186,47 @@ class TestGCoeff:
         # g_i vanishes above the degree, and only there
         fam = WeightFamily("finite_c", c=(1, F(1, 2), F(-2, 3)))
         assert [i for i in range(12) if g_coeff(fam, i) == 0] == list(range(4, 12))
+
+
+class TestWeightFamily:
+    def test_constructor_normalises_and_labels(self):
+        fam = WeightFamily("finite_c", (1, "1/2"))
+        assert fam == WeightFamily(kind="finite_c", c=(F(1), F(1, 2)), q=None,
+                                   label="G(z)=prod(1+z c_i), c=['1', '1/2']")
+        assert isinstance(fam, tuple) and all(type(x) is F for x in fam.c)
+        assert quantum("1/3").q == F(1, 3) and quantum(F(1, 3)).label == "quantum(q=1/3)"
+        assert WeightFamily("quantum", q=F(1, 2)).label == "G(z)=prod(1+q^i z), q=1/2"
+        assert exponential() == WeightFamily("exponential", label="exp")
+        assert hash(exponential()) == hash(WeightFamily("exponential", (), None, "exp"))
+        assert repr(signed()) == ("WeightFamily(kind='dual_finite_c', c=(Fraction(1, 1),), "
+                                  "q=None, label='signed')")
+
+    @pytest.mark.parametrize("args,message", [
+        (("bogus",), "unknown weight family kind 'bogus'"),
+        (("quantum",), "quantum family needs q"),
+        (("quantum", (), 1), "quantum family needs 0 < q < 1"),
+        (("quantum", (), F(-1, 2)), "quantum family needs 0 < q < 1"),
+    ])
+    def test_constructor_errors(self, args, message):
+        with pytest.raises(ConfigurationError, match=message):
+            WeightFamily(*args)
+
+
+def reference_series_exp(a: BetaSeries) -> BetaSeries:
+    """exp by exp_pieces' recurrence on Fractions: series_exp's reference."""
+    return BetaSeries(exp_pieces(a.coeffs, F(1), F(0)))
+
+
+@pytest.mark.parametrize("fam,order", [
+    (exponential(), 64), (belyi(), 64), (signed(), 64), (quantum(F(1, 2)), 64),
+    (WeightFamily("finite_c", c=(1, F(1, 2), F(-2, 3))), 64),
+    (WeightFamily("dual_finite_c", c=(F(1, 3), 2)), 40),
+    (quantum(F(1, 10**9)), 12), (quantum(F(999999999, 10**9)), 12),
+], ids=lambda x: x.label if isinstance(x, WeightFamily) else str(x))
+def test_series_exp_matches_the_fraction_recurrence(fam, order):
+    for d in sorted({0, 1, 2, order // 2, order}):
+        log_series = BetaSeries([0, *log_coeffs(fam, d)])
+        assert series_exp(log_series) == reference_series_exp(log_series)
 
 
 def reference_g_coeff(family: WeightFamily, i: int) -> Fraction:
